@@ -14,10 +14,11 @@
 //!   cargo run --release -p clockroute-bench --bin corebench -- --check
 //!
 //! `--check` is the CI gate wired into `scripts/check.sh`: it re-runs
-//! the arena engine on small grids (60 and 100), compares pops against
-//! the most recent matching `BENCH_core.json` rows, and fails if any
-//! search popped more than 10% over its recorded baseline. Bootstrap
-//! runs (no baseline row yet) pass. Check mode never appends.
+//! the arena engine on small grids (60 and 100) and fails unless every
+//! deterministic counter (`pops`, `pushed`, `pruned`, `stale`,
+//! `goal_pruned`, `max_queue`, `arena_bytes`) equals the most recent
+//! matching `BENCH_core.json` row exactly. Wall-clock is not gated.
+//! Bootstrap runs (no baseline row yet) pass. Check mode never appends.
 
 use clockroute_core::{EngineKind, FastPathSpec, RbpSpec, SearchStats};
 use clockroute_elmore::{GateLibrary, Technology};
@@ -32,9 +33,6 @@ const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_core.
 /// enough to force several pipeline waves on every grid size — the
 /// register-bound regime the paper's RBP experiments target.
 const RBP_PERIOD_FRACTIONS: [f64; 2] = [0.13, 0.06];
-
-/// Allowed relative pops growth before `--check` fails.
-const CHECK_TOLERANCE: f64 = 0.10;
 
 struct Instance {
     graph: GridGraph,
@@ -174,8 +172,22 @@ fn field_matches(line: &str, key: &str, value: &str) -> bool {
     line.contains(&format!("\"{key}\":\"{value}\""))
 }
 
-/// Most recent recorded pops for (engine, grid, search), if any.
-fn baseline_pops(contents: &str, engine: &str, grid: u32, search: &str) -> Option<u64> {
+/// The counters `--check` gates, as (row key, value) pairs. All are
+/// deterministic for a given commit, so any change is a real change.
+fn gated_counters(stats: &SearchStats) -> [(&'static str, u64); 7] {
+    [
+        ("pops", stats.configs),
+        ("pushed", stats.pushed),
+        ("pruned", stats.pruned),
+        ("stale", stats.stale_skipped),
+        ("goal_pruned", stats.goal_pruned),
+        ("max_queue", stats.max_queue as u64),
+        ("arena_bytes", stats.arena_bytes()),
+    ]
+}
+
+/// Most recent recorded row for (engine, grid, search), if any.
+fn baseline_row<'a>(contents: &'a str, engine: &str, grid: u32, search: &str) -> Option<&'a str> {
     contents
         .lines()
         .filter(|l| {
@@ -184,11 +196,10 @@ fn baseline_pops(contents: &str, engine: &str, grid: u32, search: &str) -> Optio
                 && field_u64(l, "grid") == Some(u64::from(grid))
         })
         .next_back()
-        .and_then(|l| field_u64(l, "pops"))
 }
 
-/// CI gate: arena pops on small grids must not regress more than 10%
-/// against the last recorded rows. Returns process exit code.
+/// CI gate: every deterministic arena counter on small grids must equal
+/// the last recorded row exactly. Returns process exit code.
 fn check() -> i32 {
     let contents = std::fs::read_to_string(BENCH_PATH).unwrap_or_default();
     let mut rows = Vec::new();
@@ -197,31 +208,35 @@ fn check() -> i32 {
     }
     let mut failures = 0;
     for row in &rows {
-        match baseline_pops(&contents, row.engine, row.grid, row.search) {
-            Some(base) => {
-                let limit = (base as f64 * (1.0 + CHECK_TOLERANCE)).ceil() as u64;
-                let verdict = if row.stats.configs > limit {
-                    failures += 1;
-                    "REGRESSED"
-                } else {
-                    "ok"
-                };
-                println!(
-                    "check {} grid={} {}: pops={} baseline={} limit={} {}",
-                    row.engine, row.grid, row.search, row.stats.configs, base, limit, verdict
-                );
-            }
-            None => println!(
-                "check {} grid={} {}: pops={} (no baseline, bootstrap pass)",
-                row.engine, row.grid, row.search, row.stats.configs
-            ),
+        let label = format!("check {} grid={} {}", row.engine, row.grid, row.search);
+        let Some(base) = baseline_row(&contents, row.engine, row.grid, row.search) else {
+            println!(
+                "{label}: pops={} (no baseline, bootstrap pass)",
+                row.stats.configs
+            );
+            continue;
+        };
+        let changed: Vec<String> = gated_counters(&row.stats)
+            .iter()
+            .filter(|&&(key, got)| field_u64(base, key) != Some(got))
+            .map(|&(key, got)| match field_u64(base, key) {
+                Some(want) => format!("{key}={got} (baseline {want})"),
+                None => format!("{key}={got} (no baseline value)"),
+            })
+            .collect();
+        if changed.is_empty() {
+            let pops = row.stats.configs;
+            println!("{label}: every counter matches (pops={pops})");
+        } else {
+            failures += 1;
+            println!("{label}: CHANGED {}", changed.join(", "));
         }
     }
     if failures > 0 {
-        eprintln!("corebench --check: {failures} search(es) regressed >10% in pops");
+        eprintln!("corebench --check: {failures} search(es) changed a counter");
         return 1;
     }
-    println!("corebench --check: pops within 10% of baseline");
+    println!("corebench --check: every counter matches its baseline");
     0
 }
 

@@ -126,7 +126,15 @@ impl<'a> Ctx<'a> {
     /// `d + R(r)·c + K(r)` (ps).
     #[inline]
     pub fn register_stage(&self, cap: f64, delay: f64) -> f64 {
-        delay + self.reg_res * cap * 1.0e-3 + self.reg_k
+        self.gate_stage(self.reg_id, cap, delay)
+    }
+
+    /// Delay of the stage closed by inserting `gate` at a candidate
+    /// `(c, d)`: `d + R(gate)·c + K(gate)` (ps).
+    #[inline]
+    pub fn gate_stage(&self, gate: GateId, cap: f64, delay: f64) -> f64 {
+        let g = self.lib.gate(gate);
+        delay + g.driver_res().ohms() * cap * 1.0e-3 + g.intrinsic().ps()
     }
 
     /// Smallest input capacitance any gate the searches place can

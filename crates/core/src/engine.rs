@@ -1,11 +1,11 @@
 //! Shared search-engine internals: candidate arena, priority queue and
 //! inferiority pruning.
 //!
-//! All three algorithms (fast path, RBP, GALS) are label-correcting
+//! All four searches (fast path, RBP, GALS, latch) are label-correcting
 //! searches over the grid graph whose candidates carry a downstream
-//! capacitance `c` and a delay `d`. This module centralises the mechanics
-//! they share so the algorithm files contain only the logic the paper
-//! actually describes.
+//! capacitance `c` and a delay `d`. This module holds the data
+//! structures they share; the arena engine's loop over them is
+//! [`search`](crate::search).
 
 use clockroute_elmore::GateId;
 use clockroute_grid::NodeId;
@@ -457,20 +457,6 @@ impl CandArena {
     }
 }
 
-/// Minimal queue interface the arena searches drive; implemented by the
-/// binary heap ([`HeapQueue`]) and the monotone bucket queue
-/// ([`DialQueue`]). Pop order is the exact total order `(key, seq)`
-/// ascending under `f64::total_cmp` for both, where `seq` is assigned
-/// per push — the same order [`DelayQueue`] produces.
-pub(crate) trait SearchQueue {
-    fn push(&mut self, key: f64, idx: u32);
-    fn pop(&mut self) -> Option<u32>;
-    /// Minimum key currently queued. Takes `&mut self` because the dial
-    /// queue may need to activate its next bucket to answer.
-    fn peek_key(&mut self) -> Option<f64>;
-    fn len(&self) -> usize;
-}
-
 #[cfg(test)]
 struct IdxEntry {
     key: f64,
@@ -524,11 +510,8 @@ impl HeapQueue {
             seq: 0,
         }
     }
-}
 
-#[cfg(test)]
-impl SearchQueue for HeapQueue {
-    fn push(&mut self, key: f64, idx: u32) {
+    pub fn push(&mut self, key: f64, idx: u32) {
         debug_assert!(key.is_finite(), "non-finite queue key {key}");
         self.seq += 1;
         self.heap.push(IdxEntry {
@@ -538,16 +521,12 @@ impl SearchQueue for HeapQueue {
         });
     }
 
-    fn pop(&mut self) -> Option<u32> {
+    pub fn pop(&mut self) -> Option<u32> {
         self.heap.pop().map(|e| e.idx)
     }
 
-    fn peek_key(&mut self) -> Option<f64> {
+    pub fn peek_key(&mut self) -> Option<f64> {
         self.heap.peek().map(|e| e.key)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
     }
 }
 
@@ -693,10 +672,8 @@ impl DialQueue {
             }
         }
     }
-}
 
-impl SearchQueue for DialQueue {
-    fn push(&mut self, key: f64, idx: u32) {
+    pub fn push(&mut self, key: f64, idx: u32) {
         debug_assert!(key.is_finite(), "non-finite queue key {key}");
         self.seq += 1;
         self.len += 1;
@@ -708,7 +685,7 @@ impl SearchQueue for DialQueue {
         self.place(e);
     }
 
-    fn pop(&mut self) -> Option<u32> {
+    pub fn pop(&mut self) -> Option<u32> {
         if !self.ensure_active() {
             return None;
         }
@@ -724,14 +701,18 @@ impl SearchQueue for DialQueue {
         Some(e.idx)
     }
 
-    fn peek_key(&mut self) -> Option<f64> {
+    /// Minimum key currently queued, for the pop-order property tests.
+    /// Takes `&mut self` because the calendar may need to activate its
+    /// next bucket to answer.
+    #[cfg(test)]
+    pub fn peek_key(&mut self) -> Option<f64> {
         if !self.ensure_active() {
             return None;
         }
         self.active.last().map(|e| e.key)
     }
 
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.len
     }
 }

@@ -11,18 +11,16 @@
 
 use crate::budget::{BudgetMeter, SearchStage};
 use crate::ctx::Ctx;
-use crate::engine::{
-    Arena, Cand, CandArena, DelayQueue, DialQueue, EngineKind, PruneTable, SearchQueue,
-    SortedFronts, NO_PARENT,
-};
+use crate::engine::{Arena, Cand, DelayQueue, EngineKind, PruneTable, NO_PARENT};
 use crate::failpoint::{self, FailAction};
 use crate::goal::{probe_fastpath, GoalBound};
+use crate::search::{self, Rules};
 use crate::telemetry::TelemetryHandle;
 use crate::{FastPathSolution, RouteError, RoutedPath, SearchBudget, SearchStats};
 use clockroute_elmore::{GateId, GateLibrary, Technology};
 use clockroute_geom::units::Time;
 use clockroute_geom::Point;
-use clockroute_grid::GridGraph;
+use clockroute_grid::{GridGraph, NodeId};
 
 /// Specification builder for a fast path search.
 ///
@@ -147,16 +145,10 @@ impl<'a> FastPathSpec<'a> {
             self.source_gate,
             self.sink_gate,
         )?;
-        // crlint-allow: CR003 span start; the duration only reaches telemetry, never compared bytes
-        let started = std::time::Instant::now();
-        let mut stats = SearchStats::new();
-        let out = match self.engine {
-            EngineKind::Arena => solve_arena(&ctx, self.budget, self.goal_prune, &mut stats),
-            EngineKind::Legacy => solve_legacy(&ctx, self.budget, &mut stats),
-        };
-        self.telemetry
-            .flush_search("fastpath", &stats, started.elapsed(), out.is_ok());
-        out
+        self.telemetry.search("fastpath", |stats| match self.engine {
+            EngineKind::Arena => solve_arena(&ctx, self.budget, self.goal_prune, stats),
+            EngineKind::Legacy => solve_legacy(&ctx, self.budget, stats),
+        })
     }
 }
 
@@ -285,9 +277,8 @@ fn solve_legacy(
     Err(RouteError::NoFeasibleRoute)
 }
 
-/// Arena-engine fast path: struct-of-arrays candidates behind a dial
-/// queue and sorted frontiers, plus (optionally) admissible goal pruning
-/// against a canonical-path upper bound.
+/// Arena-engine fast path on the shared driver, plus (optionally)
+/// admissible goal pruning against a canonical-path upper bound.
 ///
 /// Every decision the legacy engine makes is mirrored exactly — the same
 /// admits, the same pop order over surviving candidates, the same
@@ -302,167 +293,61 @@ fn solve_arena(
     goal_prune: bool,
     stats: &mut SearchStats,
 ) -> Result<FastPathSolution, RouteError> {
-    let graph = ctx.graph;
-    let mut meter = BudgetMeter::new(budget, SearchStage::FastPath);
-    let mut arena = Arena::new();
-    let mut cands = CandArena::new();
-    let mut queue = DialQueue::new(ctx.queue_scale());
-    let mut fronts = SortedFronts::new(graph.node_count());
-    let bound = GoalBound::new(ctx);
-    // `None` disables pruning (blocked probe path — no upper bound).
-    let mut upper = if goal_prune { probe_fastpath(ctx) } else { None };
+    let mut rules = FastPath {
+        ctx,
+        bound: GoalBound::new(ctx),
+        // `None` disables pruning (blocked probe path — no upper bound).
+        upper: if goal_prune {
+            probe_fastpath(ctx)
+        } else {
+            None
+        },
+    };
+    let (path, done) = search::run(ctx, budget, ctx.graph.node_count(), stats, &mut rules)?;
+    Ok(FastPathSolution {
+        path,
+        delay: Time::from_ps(done.delay),
+        stats: *stats,
+    })
+}
 
-    let gt = ctx.lib.gate(ctx.gt);
-    let root = arena.push(ctx.t, None, NO_PARENT);
-    let start = Cand::start(gt.input_cap().ff(), gt.setup().ps(), root, ctx.t);
-    let admitted = fronts.admits(ctx.t.index(), start.cap, start.delay, 0.0, false);
-    let seed = cands.alloc(&start);
-    if admitted {
-        fronts.insert(
-            ctx.t.index(),
-            start.cap,
-            start.delay,
-            0.0,
-            false,
-            seed,
-            &mut cands,
-            &mut stats.pruned,
-        );
-    }
-    queue.push(start.delay, seed);
-    stats.record_push(queue.len());
+/// The fast path's steps of the shared search: completed source
+/// arrivals are queued keyed by their total delay, and the first one
+/// popped is globally optimal.
+struct FastPath<'a> {
+    ctx: &'a Ctx<'a>,
+    bound: GoalBound,
+    /// Best completed delay so far; `None` when goal pruning is off.
+    upper: Option<f64>,
+}
 
-    while let Some(idx) = queue.pop() {
-        if cands.is_dead(idx) {
-            // Evicted while queued: the legacy engine charges the pop and
-            // stale-skips it; eliding the charge is pure saving.
-            continue;
-        }
-        let cand = cands.get(idx);
-        match failpoint::hit("fastpath::pop") {
-            Some(FailAction::Panic) => panic!("failpoint fastpath::pop: forced panic"),
-            Some(FailAction::BudgetExhausted) => return Err(meter.exceeded()),
-            Some(FailAction::NoRoute) => return Err(RouteError::NoFeasibleRoute),
-            // I/O actions only apply at `serve::*` sites; inert here.
-            Some(FailAction::IoError | FailAction::ShortIo) | None => {}
-        }
-        stats.budget_charges += 1;
-        stats.arena_steps = arena.len() as u64;
-        meter.charge_pop(arena.len())?;
-        stats.configs += 1;
-        if cand.finalized {
-            // First completed candidate off the queue is globally optimal.
-            let (nodes, mut labels) = arena.reconstruct(cand.trail);
-            let points: Vec<Point> = nodes.iter().map(|&n| graph.point(n)).collect();
-            labels[0] = Some(ctx.gs);
-            let last = labels.len() - 1;
-            labels[last] = Some(ctx.gt);
-            let path = RoutedPath::new(points, labels, ctx.lib);
-            stats.touched = arena.touched(graph);
-            stats.front_comparisons = fronts.comparisons();
-            return Ok(FastPathSolution {
-                path,
-                delay: Time::from_ps(cand.delay),
-                stats: *stats,
-            });
-        }
-        if fronts.is_stale(
-            cand.node.index(),
-            cand.cap,
-            cand.delay,
-            0.0,
-            !cand.gate_here,
-        ) {
-            stats.stale_skipped += 1;
-            continue;
-        }
+impl Rules for FastPath<'_> {
+    const SITE: &'static str = "fastpath::pop";
+    const STAGE: SearchStage = SearchStage::FastPath;
 
-        // Step 6 (Fig. 1): extend along each incident edge.
-        for v in graph.neighbors(cand.node) {
-            stats.budget_charges += 1;
-            meter.charge_expand()?;
-            let (re, ce) = ctx.edge(cand.node, v);
-            let cap = cand.cap + ce;
-            let delay = cand.delay + re * (cand.cap + ce / 2.0);
-            if let Some(u) = upper {
-                if bound.doomed(graph.point(v), cap, delay, u) {
-                    stats.goal_pruned += 1;
-                    continue;
-                }
-            }
-            if !fronts.admits(v.index(), cap, delay, 0.0, true) {
-                stats.pruned += 1;
-                continue;
-            }
-            let trail = arena.push(v, None, cand.trail);
-            let mut next = Cand::start(cap, delay, trail, v);
-            next.gate_here = false;
-            let nidx = cands.alloc(&next);
-            fronts.insert(v.index(), cap, delay, 0.0, true, nidx, &mut cands, &mut stats.pruned);
-            queue.push(delay, nidx);
-            stats.record_push(queue.len());
-            if v == ctx.s {
-                // Step 5: a source arrival — push the completed candidate
-                // keyed by its total delay, and tighten the goal bound.
-                let total = ctx.finish_at_source(cap, delay);
-                let mut fin = next;
-                fin.delay = total;
-                fin.finalized = true;
-                let fidx = cands.alloc(&fin);
-                queue.push(total, fidx);
-                stats.record_push(queue.len());
-                if let Some(u) = upper {
-                    if total < u {
-                        upper = Some(total);
-                    }
-                }
-            }
-        }
-
-        // Steps 7–8: try every buffer at the current node.
-        if cand.node != ctx.s
-            && cand.node != ctx.t
-            && !cand.gate_here
-            && graph.is_insertable(cand.node)
-        {
-            for b in &ctx.buffers {
-                stats.budget_charges += 1;
-                meter.charge_expand()?;
-                let cap = b.cap;
-                let delay = cand.delay + b.res * cand.cap * 1.0e-3 + b.k;
-                if let Some(u) = upper {
-                    if bound.doomed(graph.point(cand.node), cap, delay, u) {
-                        stats.goal_pruned += 1;
-                        continue;
-                    }
-                }
-                if !fronts.admits(cand.node.index(), cap, delay, 0.0, false) {
-                    stats.pruned += 1;
-                    continue;
-                }
-                let trail = arena.push(cand.node, Some(b.id), cand.trail);
-                let mut next = Cand::start(cap, delay, trail, cand.node);
-                next.gate_here = true;
-                let nidx = cands.alloc(&next);
-                fronts.insert(
-                    cand.node.index(),
-                    cap,
-                    delay,
-                    0.0,
-                    false,
-                    nidx,
-                    &mut cands,
-                    &mut stats.pruned,
-                );
-                queue.push(delay, nidx);
-                stats.record_push(queue.len());
-            }
-        }
+    fn doomed(&self, at: NodeId, cap: f64, delay: f64, _waves: u32) -> bool {
+        self.upper
+            .is_some_and(|u| self.bound.doomed(self.ctx.graph.point(at), cap, delay, u))
     }
 
-    stats.arena_steps = arena.len() as u64;
-    stats.front_comparisons = fronts.comparisons();
-    Err(RouteError::NoFeasibleRoute)
+    /// Step 5: a source arrival also queues the completed candidate,
+    /// keyed by its total delay, and tightens the goal bound.
+    fn wired(&mut self, next: &Cand) -> Option<Cand> {
+        if next.node != self.ctx.s {
+            return None;
+        }
+        let total = self.ctx.finish_at_source(next.cap, next.delay);
+        if let Some(u) = self.upper {
+            if total < u {
+                self.upper = Some(total);
+            }
+        }
+        Some(Cand {
+            delay: total,
+            finalized: true,
+            ..*next
+        })
+    }
 }
 
 #[cfg(test)]

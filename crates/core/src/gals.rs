@@ -25,17 +25,16 @@
 
 use crate::budget::{BudgetMeter, SearchStage};
 use crate::ctx::Ctx;
-use crate::engine::{
-    Arena, Cand, CandArena, DelayQueue, DialQueue, EngineKind, PruneTable, SearchQueue,
-    SortedFronts, NO_PARENT,
-};
+use crate::engine::{Arena, Cand, DelayQueue, EngineKind, PruneTable, NO_PARENT};
 use crate::failpoint::{self, FailAction};
+use crate::search::{self, Rules, Search, WaveEnd};
 use crate::telemetry::TelemetryHandle;
 use crate::{GalsSolution, RouteError, RoutedPath, SearchBudget, SearchStats};
 use clockroute_elmore::{GateId, GateKind, GateLibrary, Technology};
 use clockroute_geom::units::Time;
 use clockroute_geom::Point;
 use clockroute_grid::GridGraph;
+use std::collections::BTreeMap;
 
 /// Specification builder for a GALS two-domain search.
 ///
@@ -155,16 +154,10 @@ impl<'a> GalsSpec<'a> {
             self.source_gate,
             self.sink_gate,
         )?;
-        // crlint-allow: CR003 span start; the duration only reaches telemetry, never compared bytes
-        let started = std::time::Instant::now();
-        let mut stats = SearchStats::new();
-        let out = match self.engine {
-            EngineKind::Arena => solve_arena(&ctx, t_s.ps(), t_t.ps(), self.budget, &mut stats),
-            EngineKind::Legacy => solve_legacy(&ctx, t_s.ps(), t_t.ps(), self.budget, &mut stats),
-        };
-        self.telemetry
-            .flush_search("gals", &stats, started.elapsed(), out.is_ok());
-        out
+        self.telemetry.search("gals", |stats| match self.engine {
+            EngineKind::Arena => solve_arena(&ctx, t_s.ps(), t_t.ps(), self.budget, stats),
+            EngineKind::Legacy => solve_legacy(&ctx, t_s.ps(), t_t.ps(), self.budget, stats),
+        })
     }
 }
 
@@ -369,10 +362,10 @@ fn solve_legacy(
     }
 }
 
-/// Arena-engine search: flat candidate storage, monotone bucket queues
-/// (the latency-keyed `Q*` included), and sorted Pareto fronts. Returns
-/// exactly what [`solve_legacy`] returns. No goal pruning: the
-/// two-domain latency objective has no admissible single-period bound.
+/// Arena-engine search on the shared driver, with `Q*` an ordered map
+/// from latency to seeds. Returns exactly what [`solve_legacy`]
+/// returns. No goal pruning: the two-domain latency
+/// objective has no admissible single-period bound.
 fn solve_arena(
     ctx: &Ctx<'_>,
     t_s: f64,
@@ -380,224 +373,108 @@ fn solve_arena(
     budget: SearchBudget,
     stats: &mut SearchStats,
 ) -> Result<GalsSolution, RouteError> {
-    let graph = ctx.graph;
-    let n = graph.node_count();
-    let mut meter = BudgetMeter::new(budget, SearchStage::Gals);
-    let mut arena = Arena::new();
-    let mut cands = CandArena::new();
+    let n = ctx.graph.node_count();
+    let mut rules = Gals {
+        ctx,
+        t_s,
+        t_t,
+        reg_marked: [vec![false; n], vec![false; n]],
+        fifo_marked: vec![false; n],
+        qstar: BTreeMap::new(),
+    };
     // Separate Pareto fronts per z: key = node·2 + z.
-    let mut fronts = SortedFronts::new(n * 2);
-    // A_0 / A_1: register inserted at v with the given z; F: FIFO at v.
-    let mut reg_marked = [vec![false; n], vec![false; n]];
-    let mut fifo_marked = vec![false; n];
+    let (path, _) = search::run(ctx, budget, n * 2, stats, &mut rules)?;
+    Ok(solution(ctx.lib, path, t_s, t_t, *stats))
+}
 
-    let fifo = ctx.lib.gate(ctx.lib.mcfifo());
-    let fifo_res = fifo.driver_res().ohms();
-    let fifo_cap = fifo.input_cap().ff();
-    let fifo_k = fifo.intrinsic().ps();
-    let fifo_setup = fifo.setup().ps();
-    let fifo_id = ctx.lib.mcfifo();
+/// GALS's steps of the shared search (paper §IV-B).
+struct Gals<'a> {
+    ctx: &'a Ctx<'a>,
+    t_s: f64,
+    t_t: f64,
+    /// A_0 / A_1: register inserted at v with the given z.
+    reg_marked: [Vec<bool>; 2],
+    /// F: FIFO inserted at v.
+    fifo_marked: Vec<bool>,
+    /// Q*: next wave fronts by latency `l`, each in insertion order.
+    /// Latencies are positive and finite, so their bit patterns order
+    /// like their values.
+    qstar: BTreeMap<u64, Vec<u32>>,
+}
 
-    let mut queue = DialQueue::new(ctx.queue_scale());
-    // Q*: next wave fronts, keyed by latency `l` — bucketed by the
-    // faster period, the smallest latency increment a stage can add.
-    let mut qstar = DialQueue::new(t_s.min(t_t));
-
-    let gt = ctx.lib.gate(ctx.gt);
-    let root = arena.push(ctx.t, None, NO_PARENT);
-    let start = Cand::start(gt.input_cap().ff(), gt.setup().ps(), root, ctx.t);
-    let sidx = cands.alloc(&start);
-    if fronts.admits(ctx.t.index() * 2, start.cap, start.delay, 0.0, false) {
-        fronts.insert(
-            ctx.t.index() * 2,
-            start.cap,
-            start.delay,
-            0.0,
-            false,
-            sidx,
-            &mut cands,
-            &mut stats.pruned,
-        );
+impl Gals<'_> {
+    /// Files a synchronizer claim in `Q*` under its latency.
+    fn claim(&mut self, next: &Cand, s: &mut Search<'_>) {
+        let idx = s.cands.alloc(next);
+        self.qstar
+            .entry(next.latency.to_bits())
+            .or_default()
+            .push(idx);
     }
-    queue.push(start.delay, sidx);
-    stats.record_push(queue.len());
+}
 
-    loop {
-        while let Some(qidx) = queue.pop() {
-            // Entry evicted from its front while queued: the slot was
-            // reclaimed, so skip before charging anything.
-            if cands.is_dead(qidx) {
-                continue;
-            }
-            match failpoint::hit("gals::pop") {
-                Some(FailAction::Panic) => panic!("failpoint gals::pop: forced panic"),
-                Some(FailAction::BudgetExhausted) => return Err(meter.exceeded()),
-                Some(FailAction::NoRoute) => return Err(RouteError::NoFeasibleRoute),
-                // I/O actions only apply at `serve::*` sites; inert here.
-                Some(FailAction::IoError | FailAction::ShortIo) | None => {}
-            }
-            let cand = cands.get(qidx);
-            stats.budget_charges += 1;
-            stats.arena_steps = arena.len() as u64;
-            meter.charge_pop(arena.len())?;
-            stats.configs += 1;
-            let z = cand.fifo_inserted;
-            let key = cand.node.index() * 2 + usize::from(z);
-            if fronts.is_stale(key, cand.cap, cand.delay, 0.0, !cand.gate_here) {
-                stats.stale_skipped += 1;
-                continue;
-            }
-            let t_cur = t_of(z, t_s, t_t);
+impl Rules for Gals<'_> {
+    const SITE: &'static str = "gals::pop";
+    const STAGE: SearchStage = SearchStage::Gals;
 
-            // Step 4: source arrival — accept only with the FIFO inserted.
-            if cand.node == ctx.s && z {
-                let total = ctx.finish_at_source(cand.cap, cand.delay);
-                if total <= t_s {
-                    stats.arena_steps = arena.len() as u64;
-                    stats.front_comparisons = fronts.comparisons();
-                    return Ok(build(ctx, &arena, cand, t_s, t_t, *stats));
-                }
-            }
+    fn key(&self, c: &Cand) -> usize {
+        c.node.index() * 2 + usize::from(c.fifo_inserted)
+    }
 
-            // Step 5: wire expansion, bounded by the current domain period.
-            for v in graph.neighbors(cand.node) {
-                stats.budget_charges += 1;
-                meter.charge_expand()?;
-                let (re, ce) = ctx.edge(cand.node, v);
-                let cap = cand.cap + ce;
-                let delay = cand.delay + re * (cand.cap + ce / 2.0);
-                if delay > t_cur - ctx.reg_k - ctx.min_res * cap * 1.0e-3 {
-                    stats.bound_rejected += 1;
-                    continue;
-                }
-                let vkey = v.index() * 2 + usize::from(z);
-                if !fronts.admits(vkey, cap, delay, 0.0, true) {
-                    stats.pruned += 1;
-                    continue;
-                }
-                let trail = arena.push(v, None, cand.trail);
-                let mut next = cand;
-                next.cap = cap;
-                next.delay = delay;
-                next.node = v;
-                next.trail = trail;
-                next.gate_here = false;
-                let nidx = cands.alloc(&next);
-                fronts.insert(vkey, cap, delay, 0.0, true, nidx, &mut cands, &mut stats.pruned);
-                queue.push(delay, nidx);
-                stats.record_push(queue.len());
-            }
+    /// Step 4: source arrival — accept only with the FIFO inserted.
+    fn arrival(&mut self, c: &Cand) -> bool {
+        c.node == self.ctx.s
+            && c.fifo_inserted
+            && self.ctx.finish_at_source(c.cap, c.delay) <= self.t_s
+    }
 
-            let internal = cand.node != ctx.s && cand.node != ctx.t && !cand.gate_here;
+    /// Steps 5 and 7 are bounded by the current domain period (each
+    /// buffer stands for a pair, one per signal direction — §IV-B).
+    fn stage_limit(&self, c: &Cand) -> Option<f64> {
+        Some(t_of(c.fifo_inserted, self.t_s, self.t_t) - self.ctx.reg_k)
+    }
 
-            // Step 7: buffers (remember each stands for a pair, one per
-            // signal direction — §IV-B).
-            if internal && graph.is_insertable(cand.node) {
-                for b in &ctx.buffers {
-                    stats.budget_charges += 1;
-                    meter.charge_expand()?;
-                    let cap = b.cap;
-                    let delay = cand.delay + b.res * cand.cap * 1.0e-3 + b.k;
-                    if delay > t_cur - ctx.reg_k {
-                        stats.bound_rejected += 1;
-                        continue;
-                    }
-                    if !fronts.admits(key, cap, delay, 0.0, false) {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                    let trail = arena.push(cand.node, Some(b.id), cand.trail);
-                    let mut next = cand;
-                    next.cap = cap;
-                    next.delay = delay;
-                    next.trail = trail;
-                    next.gate_here = true;
-                    let nidx = cands.alloc(&next);
-                    fronts.insert(key, cap, delay, 0.0, false, nidx, &mut cands, &mut stats.pruned);
-                    queue.push(delay, nidx);
-                    stats.record_push(queue.len());
-                }
-            }
+    fn synchronize(&mut self, c: &Cand, s: &mut Search<'_>) {
+        let ctx = self.ctx;
+        let z = c.fifo_inserted;
+        let t_cur = t_of(z, self.t_s, self.t_t);
+        let node = c.node.index();
 
-            // Step 8: relay station (register) insertion → next wave,
-            // latency grows by the current domain period.
-            if internal
-                && graph.is_register_allowed(cand.node)
-                && !reg_marked[usize::from(z)][cand.node.index()]
-            {
-                let stage = ctx.register_stage(cand.cap, cand.delay);
-                if stage <= t_cur {
-                    reg_marked[usize::from(z)][cand.node.index()] = true;
-                    let trail = arena.push(cand.node, Some(ctx.reg_id), cand.trail);
-                    let mut next = cand;
-                    next.cap = ctx.reg_cap;
-                    next.delay = ctx.reg_setup;
-                    next.trail = trail;
-                    next.gate_here = true;
-                    next.latency = cand.latency + t_cur;
-                    qstar.push(next.latency, cands.alloc(&next));
-                } else {
-                    stats.bound_rejected += 1;
-                }
-            }
-
-            // Step 9: MCFIFO insertion (only once, only before any FIFO),
-            // latency grows by T_t (the FIFO's get interface launches the
-            // downstream stage on the receiver clock).
-            if internal && !z && graph.is_register_allowed(cand.node) && !fifo_marked[cand.node.index()]
-            {
-                let stage = cand.delay + fifo_res * cand.cap * 1.0e-3 + fifo_k;
-                if stage <= t_cur {
-                    fifo_marked[cand.node.index()] = true;
-                    let trail = arena.push(cand.node, Some(fifo_id), cand.trail);
-                    let mut next = cand;
-                    next.cap = fifo_cap;
-                    next.delay = fifo_setup;
-                    next.trail = trail;
-                    next.gate_here = true;
-                    next.fifo_inserted = true;
-                    next.latency = cand.latency + t_t;
-                    qstar.push(next.latency, cands.alloc(&next));
-                } else {
-                    stats.bound_rejected += 1;
-                }
+        // Step 8: relay station (register) insertion → next wave,
+        // latency grows by the current domain period.
+        if !self.reg_marked[usize::from(z)][node] {
+            if ctx.register_stage(c.cap, c.delay) <= t_cur {
+                self.reg_marked[usize::from(z)][node] = true;
+                let mut next = s.synchronizer(c, ctx.reg_id);
+                next.latency = c.latency + t_cur;
+                self.claim(&next, s);
+            } else {
+                s.stats.bound_rejected += 1;
             }
         }
 
-        // ExtractAllMin(Q*): promote the minimum-latency wave front.
-        let Some(l_min) = qstar.peek_key() else {
-            stats.arena_steps = arena.len() as u64;
-            stats.front_comparisons = fronts.comparisons();
-            return Err(RouteError::NoFeasibleRoute);
-        };
-        stats.waves += 1;
-        fronts.advance_wave();
-        while qstar.peek_key() == Some(l_min) {
-            stats.budget_charges += 1;
-            stats.promoted += 1;
-            meter.charge_expand()?;
-            // crlint-allow: CR002 `peek_key` on the same queue just returned Some
-            let nidx = qstar.pop().expect("peeked");
-            let cand = cands.get(nidx);
-            let key = cand.node.index() * 2 + usize::from(cand.fifo_inserted);
-            // Mirrors the legacy unconditional promotion: file into the
-            // front when admissible, but push regardless — a dominated
-            // seed is caught by `is_stale` at its pop, exactly as the
-            // reference engine does.
-            if fronts.admits(key, cand.cap, cand.delay, 0.0, false) {
-                fronts.insert(
-                    key,
-                    cand.cap,
-                    cand.delay,
-                    0.0,
-                    false,
-                    nidx,
-                    &mut cands,
-                    &mut stats.pruned,
-                );
+        // Step 9: MCFIFO insertion (only once, only before any FIFO),
+        // latency grows by T_t (the FIFO's get interface launches the
+        // downstream stage on the receiver clock).
+        if !z && !self.fifo_marked[node] {
+            if ctx.gate_stage(ctx.lib.mcfifo(), c.cap, c.delay) <= t_cur {
+                self.fifo_marked[node] = true;
+                let mut next = s.synchronizer(c, ctx.lib.mcfifo());
+                next.fifo_inserted = true;
+                next.latency = c.latency + self.t_t;
+                self.claim(&next, s);
+            } else {
+                s.stats.bound_rejected += 1;
             }
-            queue.push(cand.delay, nidx);
-            stats.record_push(queue.len());
+        }
+    }
+
+    /// ExtractAllMin(Q*): the next wave is every seed at the minimum
+    /// latency.
+    fn wave_end(&mut self, _s: &mut Search<'_>) -> WaveEnd {
+        match self.qstar.pop_first() {
+            Some((_, wave)) => WaveEnd::Next(wave),
+            None => WaveEnd::Exhausted,
         }
     }
 }
@@ -611,18 +488,26 @@ fn build(
     mut stats: SearchStats,
 ) -> GalsSolution {
     stats.touched = arena.touched(ctx.graph);
-    let (nodes, mut labels) = arena.reconstruct(cand.trail);
-    let points: Vec<Point> = nodes.iter().map(|&n| ctx.graph.point(n)).collect();
-    labels[0] = Some(ctx.gs);
-    let last = labels.len() - 1;
-    labels[last] = Some(ctx.gt);
+    let path = search::reconstruct(ctx, arena, cand.trail);
+    solution(ctx.lib, path, t_s, t_t, stats)
+}
+
+fn solution(
+    lib: &GateLibrary,
+    path: RoutedPath,
+    t_s: f64,
+    t_t: f64,
+    stats: SearchStats,
+) -> GalsSolution {
     // Count relay stations on each side of the FIFO.
+    let labels = path.labels();
+    let last = labels.len() - 1;
     let mut regs_source_side = 0;
     let mut regs_sink_side = 0;
     let mut seen_fifo = false;
     for &label in labels.iter().take(last).skip(1) {
         if let Some(id) = label {
-            match ctx.lib.gate(id).kind() {
+            match lib.gate(id).kind() {
                 GateKind::McFifo => seen_fifo = true,
                 GateKind::Register | GateKind::Latch => {
                     if seen_fifo {
@@ -636,7 +521,7 @@ fn build(
         }
     }
     GalsSolution {
-        path: RoutedPath::new(points, labels, ctx.lib),
+        path,
         t_s: Time::from_ps(t_s),
         t_t: Time::from_ps(t_t),
         regs_source_side,

@@ -31,11 +31,9 @@
 
 use crate::budget::{BudgetMeter, SearchStage};
 use crate::ctx::Ctx;
-use crate::engine::{
-    Arena, Cand, CandArena, DelayQueue, DialQueue, EngineKind, PruneTable, SearchQueue,
-    SortedFronts, NO_PARENT,
-};
+use crate::engine::{Arena, Cand, DelayQueue, EngineKind, PruneTable, NO_PARENT};
 use crate::failpoint::{self, FailAction};
+use crate::search::{self, Rules, Search, WaveEnd};
 use crate::telemetry::TelemetryHandle;
 use crate::{RouteError, RoutedPath, SearchBudget, SearchStats};
 use clockroute_elmore::{GateId, GateLibrary, Technology};
@@ -166,16 +164,10 @@ impl<'a> LatchSpec<'a> {
             self.source_gate,
             self.sink_gate,
         )?;
-        // crlint-allow: CR003 span start; the duration only reaches telemetry, never compared bytes
-        let started = std::time::Instant::now();
-        let mut stats = SearchStats::new();
-        let out = match self.engine {
-            EngineKind::Arena => solve_arena(&ctx, t_phi, self.borrow, self.budget, &mut stats),
-            EngineKind::Legacy => solve_legacy(&ctx, t_phi, self.borrow, self.budget, &mut stats),
-        };
-        self.telemetry
-            .flush_search("latch", &stats, started.elapsed(), out.is_ok());
-        out
+        self.telemetry.search("latch", |stats| match self.engine {
+            EngineKind::Arena => solve_arena(&ctx, t_phi, self.borrow, self.budget, stats),
+            EngineKind::Legacy => solve_legacy(&ctx, t_phi, self.borrow, self.budget, stats),
+        })
     }
 }
 
@@ -468,11 +460,11 @@ fn solve_legacy(
     }
 }
 
-/// Arena-engine search: flat candidate storage, a monotone bucket
-/// queue, and sorted Pareto fronts (falling back to linear scans when a
-/// node's front mixes lateness values). Returns exactly what
-/// [`solve_legacy`] returns. No goal pruning: the borrowed-lateness
-/// dimension makes the single-period distance bound inadmissible.
+/// Arena-engine search on the shared driver; its sorted fronts fall
+/// back to linear scans where a node's front mixes lateness values.
+/// Returns exactly what [`solve_legacy`] returns. No goal pruning: the
+/// borrowed-lateness dimension makes the single-period distance bound
+/// inadmissible.
 fn solve_arena(
     ctx: &Ctx<'_>,
     t_phi: Time,
@@ -480,232 +472,94 @@ fn solve_arena(
     search_budget: SearchBudget,
     stats: &mut SearchStats,
 ) -> Result<LatchSolution, RouteError> {
-    let graph = ctx.graph;
-    let t = t_phi.ps();
-    let b = borrow.ps();
-    let n = graph.node_count();
-    let mut meter = BudgetMeter::new(search_budget, SearchStage::Latch);
-    let mut arena = Arena::new();
-    let mut cands = CandArena::new();
-    let mut fronts = SortedFronts::new(n);
-    let latch_gate = ctx.lib.gate(ctx.lib.latch());
-    let latch_res = latch_gate.driver_res().ohms();
-    let latch_cap = latch_gate.input_cap().ff();
-    let latch_k = latch_gate.intrinsic().ps();
-    let latch_setup = latch_gate.setup().ps();
-    let latch_id = ctx.lib.latch();
+    let n = ctx.graph.node_count();
+    let mut rules = Latches {
+        ctx,
+        t: t_phi.ps(),
+        b: borrow.ps(),
+        spill: Vec::new(),
+        best_seed_v: vec![f64::INFINITY; n],
+    };
+    let (path, _) = search::run(ctx, search_budget, n, stats, &mut rules)?;
+    Ok(LatchSolution {
+        path,
+        period: t_phi,
+        borrow,
+        stats: *stats,
+    })
+}
 
-    let mut queue = DialQueue::new(ctx.queue_scale());
-    let mut spill: Vec<u32> = Vec::new();
-    // Cross-wave seed dominance, as in the legacy engine.
-    let mut best_seed_v = vec![f64::INFINITY; n];
+/// The latch search's steps of the shared search. A candidate's
+/// `borrowed` field is its backward lateness `V`.
+struct Latches<'a> {
+    ctx: &'a Ctx<'a>,
+    t: f64,
+    b: f64,
+    /// Latch insertions feeding the next wave.
+    spill: Vec<u32>,
+    /// Cross-wave seed dominance, as in the legacy engine.
+    best_seed_v: Vec<f64>,
+}
 
-    let gt = ctx.lib.gate(ctx.gt);
-    let root = arena.push(ctx.t, None, NO_PARENT);
-    let mut start = Cand::start(gt.input_cap().ff(), gt.setup().ps(), root, ctx.t);
-    start.borrowed = 0.0; // V at the sink
-    let sidx = cands.alloc(&start);
-    if fronts.admits(ctx.t.index(), start.cap, start.delay, b, false) {
-        fronts.insert(
-            ctx.t.index(),
-            start.cap,
-            start.delay,
-            b,
-            false,
-            sidx,
-            &mut cands,
-            &mut stats.pruned,
-        );
+impl Rules for Latches<'_> {
+    const SITE: &'static str = "latch::pop";
+    const STAGE: SearchStage = SearchStage::Latch;
+    const QUEUE_DOMINATED_SEEDS: bool = false;
+
+    /// `V` shifted to ≥ 0.
+    fn extra(&self, c: &Cand) -> f64 {
+        c.borrowed + self.b
     }
-    queue.push(start.delay, sidx);
-    stats.record_push(queue.len());
 
-    loop {
-        while let Some(qidx) = queue.pop() {
-            // Entry evicted from its front while queued: the slot was
-            // reclaimed, so skip before charging anything.
-            if cands.is_dead(qidx) {
-                continue;
-            }
-            match failpoint::hit("latch::pop") {
-                Some(FailAction::Panic) => panic!("failpoint latch::pop: forced panic"),
-                Some(FailAction::BudgetExhausted) => return Err(meter.exceeded()),
-                Some(FailAction::NoRoute) => return Err(RouteError::NoFeasibleRoute),
-                // I/O actions only apply at `serve::*` sites; inert here.
-                Some(FailAction::IoError | FailAction::ShortIo) | None => {}
-            }
-            let cand = cands.get(qidx);
-            stats.budget_charges += 1;
-            stats.arena_steps = arena.len() as u64;
-            meter.charge_pop(arena.len())?;
-            stats.configs += 1;
-            let extra = cand.borrowed + b; // shifted to ≥ 0
-            if fronts.is_stale(cand.node.index(), cand.cap, cand.delay, extra, !cand.gate_here) {
-                stats.stale_skipped += 1;
-                continue;
-            }
+    /// The source launches exactly at the edge: no borrowing.
+    fn arrival(&mut self, c: &Cand) -> bool {
+        c.node == self.ctx.s
+            && self.ctx.finish_at_source(c.cap, c.delay) - self.t + c.borrowed <= 0.0
+    }
 
-            if cand.node == ctx.s {
-                let total = ctx.finish_at_source(cand.cap, cand.delay);
-                // The source launches exactly at the edge: no borrowing.
-                if total - t + cand.borrowed <= 0.0 {
-                    stats.arena_steps = arena.len() as u64;
-                    stats.front_comparisons = fronts.comparisons();
-                    stats.touched = arena.touched(graph);
-                    let (nodes, mut labels) = arena.reconstruct(cand.trail);
-                    let points: Vec<Point> = nodes.iter().map(|&nd| graph.point(nd)).collect();
-                    labels[0] = Some(ctx.gs);
-                    let last = labels.len() - 1;
-                    labels[last] = Some(ctx.gt);
-                    return Ok(LatchSolution {
-                        path: RoutedPath::new(points, labels, ctx.lib),
-                        period: t_phi,
-                        borrow,
-                        stats: *stats,
-                    });
-                }
+    /// The stage under construction has the admissible budget
+    /// `σ ≤ T − V`, closed by a latch.
+    fn stage_limit(&self, c: &Cand) -> Option<f64> {
+        Some(self.t - c.borrowed - self.ctx.lib.gate(self.ctx.lib.latch()).intrinsic().ps())
+    }
+
+    /// Latch insertion → next wave, carrying the new lateness V'.
+    fn synchronize(&mut self, c: &Cand, s: &mut Search<'_>) {
+        let latch = self.ctx.lib.latch();
+        let stage = self.ctx.gate_stage(latch, c.cap, c.delay);
+        // Feasible iff σ ≤ T − V; the borrowing allowance of the
+        // downstream latch is already folded into V (clamped at −B), so
+        // a stage may overshoot T by up to B when the downstream windows
+        // have that much slack.
+        if stage - self.t + c.borrowed <= 0.0 {
+            let new_v = (stage - self.t + c.borrowed).max(-self.b);
+            let node = c.node.index();
+            if new_v >= self.best_seed_v[node] {
+                s.stats.pruned += 1;
+                return;
             }
-
-            // Per-candidate admissible budget for the stage under
-            // construction: σ ≤ T − V.
-            let budget = t - cand.borrowed;
-
-            for v in graph.neighbors(cand.node) {
-                stats.budget_charges += 1;
-                meter.charge_expand()?;
-                let (re, ce) = ctx.edge(cand.node, v);
-                let cap = cand.cap + ce;
-                let delay = cand.delay + re * (cand.cap + ce / 2.0);
-                if delay > budget - latch_k - ctx.min_res * cap * 1.0e-3 {
-                    stats.bound_rejected += 1;
-                    continue;
-                }
-                if !fronts.admits(v.index(), cap, delay, extra, true) {
-                    stats.pruned += 1;
-                    continue;
-                }
-                let trail = arena.push(v, None, cand.trail);
-                let mut next = cand;
-                next.cap = cap;
-                next.delay = delay;
-                next.node = v;
-                next.trail = trail;
-                next.gate_here = false;
-                let nidx = cands.alloc(&next);
-                fronts.insert(v.index(), cap, delay, extra, true, nidx, &mut cands, &mut stats.pruned);
-                queue.push(delay, nidx);
-                stats.record_push(queue.len());
-            }
-
-            let internal = cand.node != ctx.s && cand.node != ctx.t && !cand.gate_here;
-
-            if internal && graph.is_insertable(cand.node) {
-                for bf in &ctx.buffers {
-                    stats.budget_charges += 1;
-                    meter.charge_expand()?;
-                    let cap = bf.cap;
-                    let delay = cand.delay + bf.res * cand.cap * 1.0e-3 + bf.k;
-                    if delay > budget - latch_k {
-                        stats.bound_rejected += 1;
-                        continue;
-                    }
-                    if !fronts.admits(cand.node.index(), cap, delay, extra, false) {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                    let trail = arena.push(cand.node, Some(bf.id), cand.trail);
-                    let mut next = cand;
-                    next.cap = cap;
-                    next.delay = delay;
-                    next.trail = trail;
-                    next.gate_here = true;
-                    let nidx = cands.alloc(&next);
-                    fronts.insert(
-                        cand.node.index(),
-                        cap,
-                        delay,
-                        extra,
-                        false,
-                        nidx,
-                        &mut cands,
-                        &mut stats.pruned,
-                    );
-                    queue.push(delay, nidx);
-                    stats.record_push(queue.len());
-                }
-            }
-
-            // Latch insertion → next wave, carrying the new lateness V'.
-            if internal && graph.is_register_allowed(cand.node) {
-                let stage = cand.delay + latch_res * cand.cap * 1.0e-3 + latch_k;
-                // Feasible iff σ ≤ T − V; the borrowing allowance of the
-                // downstream latch is already folded into V (clamped at
-                // −B), so a stage may overshoot T by up to B when the
-                // downstream windows have that much slack.
-                if stage - t + cand.borrowed <= 0.0 {
-                    let new_v = (stage - t + cand.borrowed).max(-b);
-                    if new_v >= best_seed_v[cand.node.index()] {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                    best_seed_v[cand.node.index()] = new_v;
-                    let trail = arena.push(cand.node, Some(latch_id), cand.trail);
-                    let mut next = cand;
-                    next.cap = latch_cap;
-                    next.delay = latch_setup;
-                    next.trail = trail;
-                    next.gate_here = true;
-                    next.borrowed = new_v;
-                    spill.push(cands.alloc(&next));
-                } else {
-                    stats.bound_rejected += 1;
-                }
-            }
+            self.best_seed_v[node] = new_v;
+            let mut next = s.synchronizer(c, latch);
+            next.borrowed = new_v;
+            self.spill.push(s.cands.alloc(&next));
+        } else {
+            s.stats.bound_rejected += 1;
         }
+    }
 
-        if spill.is_empty() {
-            stats.arena_steps = arena.len() as u64;
-            stats.front_comparisons = fronts.comparisons();
-            return Err(RouteError::NoFeasibleRoute);
-        }
+    fn wave_end(&mut self, s: &mut Search<'_>) -> WaveEnd {
         // Termination bound: every latch occupies a distinct node
         // (m: V → I ∪ {0}), so a feasible solution never needs more
         // latches than there are grid nodes (see the legacy engine).
-        if stats.waves as usize >= graph.node_count() {
-            stats.arena_steps = arena.len() as u64;
-            stats.front_comparisons = fronts.comparisons();
-            return Err(RouteError::NoFeasibleRoute);
+        if self.spill.is_empty() || s.stats.waves as usize >= self.ctx.graph.node_count() {
+            return WaveEnd::Exhausted;
         }
-        stats.waves += 1;
-        fronts.advance_wave();
-        // Seed the next wave, pruning among its candidates (several may
-        // share a node with different lateness). Sorting through the
-        // candidate arena keeps the legacy seeding order byte-for-byte.
-        let mut next_wave = std::mem::take(&mut spill);
-        next_wave.sort_by(|&a, &b2| cands.get(a).delay.total_cmp(&cands.get(b2).delay));
-        for nidx in next_wave {
-            let cand = cands.get(nidx);
-            stats.budget_charges += 1;
-            stats.promoted += 1;
-            meter.charge_expand()?;
-            let extra = cand.borrowed + b;
-            if !fronts.admits(cand.node.index(), cand.cap, cand.delay, extra, false) {
-                stats.pruned += 1;
-                continue;
-            }
-            fronts.insert(
-                cand.node.index(),
-                cand.cap,
-                cand.delay,
-                extra,
-                false,
-                nidx,
-                &mut cands,
-                &mut stats.pruned,
-            );
-            queue.push(cand.delay, nidx);
-            stats.record_push(queue.len());
-        }
+        // Seed in delay order, pruning among the wave's candidates
+        // (several may share a node with different lateness); the
+        // stable sort keeps the legacy seeding order byte-for-byte.
+        let mut wave = std::mem::take(&mut self.spill);
+        wave.sort_by(|&a, &b| s.cands.get(a).delay.total_cmp(&s.cands.get(b).delay));
+        WaveEnd::Next(wave)
     }
 }
 

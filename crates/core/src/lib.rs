@@ -63,6 +63,7 @@ pub mod lockcheck;
 mod rbp;
 pub mod reference;
 mod result;
+mod search;
 mod stats;
 pub mod telemetry;
 

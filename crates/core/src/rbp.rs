@@ -17,7 +17,9 @@
 //!
 //! * [`RbpVariant::QueueArray`] — the alternative implementation the paper
 //!   sketches at the end of §III (an array of queues indexed by register
-//!   count) — results are identical, memory behaviour differs;
+//!   count) — results are identical; only the legacy engine keeps the
+//!   array, since the arena engine promotes each wave's claims in push
+//!   order either way;
 //! * [`TieBreak::MaxEndpointSlack`] — among minimum-latency solutions,
 //!   maximise the sum of source and sink stage slack (paper §III, last
 //!   paragraph); implemented by adding the sink-stage delay as a third
@@ -29,18 +31,16 @@
 
 use crate::budget::{BudgetMeter, SearchStage};
 use crate::ctx::Ctx;
-use crate::engine::{
-    Arena, Cand, CandArena, DelayQueue, DialQueue, EngineKind, PruneTable, SearchQueue,
-    SortedFronts, NO_PARENT,
-};
+use crate::engine::{Arena, Cand, DelayQueue, EngineKind, PruneTable, NO_PARENT};
 use crate::failpoint::{self, FailAction};
 use crate::goal::{probe_rbp, GoalBound};
+use crate::search::{self, Rules, Search, WaveEnd};
 use crate::telemetry::TelemetryHandle;
-use crate::{RbpSolution, RouteError, RoutedPath, SearchBudget, SearchStats};
+use crate::{RbpSolution, RouteError, SearchBudget, SearchStats};
 use clockroute_elmore::{GateId, GateLibrary, Technology};
 use clockroute_geom::units::Time;
 use clockroute_geom::Point;
-use clockroute_grid::GridGraph;
+use clockroute_grid::{GridGraph, NodeId};
 
 /// Queue organisation of the wave-front search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,7 +50,8 @@ pub enum RbpVariant {
     #[default]
     TwoQueue,
     /// The paper's alternative: an array of queues indexed by register
-    /// count (same results, more memory).
+    /// count (same results, more memory). Only the legacy engine differs;
+    /// the arena engine runs both variants the same way.
     QueueArray,
 }
 
@@ -214,27 +215,18 @@ impl<'a> RbpSpec<'a> {
     /// disconnected, or no register spacing can meet the period at this
     /// grid granularity (cf. the empty cells of Table II).
     pub fn solve(&self) -> Result<RbpSolution, RouteError> {
-        // crlint-allow: CR003 span start; the duration only reaches telemetry, never compared bytes
-        let started = std::time::Instant::now();
-        let mut stats = SearchStats::new();
-        let out = self.run(None, &mut stats).map(|(sol, _)| sol);
         self.telemetry
-            .flush_search("rbp", &stats, started.elapsed(), out.is_ok());
-        out
+            .search("rbp", |stats| self.run(None, stats).map(|(sol, _)| sol))
     }
 
     /// Runs the search and additionally records the register wave rings
     /// (Fig. 6).
     pub fn solve_traced(&self) -> Result<(RbpSolution, WaveTrace), RouteError> {
-        // crlint-allow: CR003 span start; the duration only reaches telemetry, never compared bytes
-        let started = std::time::Instant::now();
-        let mut stats = SearchStats::new();
         let mut trace = WaveTrace::default();
-        let out = self.run(Some(&mut trace), &mut stats);
-        self.telemetry
-            .flush_search("rbp", &stats, started.elapsed(), out.is_ok());
-        let sol = out?;
-        Ok((sol.0, trace))
+        let (sol, ()) = self
+            .telemetry
+            .search("rbp", |stats| self.run(Some(&mut trace), stats))?;
+        Ok((sol, trace))
     }
 
     fn run(
@@ -503,13 +495,12 @@ impl<'a> RbpSpec<'a> {
         }
     }
 
-    /// Arena-engine search: flat candidate storage, monotone bucket
-    /// queue, sorted Pareto fronts, and (optionally) admissible
-    /// wave-budget goal pruning. Returns exactly what
+    /// Arena-engine search on the shared driver, plus (optionally)
+    /// admissible wave-budget goal pruning. Returns exactly what
     /// [`run_legacy`](RbpSpec::run_legacy) returns.
     fn run_arena(
         &self,
-        mut trace: Option<&mut WaveTrace>,
+        trace: Option<&mut WaveTrace>,
         stats: &mut SearchStats,
     ) -> Result<(RbpSolution, ()), RouteError> {
         let t_phi = self.period.ok_or(RouteError::InvalidPeriod)?;
@@ -526,329 +517,36 @@ impl<'a> RbpSpec<'a> {
             self.sink_gate,
         )?;
         let t = t_phi.ps();
-        let slack_mode = self.tie_break == TieBreak::MaxEndpointSlack;
-
-        let graph = ctx.graph;
-        let n = graph.node_count();
-        let mut meter = BudgetMeter::new(self.budget, SearchStage::Rbp);
-        let mut arena = Arena::new();
-        let mut cands = CandArena::new();
-        let mut fronts = SortedFronts::new(n);
-        let mut reg_marked = vec![false; n];
-
-        let scale = ctx.queue_scale();
-        let mut queue = DialQueue::new(scale);
-        let mut spill: Vec<u32> = Vec::new();
-        let mut wave_queues: Vec<DialQueue> = Vec::new();
-
-        // Upper bound on the optimal register count from the canonical
-        // staircase probe. `None` disables goal pruning entirely.
-        let bound = GoalBound::new(&ctx);
-        let p_ub = if self.goal_prune {
-            probe_rbp(&ctx, t)
-        } else {
-            None
+        let n = ctx.graph.node_count();
+        let mut rules = Rbp {
+            ctx: &ctx,
+            spec: self,
+            t,
+            bound: GoalBound::new(&ctx),
+            // Upper bound on the optimal register count from the
+            // canonical staircase probe. `None` disables goal pruning.
+            p_ub: if self.goal_prune {
+                probe_rbp(&ctx, t)
+            } else {
+                None
+            },
+            reg_marked: vec![false; n],
+            trace,
+            best: None,
+            spill: Vec::new(),
         };
-
-        let gt = ctx.lib.gate(ctx.gt);
-        let root = arena.push(ctx.t, None, NO_PARENT);
-        let start = Cand::start(gt.input_cap().ff(), gt.setup().ps(), root, ctx.t);
-        let sidx = cands.alloc(&start);
-        if fronts.admits(ctx.t.index(), start.cap, start.delay, 0.0, false) {
-            fronts.insert(
-                ctx.t.index(),
-                start.cap,
-                start.delay,
-                0.0,
-                false,
-                sidx,
-                &mut cands,
-                &mut stats.pruned,
-            );
-        }
-        queue.push(start.delay, sidx);
-        stats.record_push(queue.len());
-
-        let mut best: Option<(f64, u32, f64, f64)> = None;
-
-        loop {
-            while let Some(qidx) = queue.pop() {
-                // Entry evicted from its front while queued: the slot was
-                // reclaimed, so skip before charging anything.
-                if cands.is_dead(qidx) {
-                    continue;
-                }
-                match failpoint::hit("rbp::pop") {
-                    Some(FailAction::Panic) => panic!("failpoint rbp::pop: forced panic"),
-                    Some(FailAction::BudgetExhausted) => return Err(meter.exceeded()),
-                    Some(FailAction::NoRoute) => return Err(RouteError::NoFeasibleRoute),
-                    // I/O actions only apply at `serve::*` sites; inert here.
-                    Some(FailAction::IoError | FailAction::ShortIo) | None => {}
-                }
-                let cand = cands.get(qidx);
-                stats.budget_charges += 1;
-                stats.arena_steps = arena.len() as u64;
-                meter.charge_pop(arena.len())?;
-                stats.configs += 1;
-                let extra = prune_extra(slack_mode, cand.sink_stage);
-                if fronts.is_stale(cand.node.index(), cand.cap, cand.delay, extra, !cand.gate_here)
-                {
-                    stats.stale_skipped += 1;
-                    continue;
-                }
-
-                // Step 4: source arrival.
-                if cand.node == ctx.s {
-                    let total = ctx.finish_at_source(cand.cap, cand.delay);
-                    if total <= t {
-                        let sink_stage = if cand.sink_stage.is_nan() {
-                            total
-                        } else {
-                            cand.sink_stage
-                        };
-                        match self.tie_break {
-                            TieBreak::FirstFound => {
-                                stats.arena_steps = arena.len() as u64;
-                                stats.front_comparisons = fronts.comparisons();
-                                return Ok((
-                                    self.build(&ctx, &arena, cand.trail, t_phi, *stats, total,
-                                               sink_stage),
-                                    (),
-                                ));
-                            }
-                            TieBreak::MaxEndpointSlack => {
-                                let slack_sum = (t - total) + (t - sink_stage);
-                                if best.is_none_or(|(s, ..)| slack_sum > s) {
-                                    best = Some((slack_sum, cand.trail, total, sink_stage));
-                                }
-                            }
-                        }
-                    }
-                    // An infeasible (or slack-mode) arrival keeps expanding
-                    // normally: other routes may pass through this node.
-                }
-
-                // Step 5: wire expansion with admissible bound.
-                for v in graph.neighbors(cand.node) {
-                    stats.budget_charges += 1;
-                    meter.charge_expand()?;
-                    let (re, ce) = ctx.edge(cand.node, v);
-                    let cap = cand.cap + ce;
-                    let delay = cand.delay + re * (cand.cap + ce / 2.0);
-                    if self.wire_bound
-                        && delay > t - ctx.reg_k - ctx.min_res * cap * 1.0e-3
-                    {
-                        stats.bound_rejected += 1;
-                        continue;
-                    }
-                    if let Some(p_ub) = p_ub {
-                        if bound.doomed_wave(
-                            graph.point(v),
-                            cap,
-                            delay,
-                            p_ub.saturating_sub(stats.waves),
-                            t,
-                        ) {
-                            stats.goal_pruned += 1;
-                            continue;
-                        }
-                    }
-                    if !fronts.admits(v.index(), cap, delay, extra, true) {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                    let trail = arena.push(v, None, cand.trail);
-                    let mut next = cand;
-                    next.cap = cap;
-                    next.delay = delay;
-                    next.node = v;
-                    next.trail = trail;
-                    next.gate_here = false;
-                    let nidx = cands.alloc(&next);
-                    fronts.insert(
-                        v.index(),
-                        cap,
-                        delay,
-                        extra,
-                        true,
-                        nidx,
-                        &mut cands,
-                        &mut stats.pruned,
-                    );
-                    queue.push(delay, nidx);
-                    stats.record_push(queue.len());
-                }
-
-                let internal = cand.node != ctx.s && cand.node != ctx.t && !cand.gate_here;
-
-                // Step 7: buffer insertion (`d' ≤ T_φ − K(r)` bound).
-                if internal && graph.is_insertable(cand.node) {
-                    for b in &ctx.buffers {
-                        stats.budget_charges += 1;
-                        meter.charge_expand()?;
-                        let cap = b.cap;
-                        let delay = cand.delay + b.res * cand.cap * 1.0e-3 + b.k;
-                        if delay > t - ctx.reg_k {
-                            stats.bound_rejected += 1;
-                            continue;
-                        }
-                        if let Some(p_ub) = p_ub {
-                            if bound.doomed_wave(
-                                graph.point(cand.node),
-                                cap,
-                                delay,
-                                p_ub.saturating_sub(stats.waves),
-                                t,
-                            ) {
-                                stats.goal_pruned += 1;
-                                continue;
-                            }
-                        }
-                        if !fronts.admits(cand.node.index(), cap, delay, extra, false) {
-                            stats.pruned += 1;
-                            continue;
-                        }
-                        let trail = arena.push(cand.node, Some(b.id), cand.trail);
-                        let mut next = cand;
-                        next.cap = cap;
-                        next.delay = delay;
-                        next.trail = trail;
-                        next.gate_here = true;
-                        let nidx = cands.alloc(&next);
-                        fronts.insert(
-                            cand.node.index(),
-                            cap,
-                            delay,
-                            extra,
-                            false,
-                            nidx,
-                            &mut cands,
-                            &mut stats.pruned,
-                        );
-                        queue.push(delay, nidx);
-                        stats.record_push(queue.len());
-                    }
-                }
-
-                // Step 8: register insertion → next wave. Never goal-pruned:
-                // a claim resets the candidate to the register's own load,
-                // so the per-wave distance bound does not apply to it
-                // (DESIGN.md §15 claim-divergence argument).
-                if internal
-                    && graph.is_register_allowed(cand.node)
-                    && !reg_marked[cand.node.index()]
-                {
-                    let stage = ctx.register_stage(cand.cap, cand.delay);
-                    if stage <= t {
-                        reg_marked[cand.node.index()] = true;
-                        if let Some(trace) = trace.as_deref_mut() {
-                            let wave = stats.waves as usize;
-                            if trace.register_rings.len() <= wave {
-                                trace.register_rings.resize(wave + 1, Vec::new());
-                            }
-                            trace.register_rings[wave].push(graph.point(cand.node));
-                        }
-                        let trail = arena.push(cand.node, Some(ctx.reg_id), cand.trail);
-                        let mut next = cand;
-                        next.cap = ctx.reg_cap;
-                        next.delay = ctx.reg_setup;
-                        next.trail = trail;
-                        next.gate_here = true;
-                        if next.sink_stage.is_nan() {
-                            next.sink_stage = stage;
-                        }
-                        let nidx = cands.alloc(&next);
-                        match self.variant {
-                            RbpVariant::TwoQueue => spill.push(nidx),
-                            RbpVariant::QueueArray => {
-                                let idx = stats.waves as usize;
-                                if wave_queues.len() <= idx {
-                                    wave_queues.resize_with(idx + 1, || DialQueue::new(scale));
-                                }
-                                wave_queues[idx].push(next.delay, nidx);
-                            }
-                        }
-                    } else {
-                        stats.bound_rejected += 1;
-                    }
-                }
-            }
-
-            // Current wave exhausted.
-            if let Some((_, trail, source_stage, sink_stage)) = best.take() {
-                let total = source_stage;
-                stats.arena_steps = arena.len() as u64;
-                stats.front_comparisons = fronts.comparisons();
-                return Ok((
-                    self.build(&ctx, &arena, trail, t_phi, *stats, total, sink_stage),
-                    (),
-                ));
-            }
-
-            let next_wave: Vec<u32> = match self.variant {
-                RbpVariant::TwoQueue => std::mem::take(&mut spill),
-                RbpVariant::QueueArray => {
-                    let idx = stats.waves as usize;
-                    if wave_queues.len() <= idx {
-                        Vec::new()
-                    } else {
-                        let mut drained = Vec::new();
-                        // crlint-allow: CR005 bounded drain of entries already charged at push; no expansion work between pops
-                        while let Some(i) = wave_queues[idx].pop() {
-                            drained.push(i);
-                        }
-                        drained
-                    }
-                }
-            };
-            if next_wave.is_empty() {
-                stats.front_comparisons = fronts.comparisons();
-                return Err(RouteError::NoFeasibleRoute);
-            }
-            stats.waves += 1;
-            fronts.advance_wave();
-            for nidx in next_wave {
-                let cand = cands.get(nidx);
-                // A doomed seed cannot arrive feasibly within `p_ub`
-                // registers; its claim marking and trace ring entry are
-                // already recorded, so dropping the promotion only
-                // removes work (DESIGN.md §15).
-                if let Some(p_ub) = p_ub {
-                    if bound.doomed_wave(
-                        graph.point(cand.node),
-                        cand.cap,
-                        cand.delay,
-                        p_ub.saturating_sub(stats.waves),
-                        t,
-                    ) {
-                        stats.goal_pruned += 1;
-                        continue;
-                    }
-                }
-                stats.budget_charges += 1;
-                stats.promoted += 1;
-                meter.charge_expand()?;
-                let extra = prune_extra(slack_mode, cand.sink_stage);
-                // Mirrors the legacy unconditional promotion: file into the
-                // front when admissible, but push regardless — a dominated
-                // seed is caught by `is_stale` at its pop, exactly as the
-                // reference engine does.
-                if fronts.admits(cand.node.index(), cand.cap, cand.delay, extra, false) {
-                    fronts.insert(
-                        cand.node.index(),
-                        cand.cap,
-                        cand.delay,
-                        extra,
-                        false,
-                        nidx,
-                        &mut cands,
-                        &mut stats.pruned,
-                    );
-                }
-                queue.push(cand.delay, nidx);
-                stats.record_push(queue.len());
-            }
-        }
+        let (path, last) = search::run(&ctx, self.budget, n, stats, &mut rules)?;
+        let (source_stage, sink_stage) = rules.stages(&last);
+        Ok((
+            RbpSolution {
+                path,
+                period: t_phi,
+                stats: *stats,
+                source_stage: Time::from_ps(source_stage),
+                sink_stage: Time::from_ps(sink_stage),
+            },
+            (),
+        ))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -863,17 +561,141 @@ impl<'a> RbpSpec<'a> {
         sink_stage: f64,
     ) -> RbpSolution {
         stats.touched = arena.touched(ctx.graph);
-        let (nodes, mut labels) = arena.reconstruct(trail);
-        let points: Vec<Point> = nodes.iter().map(|&n| ctx.graph.point(n)).collect();
-        labels[0] = Some(ctx.gs);
-        let last = labels.len() - 1;
-        labels[last] = Some(ctx.gt);
         RbpSolution {
-            path: RoutedPath::new(points, labels, ctx.lib),
+            path: search::reconstruct(ctx, arena, trail),
             period,
             stats,
             source_stage: Time::from_ps(source_stage),
             sink_stage: Time::from_ps(sink_stage),
+        }
+    }
+}
+
+/// RBP's steps of the shared search (paper Fig. 5).
+struct Rbp<'a> {
+    ctx: &'a Ctx<'a>,
+    spec: &'a RbpSpec<'a>,
+    t: f64,
+    bound: GoalBound,
+    p_ub: Option<u32>,
+    /// A(v): a register has been inserted at v in some candidate
+    /// (global across the run — paper difference #3).
+    reg_marked: Vec<bool>,
+    trace: Option<&'a mut WaveTrace>,
+    /// Best slack-mode arrival in the current wave, with its endpoint
+    /// slack sum.
+    best: Option<(f64, Cand)>,
+    /// `Q*`: the register claims of the current wave. Every claim
+    /// starts its stage at the register's setup time, so the wave pops
+    /// first in, first out: it is a list. The paper's queue array would
+    /// hold only this wave's claims too, so both variants use it.
+    spill: Vec<u32>,
+}
+
+impl Rbp<'_> {
+    /// Source and sink stage delays of a route arriving as `c`.
+    fn stages(&self, c: &Cand) -> (f64, f64) {
+        let total = self.ctx.finish_at_source(c.cap, c.delay);
+        let sink_stage = if c.sink_stage.is_nan() {
+            total
+        } else {
+            c.sink_stage
+        };
+        (total, sink_stage)
+    }
+}
+
+impl Rules for Rbp<'_> {
+    const SITE: &'static str = "rbp::pop";
+    const STAGE: SearchStage = SearchStage::Rbp;
+
+    fn extra(&self, c: &Cand) -> f64 {
+        let slack_mode = self.spec.tie_break == TieBreak::MaxEndpointSlack;
+        prune_extra(slack_mode, c.sink_stage)
+    }
+
+    /// Step 4: source arrival. An infeasible (or slack-mode) arrival
+    /// keeps expanding normally: other routes may pass through this
+    /// node.
+    fn arrival(&mut self, c: &Cand) -> bool {
+        if c.node != self.ctx.s {
+            return false;
+        }
+        let (total, sink_stage) = self.stages(c);
+        if total <= self.t {
+            match self.spec.tie_break {
+                TieBreak::FirstFound => return true,
+                TieBreak::MaxEndpointSlack => {
+                    let slack_sum = (self.t - total) + (self.t - sink_stage);
+                    if self.best.is_none_or(|(s, _)| slack_sum > s) {
+                        self.best = Some((slack_sum, *c));
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// Steps 5 and 7: `d' ≤ T_φ − K(r)`, less `min R·c'` on a wire.
+    fn stage_limit(&self, _c: &Cand) -> Option<f64> {
+        Some(self.t - self.ctx.reg_k)
+    }
+
+    fn wire_bound(&self) -> bool {
+        self.spec.wire_bound
+    }
+
+    /// Even `t` per remaining wave of the `p_ub` budget cannot cover
+    /// the distance ahead of `at`.
+    fn doomed(&self, at: NodeId, cap: f64, delay: f64, waves: u32) -> bool {
+        self.p_ub.is_some_and(|p_ub| {
+            self.bound.doomed_wave(
+                self.ctx.graph.point(at),
+                cap,
+                delay,
+                p_ub.saturating_sub(waves),
+                self.t,
+            )
+        })
+    }
+
+    /// Step 8: register insertion → next wave. Never goal-pruned: a
+    /// claim resets the candidate to the register's own load, so the
+    /// per-wave distance bound does not apply to it (DESIGN.md §15
+    /// claim-divergence argument).
+    fn synchronize(&mut self, c: &Cand, s: &mut Search<'_>) {
+        let ctx = self.ctx;
+        if self.reg_marked[c.node.index()] {
+            return;
+        }
+        let stage = ctx.register_stage(c.cap, c.delay);
+        if stage <= self.t {
+            self.reg_marked[c.node.index()] = true;
+            let wave = s.stats.waves as usize;
+            if let Some(trace) = self.trace.as_deref_mut() {
+                if trace.register_rings.len() <= wave {
+                    trace.register_rings.resize(wave + 1, Vec::new());
+                }
+                trace.register_rings[wave].push(ctx.graph.point(c.node));
+            }
+            let mut next = s.synchronizer(c, ctx.reg_id);
+            if next.sink_stage.is_nan() {
+                next.sink_stage = stage;
+            }
+            self.spill.push(s.cands.alloc(&next));
+        } else {
+            s.stats.bound_rejected += 1;
+        }
+    }
+
+    fn wave_end(&mut self, _s: &mut Search<'_>) -> WaveEnd {
+        if let Some((_, best)) = self.best.take() {
+            return WaveEnd::Found(best);
+        }
+        if self.spill.is_empty() {
+            WaveEnd::Exhausted
+        } else {
+            WaveEnd::Next(std::mem::take(&mut self.spill))
         }
     }
 }
@@ -987,6 +809,35 @@ mod tests {
         // …but 62 ps is (registers every grid point).
         let sol = solve(&g, &tech, &lib, p(0, 0), p(9, 9), 62.0).unwrap();
         assert_eq!(sol.register_count(), 17);
+    }
+
+    #[test]
+    fn infeasible_search_reports_its_final_arena_length() {
+        // A 6 mm obstacle band (routable, no gate sites) next to the
+        // source: the waves walk in from the sink, then no stage can
+        // cross the band within the period.
+        let mut blk = BlockageMap::new(24, 1);
+        blk.block_nodes(&Rect::new(p(1, 0), p(12, 0)));
+        let g = GridGraph::new(blk, Length::from_um(500.0), Length::from_um(500.0));
+        let tech = Technology::paper_070nm();
+        let lib = GateLibrary::paper_library();
+        let rec = crate::MetricsRecorder::new();
+        let err = RbpSpec::new(&g, &tech, &lib)
+            .source(p(0, 0))
+            .sink(p(23, 0))
+            .period(Time::from_ps(150.0))
+            .telemetry(TelemetryHandle::new(&rec))
+            .solve()
+            .unwrap_err();
+        assert_eq!(err, RouteError::NoFeasibleRoute);
+        let steps = rec.counter_value("search.rbp.arena_steps");
+        let waves = rec.counter_value("search.rbp.waves");
+        assert!(waves > 0, "search must do real work");
+        // Every arena step of an exhausted search is a queued candidate:
+        // the sink seed, each filed wire/buffer extension, and each
+        // register claim (all promoted, since the search only exhausts
+        // on an empty wave). So the final arena length is `pushed`.
+        assert_eq!(steps, rec.counter_value("search.rbp.pushed"));
     }
 
     #[test]

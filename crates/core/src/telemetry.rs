@@ -25,6 +25,7 @@
 
 use crate::lockcheck::{LockRank, OrderedMutex};
 use crate::stats::SearchStats;
+use crate::RouteError;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write;
@@ -184,17 +185,23 @@ impl<'a> TelemetryHandle<'a> {
         }
     }
 
-    /// Flushes one search's statistics: deterministic counters/gauges
-    /// keyed `search.<stage>.*`, plus a trace-only span and completion
-    /// event. Called once per `solve`, on success and on error alike, so
-    /// budget-exhausted and infeasible searches are visible too.
-    pub(crate) fn flush_search(
+    /// Runs one search on fresh counters, then flushes its statistics:
+    /// deterministic counters/gauges keyed `search.<stage>.*`, plus a
+    /// trace-only span and completion event. Every `solve` runs through
+    /// here, so budget-exhausted and infeasible searches are visible too.
+    pub(crate) fn search<T>(
         &self,
         stage: &str,
-        stats: &SearchStats,
-        elapsed: Duration,
-        ok: bool,
-    ) {
+        run: impl FnOnce(&mut SearchStats) -> Result<T, RouteError>,
+    ) -> Result<T, RouteError> {
+        let started = std::time::Instant::now();
+        let mut stats = SearchStats::new();
+        let out = run(&mut stats);
+        self.flush_search(stage, &stats, started.elapsed(), out.is_ok());
+        out
+    }
+
+    fn flush_search(&self, stage: &str, stats: &SearchStats, elapsed: Duration, ok: bool) {
         let Some(sink) = self.sink else { return };
         let emit = |suffix: &str, v: u64| {
             if v > 0 {

@@ -54,9 +54,11 @@ const CR004_THREAD_PATHS: [&str; 3] = [
 
 /// The label-correcting search modules whose queue loops must be
 /// budget-cancellable (the PR 2 promptness bug: expansion/promotion
-/// loops that never sampled the deadline). The flow oracle's priced
-/// Dijkstra joined the list in PR 10.
-const CR005_FILES: [&str; 5] = [
+/// loops that never sampled the deadline): the arena search driver
+/// that runs all four searches, the four search modules (their legacy
+/// reference loops), and the flow oracle's priced Dijkstra.
+const CR005_FILES: [&str; 6] = [
+    "crates/core/src/search.rs",
     "crates/core/src/fastpath.rs",
     "crates/core/src/rbp.rs",
     "crates/core/src/gals.rs",
@@ -350,7 +352,7 @@ fn cr004_threads(ctx: &FileCtx, out: &mut Vec<Finding>) {
 
 /// CR005 — the promptness rule (the PR 2 bug where expansion/promotion
 /// loops between pops never sampled the wall-clock deadline): every
-/// `loop`/`while` body in the four search modules that pops or pushes
+/// `loop`/`while` body in the search modules that pops or pushes
 /// queue entries must contain a budget `charge*` call so the search
 /// stays cancellable from inside the loop.
 fn cr005_uncharged_loops(ctx: &FileCtx, out: &mut Vec<Finding>) {
@@ -413,7 +415,7 @@ fn cr005_uncharged_loops(ctx: &FileCtx, out: &mut Vec<Finding>) {
     }
 }
 
-/// Receiver names that denote search queues/heaps in the four modules.
+/// Receiver names that denote search queues/heaps in the search modules.
 fn is_queue_name(name: &str) -> bool {
     let lower = name.to_ascii_lowercase();
     lower.contains("queue") || lower.contains("heap") || lower == "spill" || lower == "qstar"
@@ -808,7 +810,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "CR005" => {
             "CR005 — uncharged search loops.\n\
              \n\
-             In the four label-correcting search modules, every\n\
+             In the label-correcting search modules, every\n\
              `while let Some(...) = ...pop` loop must call the budget\n\
              charge/poll in its body, or a blown deadline is never\n\
              noticed.\n\

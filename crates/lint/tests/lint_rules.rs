@@ -274,6 +274,7 @@ fn deleting_the_total_cmp_delegation_fails_cr001() {
 #[test]
 fn deleting_a_budget_charge_fails_cr005() {
     for rel in [
+        "crates/core/src/search.rs",
         "crates/core/src/fastpath.rs",
         "crates/core/src/rbp.rs",
         "crates/core/src/gals.rs",

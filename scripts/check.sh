@@ -28,9 +28,9 @@ cargo test --release -q --test differential
 # capacity-relaxation and net-permutation invariants must hold (see
 # crates/flow/tests/flow_differential.rs and DESIGN.md §17).
 cargo test --release -q -p clockroute-flow --test flow_differential
-# Substrate performance gate: re-run the arena engine on small grids and
-# fail if pops regressed >10% against the last BENCH_core.json rows
-# (bootstrap runs with no baseline pass; see DESIGN.md §15).
+# Substrate counter gate: re-run the arena engine on small grids and
+# fail unless every deterministic counter equals the last BENCH_core.json
+# rows exactly (bootstrap runs with no baseline pass; see DESIGN.md §15).
 cargo run --release -p clockroute-bench --bin corebench -- --check
 # Flow quality gate: on every shipped congested scenario the flow
 # planner must route all nets with strictly less overflow than the

@@ -9,7 +9,9 @@
 //! reproduces by running the suite again; the panic message carries the
 //! full scenario dump needed to rebuild the failing instance by hand.
 
-use clockroute::core::{reference, LatchSpec};
+use clockroute::core::{
+    reference, LatchSpec, MetricsRecorder, RbpVariant, TelemetryHandle, TieBreak,
+};
 use clockroute::geom::units::{CapPerLength, ResPerLength};
 use clockroute::prelude::*;
 use rand::rngs::StdRng;
@@ -439,6 +441,157 @@ fn arena_substrate_reduces_comparisons_with_identical_telemetry() {
         a.front_comparisons,
         l.front_comparisons
     );
+}
+
+/// Golden counter table for the arena engine: one row per (seed,
+/// search) over the 200-seed corpus. See the header of the file for
+/// the column layout.
+const ARENA_COUNTERS: &str = include_str!("golden/arena_counters.txt");
+
+/// One golden row: the instance index, the search, its result (value
+/// and routed path, or the error) and every `SearchStats` field. The
+/// counters are read back through telemetry so that failed searches,
+/// which return no stats, are pinned too; `touched` is only reported
+/// with a route.
+fn counter_row<T>(
+    i: u64,
+    search: &str,
+    rec: &MetricsRecorder,
+    out: Result<T, RouteError>,
+    result: impl Fn(&T) -> (String, &RoutedPath, &SearchStats),
+) -> String {
+    let stage = search.split('_').next().expect("search name");
+    let c = |name: &str| rec.counter_value(&format!("search.{stage}.{name}"));
+    let (outcome, touched) = match &out {
+        Ok(sol) => {
+            let (value, path, stats) = result(sol);
+            let route: Vec<String> = path
+                .points()
+                .iter()
+                .zip(path.labels())
+                .map(|(p, g)| match g {
+                    Some(g) => format!("{},{}:{g}", p.x, p.y),
+                    None => format!("{},{}", p.x, p.y),
+                })
+                .collect();
+            let touched = stats.touched.map_or("-".to_string(), |r| {
+                format!("{},{},{},{}", r.min_x, r.min_y, r.max_x, r.max_y)
+            });
+            (format!("ok {value} {}", route.join(" ")), touched)
+        }
+        Err(e) => (format!("err {e:?}"), "-".to_string()),
+    };
+    format!(
+        "{i} {search} {outcome} | {} {} {} {} {} {} {} {} {} {} {} {} {touched}",
+        c("pops"),
+        rec.gauge_value(&format!("search.{stage}.max_queue")),
+        c("pushed"),
+        c("pruned"),
+        c("bound_rejected"),
+        c("waves"),
+        c("stale_skipped"),
+        c("promoted"),
+        c("arena_steps"),
+        c("budget_charges"),
+        c("goal_pruned"),
+        c("front_comparisons"),
+    )
+}
+
+/// Every counter of every arena search on the 200-seed corpus, pinned
+/// exactly against a checked-in table: fast path and RBP with goal
+/// pruning on and off, RBP's queue-array variant with the slack
+/// tie-break, GALS and latch, feasible and infeasible. The
+/// legacy-equivalence test above pins only results; this one stops a
+/// change to the arena searches from silently moving `pruned`,
+/// `goal_pruned`, `max_queue` or any other counter.
+#[test]
+fn arena_counters_match_golden_table() {
+    let lib = GateLibrary::paper_library();
+    let mut rows = Vec::new();
+    for i in 0..INSTANCES {
+        let sc = Scenario::generate(BASE_SEED + i);
+        let g = sc.graph();
+        let tech = sc.tech();
+        let t = Time::from_ps(sc.period_ps);
+        let tt = Time::from_ps(sc.sink_period_ps);
+
+        for goal in [true, false] {
+            let rec = MetricsRecorder::new();
+            let out = FastPathSpec::new(&g, &tech, &lib)
+                .source(sc.source())
+                .sink(sc.sink())
+                .goal_prune(goal)
+                .telemetry(TelemetryHandle::new(&rec))
+                .solve();
+            let name = if goal { "fastpath" } else { "fastpath_nogoal" };
+            rows.push(counter_row(i, name, &rec, out, |s| {
+                (format!("{:?}", s.delay().ps()), s.path(), s.stats())
+            }));
+        }
+        let (two, array) = (RbpVariant::TwoQueue, RbpVariant::QueueArray);
+        let (first, slack) = (TieBreak::FirstFound, TieBreak::MaxEndpointSlack);
+        for (name, goal, variant, tie) in [
+            ("rbp", true, two, first),
+            ("rbp_nogoal", false, two, first),
+            ("rbp_array_slack", true, array, slack),
+        ] {
+            let rec = MetricsRecorder::new();
+            let out = RbpSpec::new(&g, &tech, &lib)
+                .source(sc.source())
+                .sink(sc.sink())
+                .period(t)
+                .goal_prune(goal)
+                .variant(variant)
+                .tie_break(tie)
+                .telemetry(TelemetryHandle::new(&rec))
+                .solve();
+            rows.push(counter_row(i, name, &rec, out, |s| {
+                let slack = (s.source_slack().ps(), s.sink_slack().ps());
+                (format!("{:?}/{:?}", slack.0, slack.1), s.path(), s.stats())
+            }));
+        }
+        let rec = MetricsRecorder::new();
+        let out = GalsSpec::new(&g, &tech, &lib)
+            .source(sc.source())
+            .sink(sc.sink())
+            .periods(t, tt)
+            .telemetry(TelemetryHandle::new(&rec))
+            .solve();
+        rows.push(counter_row(i, "gals", &rec, out, |s| {
+            (format!("{:?}", s.latency().ps()), s.path(), s.stats())
+        }));
+        let rec = MetricsRecorder::new();
+        let out = LatchSpec::new(&g, &tech, &lib)
+            .source(sc.source())
+            .sink(sc.sink())
+            .period(t)
+            .borrow_window(Time::from_ps(sc.sink_period_ps * 0.25))
+            .telemetry(TelemetryHandle::new(&rec))
+            .solve();
+        rows.push(counter_row(i, "latch", &rec, out, |s| {
+            (format!("{:?}", s.latency().ps()), s.path(), s.stats())
+        }));
+    }
+
+    let golden: Vec<&str> = ARENA_COUNTERS
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .collect();
+    for (row, want) in rows.iter().zip(&golden) {
+        if row != want {
+            let mut key = row.split(' ');
+            let i: u64 = key.next().and_then(|k| k.parse().ok()).expect("row index");
+            let search = key.next().expect("row search");
+            panic!(
+                "arena counters diverged at seed {} ({search}):\n  got  {row}\n  want {want}\n\
+                 reproduce with: {:#?}",
+                BASE_SEED + i,
+                Scenario::generate(BASE_SEED + i)
+            );
+        }
+    }
+    assert_eq!(rows.len(), golden.len(), "golden table row count");
 }
 
 #[test]

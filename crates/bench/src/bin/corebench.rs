@@ -20,11 +20,13 @@
 //! matching `BENCH_core.json` row exactly. Wall-clock is not gated.
 //! Bootstrap runs (no baseline row yet) pass. Check mode never appends.
 
+use clockroute_core::json::{self, Value};
 use clockroute_core::{EngineKind, FastPathSpec, RbpSpec, SearchStats};
 use clockroute_elmore::{GateLibrary, Technology};
 use clockroute_geom::units::{Length, Time};
 use clockroute_geom::Point;
 use clockroute_grid::GridGraph;
+use std::collections::BTreeMap;
 use std::io::Write;
 
 const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_core.json");
@@ -158,20 +160,6 @@ fn append_rows(rows: &[Row]) {
     }
 }
 
-/// Extracts an integer field from a JSONL row without a JSON parser —
-/// the writer above controls the format.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\":");
-    let at = line.find(&tag)? + tag.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
-}
-
-fn field_matches(line: &str, key: &str, value: &str) -> bool {
-    line.contains(&format!("\"{key}\":\"{value}\""))
-}
-
 /// The counters `--check` gates, as (row key, value) pairs. All are
 /// deterministic for a given commit, so any change is a real change.
 fn gated_counters(stats: &SearchStats) -> [(&'static str, u64); 7] {
@@ -186,14 +174,38 @@ fn gated_counters(stats: &SearchStats) -> [(&'static str, u64); 7] {
     ]
 }
 
-/// Most recent recorded row for (engine, grid, search), if any.
-fn baseline_row<'a>(contents: &'a str, engine: &str, grid: u32, search: &str) -> Option<&'a str> {
+/// A parsed `BENCH_core.json` row.
+type Baseline = BTreeMap<String, Value>;
+
+/// Parses every `BENCH_core.json` row, failing on the first that is
+/// not a JSON object.
+fn parse_rows(contents: &str) -> Result<Vec<Baseline>, String> {
     contents
         .lines()
-        .filter(|l| {
-            field_matches(l, "engine", engine)
-                && field_matches(l, "search", search)
-                && field_u64(l, "grid") == Some(u64::from(grid))
+        .enumerate()
+        .map(|(i, line)| match json::parse(line) {
+            Ok(Value::Obj(row)) => Ok(row),
+            Ok(_) => Err(format!("line {}: not a JSON object", i + 1)),
+            Err(e) => Err(format!("line {}: {e}", i + 1)),
+        })
+        .collect()
+}
+
+/// Most recent recorded row for (engine, grid, search), if any.
+fn baseline_row<'a>(
+    rows: &'a [Baseline],
+    engine: &str,
+    grid: u32,
+    search: &str,
+) -> Option<&'a Baseline> {
+    let is = |row: &Baseline, key: &str, want: &str| {
+        matches!(row.get(key), Some(Value::Str(s)) if s == want)
+    };
+    rows.iter()
+        .filter(|row| {
+            is(row, "engine", engine)
+                && is(row, "search", search)
+                && row.get("grid") == Some(&Value::Num(f64::from(grid)))
         })
         .next_back()
 }
@@ -202,6 +214,13 @@ fn baseline_row<'a>(contents: &'a str, engine: &str, grid: u32, search: &str) ->
 /// the last recorded row exactly. Returns process exit code.
 fn check() -> i32 {
     let contents = std::fs::read_to_string(BENCH_PATH).unwrap_or_default();
+    let baselines = match parse_rows(&contents) {
+        Ok(rows) => rows,
+        Err(e) => {
+            eprintln!("corebench --check: BENCH_core.json {e}");
+            return 1;
+        }
+    };
     let mut rows = Vec::new();
     for grid in [60, 100] {
         run_grid(grid, EngineKind::Arena, "arena", &mut rows);
@@ -209,7 +228,7 @@ fn check() -> i32 {
     let mut failures = 0;
     for row in &rows {
         let label = format!("check {} grid={} {}", row.engine, row.grid, row.search);
-        let Some(base) = baseline_row(&contents, row.engine, row.grid, row.search) else {
+        let Some(base) = baseline_row(&baselines, row.engine, row.grid, row.search) else {
             println!(
                 "{label}: pops={} (no baseline, bootstrap pass)",
                 row.stats.configs
@@ -218,10 +237,10 @@ fn check() -> i32 {
         };
         let changed: Vec<String> = gated_counters(&row.stats)
             .iter()
-            .filter(|&&(key, got)| field_u64(base, key) != Some(got))
-            .map(|&(key, got)| match field_u64(base, key) {
-                Some(want) => format!("{key}={got} (baseline {want})"),
-                None => format!("{key}={got} (no baseline value)"),
+            .filter(|&&(key, got)| base.get(key) != Some(&Value::Num(got as f64)))
+            .map(|&(key, got)| match base.get(key) {
+                Some(Value::Num(want)) => format!("{key}={got} (baseline {want})"),
+                _ => format!("{key}={got} (no baseline value)"),
             })
             .collect();
         if changed.is_empty() {

@@ -249,7 +249,7 @@ net comb name=d0 src=0,0 dst=19,19
 
     #[test]
     fn metrics_and_trace_files_are_well_formed() {
-        use clockroute_core::telemetry::{validate_json, validate_jsonl};
+        use clockroute_core::json::{validate_json, validate_jsonl};
         let scenario = stress_scenario();
         let metrics = artifact("wellformed.json");
         let trace = artifact("wellformed.jsonl");

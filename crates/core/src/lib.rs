@@ -58,6 +58,7 @@ pub mod failpoint;
 mod fastpath;
 mod gals;
 mod goal;
+pub mod json;
 pub mod latch;
 pub mod lockcheck;
 mod rbp;

@@ -566,215 +566,13 @@ impl<A: Telemetry, B: Telemetry> Telemetry for Tee<A, B> {
     }
 }
 
-/// Escapes `s` as a JSON string literal (quotes included). Public
-/// because every JSON producer in the workspace (trace lines, `crserve`
-/// protocol responses) must escape identically for `validate_json` /
-/// `validate_jsonl` to hold.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Validates that `text` is one well-formed JSON value (object, array,
-/// string, number, boolean or null) with nothing but whitespace after
-/// it. A minimal recursive-descent checker for the test-suite — this
-/// workspace ships no JSON parser dependency.
-///
-/// # Errors
-///
-/// Returns a byte offset + message on the first syntax error.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(())
-}
-
-/// Validates JSONL: every non-empty line must be a well-formed JSON
-/// value.
-///
-/// # Errors
-///
-/// Returns the first offending line (1-based) and its error.
-pub fn validate_jsonl(text: &str) -> Result<(), String> {
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        validate_json(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    skip_ws(b, pos);
-    let Some(&c) = b.get(*pos) else {
-        return Err(format!("unexpected end of input at byte {pos}"));
-    };
-    match c {
-        b'{' => parse_object(b, pos),
-        b'[' => parse_array(b, pos),
-        b'"' => parse_string(b, pos),
-        b't' => parse_literal(b, pos, "true"),
-        b'f' => parse_literal(b, pos, "false"),
-        b'n' => parse_literal(b, pos, "null"),
-        b'-' | b'0'..=b'9' => parse_number(b, pos),
-        c => Err(format!("unexpected byte {:?} at {pos}", c as char)),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}"));
-        }
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        *pos += 1;
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(&b',') => *pos += 1,
-            Some(&b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(&b',') => *pos += 1,
-            Some(&b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '"'
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            if !b.get(*pos).is_some_and(u8::is_ascii_hexdigit) {
-                                return Err(format!("bad \\u escape at byte {pos}"));
-                            }
-                            *pos += 1;
-                        }
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-            }
-            0x00..=0x1f => return Err(format!("raw control byte in string at {pos}")),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_owned())
-}
-
-fn parse_literal(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |b: &[u8], pos: &mut usize| {
-        let s = *pos;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        *pos > s
-    };
-    if !digits(b, pos) {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(b, pos) {
-            return Err(format!("bad number at byte {start}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(&b'e' | &b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(&b'+' | &b'-')) {
-            *pos += 1;
-        }
-        if !digits(b, pos) {
-            return Err(format!("bad number at byte {start}"));
-        }
-    }
-    Ok(())
-}
+/// Kept reachable here because `perfbench`, a separate package, imports it from this path.
+pub use crate::json::json_string;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{validate_json, validate_jsonl};
 
     #[test]
     fn noop_handle_is_inert() {
@@ -936,28 +734,5 @@ mod tests {
         assert!(rows[0].starts_with("a "), "{rows:?}");
         assert!(rows[0].ends_with(" 2"), "{rows:?}");
         assert!(rows[2].starts_with("zz.gauge"), "{rows:?}");
-    }
-
-    #[test]
-    fn validator_accepts_and_rejects() {
-        for good in [
-            "{}",
-            "[]",
-            "null",
-            "-1.5e-3",
-            "{\"a\": [1, 2.5, \"x\", true, null], \"b\": {}}",
-            "  {\"nested\": {\"deep\": [[[]]]}}  ",
-            "\"\\u00e9\\n\"",
-        ] {
-            assert!(validate_json(good).is_ok(), "{good}");
-        }
-        for bad in [
-            "", "{", "}", "{\"a\":}", "{\"a\":1,}", "[1 2]", "tru", "1.",
-            "01x", "\"unterminated", "{\"a\":1} extra", "{'a':1}",
-        ] {
-            assert!(validate_json(bad).is_err(), "{bad}");
-        }
-        assert!(validate_jsonl("{}\n[1]\n\n\"x\"\n").is_ok());
-        assert!(validate_jsonl("{}\nnot json\n").is_err());
     }
 }

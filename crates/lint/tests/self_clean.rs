@@ -33,7 +33,7 @@ fn binary_exits_zero_and_emits_valid_json_on_clean_tree() {
         .expect("spawn crlint");
     assert!(out.status.success(), "expected exit 0: {out:?}");
     let json = String::from_utf8(out.stdout).expect("utf8");
-    clockroute_core::telemetry::validate_json(&json).expect("crlint --json must be valid JSON");
+    clockroute_core::json::validate_json(&json).expect("crlint --json must be valid JSON");
     assert!(json.contains("\"findings\":[]"), "clean tree: {json}");
 }
 
@@ -61,7 +61,7 @@ fn binary_exits_one_and_emits_valid_deterministic_json_on_findings() {
     let out = run();
     assert_eq!(out.status.code(), Some(1), "findings must exit 1: {out:?}");
     let json = String::from_utf8(out.stdout).expect("utf8");
-    clockroute_core::telemetry::validate_json(&json).expect("valid JSON with findings");
+    clockroute_core::json::validate_json(&json).expect("valid JSON with findings");
     assert!(json.contains("\"rule\":\"CR002\""), "{json}");
     assert!(json.contains("\"path\":\"crates/core/src/bad.rs\""), "{json}");
     assert!(json.contains("\"line\":2"), "{json}");
@@ -153,7 +153,7 @@ fn explain_covers_every_rule_and_reaches_the_json() {
         .output()
         .expect("spawn crlint");
     let json = String::from_utf8(out.stdout).expect("utf8");
-    clockroute_core::telemetry::validate_json(&json).expect("json with explain field");
+    clockroute_core::json::validate_json(&json).expect("json with explain field");
     assert!(
         json.contains("\"explain\":\"unwrap/expect in core crates"),
         "{json}"

@@ -1878,7 +1878,7 @@ mod tests {
         assert_eq!(json1, json4, "metrics JSON must not depend on --jobs");
         assert!(json1.contains("\"plan.nets.routed\""));
         assert!(json1.contains("\"search.rbp.pops\""));
-        clockroute_core::telemetry::validate_json(&json1).expect("valid JSON");
+        clockroute_core::json::validate_json(&json1).expect("valid JSON");
     }
 
     #[test]

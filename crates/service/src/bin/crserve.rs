@@ -32,8 +32,8 @@
 //! counters plus every solve's planner counters) as JSON on exit.
 //!
 //! `--validate-jsonl` is a self-check mode for scripts: instead of
-//! serving, it reads lines from stdin and validates each against the
-//! same JSON grammar the telemetry export uses, exiting `1` on the
+//! serving, it reads lines from stdin and validates each with the same
+//! strict JSON parser that decodes requests, exiting `1` on the
 //! first bad line. `scripts/serve_smoke.sh` pipes the service's own
 //! responses back through it.
 //!
@@ -165,7 +165,7 @@ fn main() -> ExitCode {
             eprintln!("error: cannot read stdin: {e}");
             return ExitCode::from(2);
         }
-        return match clockroute_core::telemetry::validate_jsonl(&text) {
+        return match clockroute_core::json::validate_jsonl(&text) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: invalid JSONL: {e}");
@@ -203,10 +203,14 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            match listener.local_addr() {
-                Ok(local) => eprintln!("listening on {local}"),
-                Err(_) => eprintln!("listening on {addr}"),
-            }
+            let bound = listener
+                .local_addr()
+                .map_or_else(|_| addr.to_string(), |local| local.to_string());
+            // One write: `eprintln!` may split the line across several
+            // write(2) calls, and a script reading the pipe could see
+            // `listening on ` without the address.
+            let banner = format!("listening on {bound}\n");
+            let _ = std::io::stderr().lock().write_all(banner.as_bytes());
             service.serve_listener(&listener)
         }
         None => {

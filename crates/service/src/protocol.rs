@@ -2,10 +2,9 @@
 //!
 //! Every request is one line holding one *flat* JSON object (string,
 //! number, boolean or null values only — nesting is rejected, which
-//! keeps the hand-rolled parser small and the grammar in DESIGN.md §12
-//! honest). Every response is one line of JSON produced through
-//! [`clockroute_core::telemetry::json_string`], so the whole
-//! conversation satisfies `validate_jsonl`.
+//! keeps the grammar in DESIGN.md §12 small). Every response is one line
+//! of JSON produced through [`clockroute_core::json::json_string`], so
+//! the whole conversation satisfies `validate_jsonl`.
 //!
 //! ```text
 //! → {"id":"r1","op":"route","scenario":"die 10mm 10mm\ngrid 20 20\n..."}
@@ -14,26 +13,18 @@
 //! ← {"id":"r2","status":"ok","pong":true}
 //! ```
 //!
-//! The workspace deliberately ships no JSON dependency; this module and
-//! the telemetry validator are the only JSON code, and both are tested
-//! against each other.
+//! Requests are decoded by [`clockroute_core::json::parse`], the same
+//! strict parser `validate_json` uses, so a line the service accepts is
+//! valid JSON.
 
-use clockroute_core::telemetry::json_string;
+use clockroute_core::json::{self, json_string};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A scalar JSON value (the only kind requests may carry).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// A string (unescaped).
-    Str(String),
-    /// A number, kept as f64.
-    Num(f64),
-    /// A boolean.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
+/// A request field's value. Requests may carry only the scalar variants
+/// ([`parse_flat`] rejects `Arr` and `Obj`); the alias keeps the name
+/// clients already match on.
+pub use clockroute_core::json::Value as JsonValue;
 
 /// A parsed request.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,22 +59,20 @@ pub enum Op {
 /// violation. The caller wraps it in a `malformed` response; the
 /// connection survives.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let fields = parse_flat_object(line)?;
-    let id = match fields.get("id") {
+    let mut fields = parse_flat(line)?;
+    let id = match fields.remove("id") {
         None | Some(JsonValue::Null) => None,
-        Some(JsonValue::Str(s)) => Some(s.clone()),
+        Some(JsonValue::Str(s)) => Some(s),
         Some(_) => return Err("`id` must be a string or null".to_owned()),
     };
-    let op = match fields.get("op") {
-        Some(JsonValue::Str(s)) => s.as_str(),
+    let op = match fields.remove("op") {
+        Some(JsonValue::Str(s)) => s,
         Some(_) => return Err("`op` must be a string".to_owned()),
         None => return Err("missing `op`".to_owned()),
     };
-    let op = match op {
-        "route" => match fields.get("scenario") {
-            Some(JsonValue::Str(s)) => Op::Route {
-                scenario: s.clone(),
-            },
+    let op = match op.as_str() {
+        "route" => match fields.remove("scenario") {
+            Some(JsonValue::Str(scenario)) => Op::Route { scenario },
             Some(_) => return Err("`scenario` must be a string".to_owned()),
             None => return Err("route needs a `scenario`".to_owned()),
         },
@@ -100,179 +89,17 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// — can read responses without a JSON dependency. Fails on nested
 /// values; of the response family only `stats` nests.
 pub fn parse_flat(line: &str) -> Result<BTreeMap<String, JsonValue>, String> {
-    parse_flat_object(line)
-}
-
-/// Parses a single flat JSON object into a field map.
-fn parse_flat_object(line: &str) -> Result<BTreeMap<String, JsonValue>, String> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
+    let start = line.len() - line.trim_start_matches([' ', '\t', '\n', '\r']).len();
+    let not_object = || format!("expected '{{' at byte {start}");
+    if !line[start..].starts_with('{') {
+        return Err(not_object());
+    }
+    let JsonValue::Obj(fields) = json::parse(line)? else {
+        return Err(not_object());
     };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut fields = BTreeMap::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let value = p.scalar()?;
-            if fields.insert(key.clone(), value).is_some() {
-                return Err(format!("duplicate field `{key}`"));
-            }
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => {}
-                Some(b'}') => break,
-                _ => return Err(format!("expected ',' or '}}' at byte {}", p.pos)),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(fields)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next() {
-            Some(b) if b == want => Ok(()),
-            _ => Err(format!(
-                "expected '{}' at byte {}",
-                want as char,
-                self.pos.saturating_sub(1)
-            )),
-        }
-    }
-
-    fn scalar(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'{') | Some(b'[') => {
-                Err(format!("nested values are not allowed (byte {})", self.pos))
-            }
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("expected a value at byte {}", self.pos)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|v| v.is_finite())
-            .map(JsonValue::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'u') => {
-                        let hex = self
-                            .bytes
-                            .get(self.pos..self.pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                        self.pos += 4;
-                        // Surrogate pairs are not supported; the `.cr`
-                        // format is ASCII anyway.
-                        out.push(
-                            char::from_u32(hex)
-                                .ok_or_else(|| format!("bad codepoint \\u{hex:04x}"))?,
-                        );
-                    }
-                    _ => return Err(format!("bad escape at byte {}", self.pos)),
-                },
-                Some(b) if b < 0x20 => {
-                    return Err(format!("raw control byte in string at {}", self.pos))
-                }
-                Some(b) => {
-                    // Re-assemble multi-byte UTF-8 sequences: the input
-                    // is a &str, so continuation bytes are valid.
-                    let len = utf8_len(b);
-                    let start = self.pos - 1;
-                    self.pos = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..self.pos)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| format!("bad UTF-8 at byte {start}"))?;
-                    out.push_str(chunk);
-                }
-                None => return Err("unterminated string".to_owned()),
-            }
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+    match fields.iter().find(|(_, v)| matches!(v, JsonValue::Arr(_) | JsonValue::Obj(_))) {
+        Some((key, _)) => Err(format!("nested values are not allowed (field `{key}`)")),
+        None => Ok(fields),
     }
 }
 
@@ -369,7 +196,7 @@ pub fn bye(id: Option<&str>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clockroute_core::telemetry::{validate_json, validate_jsonl};
+    use clockroute_core::json::{validate_json, validate_jsonl};
 
     #[test]
     fn parses_route_request() {
@@ -426,6 +253,10 @@ mod tests {
             (r#"{"op":"ping","n":1e999}"#, "bad number"),
             (r#"{"op":"ping""#, "expected"),
             ("{\"op\":\"pi\nng\"}", "control byte"),
+            (r#"{"op":"ping","n":1.}"#, "bad number"),
+            (r#"{"op":"ping","n":01}"#, "bad number"),
+            (r#"{"id":"\ud83d","op":"ping"}"#, "lone surrogate"),
+            ("[1]", "expected '{'"),
         ] {
             let err = parse_request(line).unwrap_err();
             assert!(err.contains(needle), "line {line:?}: got {err:?}");
@@ -436,6 +267,8 @@ mod tests {
     fn unicode_and_escapes_round_trip() {
         let r = parse_request(r#"{"id":"ému A\t","op":"ping"}"#).unwrap();
         assert_eq!(r.id.as_deref(), Some("ému A\t"));
+        let r = parse_request(r#"{"id":"\ud83d\ude00","op":"ping"}"#).unwrap();
+        assert_eq!(r.id.as_deref(), Some("😀"));
     }
 
     #[test]

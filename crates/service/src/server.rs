@@ -608,7 +608,7 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clockroute_core::telemetry::validate_json;
+    use clockroute_core::json::validate_json;
 
     const SCENARIO: &str =
         "die 10mm 10mm\\ngrid 20 20\\nblock hard 8 8 11 11\\nnet comb name=a src=0,0 dst=19,19\\nnet reg name=b src=0,10 dst=19,10 period=2000\\n";
@@ -654,6 +654,25 @@ mod tests {
         assert!(r.contains("scenario: line 2"), "{r}");
         assert_eq!(service.metrics().counter_value("service.malformed"), 1);
         assert_eq!(service.metrics().counter_value("service.errors"), 1);
+    }
+
+    #[test]
+    fn deep_nesting_is_malformed_not_a_stack_overflow() {
+        let service = Service::new(ServiceConfig::default());
+        for line in ["[".repeat(1 << 20), format!("{{\"op\":{}", "[".repeat(1 << 20))] {
+            let r = service.handle_line(&line);
+            assert!(r.starts_with("{\"id\":null,\"status\":\"malformed\""), "{r}");
+        }
+        assert_eq!(service.metrics().counter_value("service.malformed"), 2);
+    }
+
+    #[test]
+    fn surrogate_pair_ids_are_echoed() {
+        let service = Service::new(ServiceConfig::default());
+        for line in [r#"{"id":"\ud83d\ude00","op":"ping"}"#, r#"{"id":"😀","op":"ping"}"#] {
+            let r = service.handle_line(line);
+            assert_eq!(r, "{\"id\":\"😀\",\"status\":\"ok\",\"pong\":true}");
+        }
     }
 
     #[test]

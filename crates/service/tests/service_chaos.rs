@@ -14,7 +14,7 @@
 //!   cache on the next start.
 
 use clockroute_core::failpoint::{self, FailAction};
-use clockroute_core::telemetry::json_string;
+use clockroute_core::json::json_string;
 use clockroute_service::{Service, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

@@ -24,8 +24,8 @@ fn scenario_text(bx: u32, by: u32) -> String {
 fn route_line(id: &str, scenario_text: &str) -> String {
     format!(
         "{{\"id\":{},\"op\":\"route\",\"scenario\":{}}}",
-        clockroute_core::telemetry::json_string(id),
-        clockroute_core::telemetry::json_string(scenario_text),
+        clockroute_core::json::json_string(id),
+        clockroute_core::json::json_string(scenario_text),
     )
 }
 

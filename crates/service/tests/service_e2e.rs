@@ -9,7 +9,7 @@
 //! failpoints without dying.
 
 use clockroute_cli::{report, scenario};
-use clockroute_core::telemetry::{validate_json, validate_jsonl};
+use clockroute_core::json::{validate_json, validate_jsonl};
 use clockroute_core::SearchBudget;
 use clockroute_elmore::GateLibrary;
 use clockroute_grid::GridGraph;
@@ -35,8 +35,8 @@ fn scenario_text(bx: u32, by: u32) -> String {
 fn route_line(id: &str, scenario_text: &str) -> String {
     format!(
         "{{\"id\":{},\"op\":\"route\",\"scenario\":{}}}",
-        clockroute_core::telemetry::json_string(id),
-        clockroute_core::telemetry::json_string(scenario_text),
+        clockroute_core::json::json_string(id),
+        clockroute_core::json::json_string(scenario_text),
     )
 }
 

@@ -26,9 +26,13 @@ fail() {
 start_server() {
     "$BIN" --tcp 127.0.0.1:0 --state "$tmp/state" --quiet 2> "$tmp/banner" &
     pid=$!
-    # The stderr banner carries the bound address.
+    # The stderr banner carries the bound address. Read only complete
+    # (newline-terminated) lines: a read racing the write could see a
+    # banner cut short.
     for _ in $(seq 1 100); do
-        addr=$(sed -n 's/^listening on //p' "$tmp/banner")
+        complete=$(wc -l < "$tmp/banner")
+        addr=$(head -n "$complete" "$tmp/banner" |
+            sed -n 's/^listening on \([^ ]*:[0-9][0-9]*\)$/\1/p' | head -n 1)
         [ -n "$addr" ] && return 0
         kill -0 "$pid" 2>/dev/null || fail "crserve died on startup"
         sleep 0.05

@@ -31,6 +31,7 @@ use clockroute_geom::units::{CapPerLength, Length, ResPerLength, Time};
 use clockroute_geom::{BlockKind, Floorplan, Point, Rect};
 use clockroute_grid::EdgeCapacities;
 use clockroute_plan::NetSpec;
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -103,7 +104,7 @@ fn parse_point(tok: &str, line: usize) -> Result<Point, ParseScenarioError> {
     Ok(Point::new(x, y))
 }
 
-fn kv<'a>(tokens: &'a [&str], key: &str, line: usize) -> Result<&'a str, ParseScenarioError> {
+fn kv<'a>(tokens: &[&'a str], key: &str, line: usize) -> Result<&'a str, ParseScenarioError> {
     tokens
         .iter()
         .find_map(|t| t.strip_prefix(key).and_then(|r| r.strip_prefix('=')))
@@ -136,6 +137,10 @@ pub fn parse(text: &str) -> Result<Scenario, ParseScenarioError> {
     let mut tech = Technology::paper_070nm();
     let mut blocks: Vec<(Rect, BlockKind, usize)> = Vec::new();
     let mut nets: Vec<(NetSpec, usize)> = Vec::new();
+    // Net name → the line that first declared it, so the duplicate
+    // check stays one lookup per net: `crserve` parses every request,
+    // hits included, at up to `max_nets` nets.
+    let mut net_lines: BTreeMap<&str, usize> = BTreeMap::new();
     let mut reserve = true;
     let mut cap_directives: Vec<(CapDirective, usize)> = Vec::new();
 
@@ -226,8 +231,8 @@ pub fn parse(text: &str) -> Result<Scenario, ParseScenarioError> {
                 if tokens.len() < 2 {
                     return Err(err(line_no, "usage: net <comb|reg|gals> ..."));
                 }
-                let name = kv(&tokens, "name", line_no)?.to_owned();
-                if let Some((_, first)) = nets.iter().find(|(n, _)| n.name == name) {
+                let name = kv(&tokens, "name", line_no)?;
+                if let Some(first) = net_lines.insert(name, line_no) {
                     return Err(err(
                         line_no,
                         format!("duplicate net name `{name}` (first declared on line {first})"),
@@ -236,12 +241,12 @@ pub fn parse(text: &str) -> Result<Scenario, ParseScenarioError> {
                 let src = parse_point(kv(&tokens, "src", line_no)?, line_no)?;
                 let dst = parse_point(kv(&tokens, "dst", line_no)?, line_no)?;
                 let net = match tokens[1] {
-                    "comb" => NetSpec::combinational(&name, src, dst),
+                    "comb" => NetSpec::combinational(name, src, dst),
                     "reg" => {
                         let period: f64 = kv(&tokens, "period", line_no)?
                             .parse()
                             .map_err(|_| err(line_no, "bad period"))?;
-                        NetSpec::registered(&name, src, dst, Time::from_ps(period))
+                        NetSpec::registered(name, src, dst, Time::from_ps(period))
                     }
                     "gals" => {
                         let ts: f64 = kv(&tokens, "ts", line_no)?
@@ -250,7 +255,7 @@ pub fn parse(text: &str) -> Result<Scenario, ParseScenarioError> {
                         let tt: f64 = kv(&tokens, "tt", line_no)?
                             .parse()
                             .map_err(|_| err(line_no, "bad tt"))?;
-                        NetSpec::gals(&name, src, dst, Time::from_ps(ts), Time::from_ps(tt))
+                        NetSpec::gals(name, src, dst, Time::from_ps(ts), Time::from_ps(tt))
                     }
                     other => return Err(err(line_no, format!("unknown net kind `{other}`"))),
                 };
@@ -493,6 +498,26 @@ net gals name=c src=50,5 dst=50,95 ts=300 tt=400
         assert_eq!(e.line, 4);
         assert!(e.message.contains("duplicate net name `x`"), "{e}");
         assert!(e.message.contains("line 3"), "{e}");
+    }
+
+    #[test]
+    fn duplicate_after_512_nets_names_the_first_line() {
+        let mut text = String::from("die 1mm 1mm\ngrid 4 4\n");
+        for i in 0..512 {
+            text.push_str(&format!("net comb name=n{i} src=0,0 dst=3,3\n"));
+        }
+        // n17 is declared on line 2 + 17 + 1; its duplicate is line 515.
+        text.push_str("net comb name=n17 src=1,0 dst=3,2\n");
+        let e = parse(&text).unwrap_err();
+        assert_eq!(e.line, 515);
+        assert_eq!(
+            e.message,
+            "duplicate net name `n17` (first declared on line 20)"
+        );
+        // Without the duplicate, all 512 nets parse in order.
+        let s = parse(&text[..text.len() - "net comb name=n17 src=1,0 dst=3,2\n".len()]).unwrap();
+        assert_eq!(s.nets.len(), 512);
+        assert_eq!(s.nets[511].name, "n511");
     }
 
     #[test]

@@ -38,17 +38,25 @@ pub enum Value {
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Copy the run before this byte whole: every escaped byte is
+        // ASCII, so runs start and end on char boundaries.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => out.push_str(&format!("\\u{b:04x}")),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
     out
 }
@@ -121,10 +129,11 @@ impl Parser<'_> {
     /// Skips whitespace, then consumes `want`.
     fn eat(&mut self, want: u8) -> Result<(), String> {
         self.skip_ws();
+        // The offset of the byte read, or the input's length at its end.
+        let at = self.pos;
         if self.next() == Some(want) {
             return Ok(());
         }
-        let at = self.pos.saturating_sub(1);
         Err(format!("expected '{}' at byte {at}", want as char))
     }
 
@@ -295,10 +304,14 @@ mod tests {
         }
         for (bad, needle) in [
             ("", "expected a value"),
-            ("{", "expected '\"'"),
+            ("{", "expected '\"' at byte 1"),
+            ("{ ", "expected '\"' at byte 2"),
+            ("{\"a\"", "expected ':' at byte 4"),
+            ("{\"a\" x", "expected ':' at byte 5"),
+            ("{\"a\":1,", "expected '\"' at byte 7"),
             ("}", "expected a value"),
             ("{\"a\":}", "expected a value"),
-            ("{\"a\":1,}", "expected '\"'"),
+            ("{\"a\":1,}", "expected '\"' at byte 7"),
             ("[1 2]", "expected ',' or ']'"),
             ("tru", "bad literal"),
             ("1.", "bad number"),
@@ -381,8 +394,38 @@ mod tests {
         }
     }
 
+    /// A char-at-a-time reference escaper: `json_string` must match it
+    /// byte for byte.
+    fn json_string_by_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+        #[test]
+        fn escaping_matches_the_char_by_char_reference(
+            codes in proptest::collection::vec(prop_oneof![0u32..0x80, 0u32..0x11_0000], 0..40)
+        ) {
+            let s: String = codes
+                .iter()
+                .map(|&c| char::from_u32(c).unwrap_or('\u{fffd}'))
+                .collect();
+            prop_assert_eq!(json_string(&s), json_string_by_char(&s));
+        }
+
         #[test]
         fn escaped_strings_round_trip(
             codes in proptest::collection::vec(prop_oneof![0u32..0x80, 0u32..0x11_0000], 0..40)

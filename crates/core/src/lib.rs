@@ -78,7 +78,7 @@ pub use lockcheck::{LockRank, OrderedCondvar, OrderedMutex};
 pub use rbp::{RbpSpec, RbpVariant, TieBreak, WaveTrace};
 pub use result::{FastPathSolution, GalsSolution, RbpSolution, RoutedPath};
 pub use stats::{SearchStats, TouchedRegion};
-pub use telemetry::{MetricsRecorder, Telemetry, TelemetryHandle, TraceWriter};
+pub use telemetry::{MetricsRecorder, Telemetry, TelemetryHandle, TelemetryShard, TraceWriter};
 
 #[cfg(test)]
 mod send_audit {
@@ -111,5 +111,7 @@ mod send_audit {
         assert_sync::<TelemetryHandle<'static>>();
         assert_send::<MetricsRecorder>();
         assert_sync::<MetricsRecorder>();
+        assert_send::<TelemetryShard>();
+        assert_sync::<TelemetryShard>();
     }
 }

@@ -7,9 +7,10 @@
 //!
 //! * **Counters and gauges** are pure functions of the search inputs
 //!   (pops, pushes, prunes, promotions, arena bytes, budget charges).
-//!   They are replayed from per-net shards in commit order, so an
-//!   aggregated [`MetricsRecorder`] produces **byte-identical JSON for
-//!   every `--jobs` value** — asserted by the CLI end-to-end tests.
+//!   They are replayed from per-net [`TelemetryShard`]s in commit
+//!   order, so an aggregated [`MetricsRecorder`] produces
+//!   **byte-identical JSON for every `--jobs` value** — asserted by the
+//!   CLI end-to-end tests.
 //! * **Spans and events** carry wall-clock time and scheduling detail
 //!   (rounds, conflicts, re-routes). They are trace-only: useful for
 //!   reading one run, never included in the deterministic metrics JSON.
@@ -18,10 +19,10 @@
 //! [`TelemetryHandle`], a `Copy` option-of-reference whose methods
 //! compile to a branch on `None` — zero cost unless a sink is attached.
 //!
-//! Two concrete sinks ship here: [`MetricsRecorder`] (in-memory
-//! aggregation + ordered op log for shard replay) and [`TraceWriter`]
-//! (JSONL event stream). [`Tee`] fans one instrumentation stream out to
-//! both.
+//! Three concrete sinks ship here: [`MetricsRecorder`] (in-memory
+//! aggregates only), [`TelemetryShard`] (an ordered op log, drained
+//! into another sink by replay) and [`TraceWriter`] (JSONL event
+//! stream). [`Tee`] fans one instrumentation stream out to two sinks.
 
 use crate::lockcheck::{LockRank, OrderedMutex};
 use crate::stats::SearchStats;
@@ -237,9 +238,9 @@ impl<'a> TelemetryHandle<'a> {
     }
 }
 
-/// One recorded operation, kept in call order so a per-net shard can be
+/// One recorded operation, kept in call order so a shard can be
 /// replayed into an aggregate sink at commit time.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Counter(String, u64),
     Gauge(String, u64),
@@ -248,7 +249,7 @@ enum Op {
     Event(String, Vec<(String, OwnedValue)>),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum OwnedValue {
     U64(u64),
     F64(f64),
@@ -264,6 +265,14 @@ impl OwnedValue {
         }
     }
 
+    fn borrow(&self) -> Value<'_> {
+        match self {
+            OwnedValue::U64(x) => Value::U64(*x),
+            OwnedValue::F64(x) => Value::F64(*x),
+            OwnedValue::Str(s) => Value::Str(s),
+        }
+    }
+
     fn to_json(&self) -> String {
         match self {
             OwnedValue::U64(x) => x.to_string(),
@@ -275,27 +284,36 @@ impl OwnedValue {
 }
 
 #[derive(Debug, Default)]
-struct RecorderInner {
+struct Aggregates {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, u64>,
-    log: Vec<Op>,
 }
 
-/// In-memory aggregating sink.
-///
-/// Aggregates counters (sum) and gauges (max) into sorted maps, and
-/// additionally keeps every operation — spans and events included — in
-/// call order so the whole shard can be replayed with [`replay_into`]
-/// (`MetricsRecorder::replay_into`). The planner gives each net its own
-/// shard and replays committed shards in net order, which is what makes
-/// the merged metrics independent of worker count and scheduling.
+/// Applies `f` to `name`'s value (0 if new), allocating the key only on
+/// first use: a long-lived recorder updates the same few names on every
+/// request.
+fn update(map: &mut BTreeMap<String, u64>, name: &str, f: impl FnOnce(u64) -> u64) {
+    match map.get_mut(name) {
+        Some(v) => *v = f(*v),
+        None => {
+            map.insert(name.to_owned(), f(0));
+        }
+    }
+}
+
+/// In-memory aggregating sink: counters (sum) and gauges (max, or last
+/// value for [`gauge_set`](Telemetry::gauge_set)) in sorted maps. Spans
+/// and events are dropped, and nothing is kept per operation, so a
+/// recorder that lives as long as a server stays the size of its name
+/// set however many requests it counts. Call-order replay is
+/// [`TelemetryShard`]'s job.
 #[derive(Debug)]
 pub struct MetricsRecorder {
     /// Telemetry-ranked (the leaf of the lattice): a recorder may be
     /// locked while any other lock is held, but must itself call out
     /// to nothing. Poisoning is ridden through inside `OrderedMutex` —
     /// telemetry must never take the search down.
-    inner: OrderedMutex<RecorderInner>,
+    inner: OrderedMutex<Aggregates>,
 }
 
 impl Default for MetricsRecorder {
@@ -308,39 +326,7 @@ impl MetricsRecorder {
     /// An empty recorder.
     pub fn new() -> MetricsRecorder {
         MetricsRecorder {
-            inner: OrderedMutex::new(LockRank::Telemetry, "telemetry.recorder", RecorderInner::default()),
-        }
-    }
-
-    /// Replays every recorded operation, in original call order, into
-    /// another sink.
-    pub fn replay_into(&self, sink: &dyn Telemetry) {
-        // Snapshot the log and release before replaying: the sink is
-        // typically another Telemetry-ranked recorder, and replaying
-        // under our own lock would be a same-rank double acquire (and
-        // a needlessly long hold).
-        let log: Vec<Op> = self.inner.lock().log.clone();
-        for op in &log {
-            match op {
-                Op::Counter(name, delta) => sink.counter(name, *delta),
-                Op::Gauge(name, value) => sink.gauge_max(name, *value),
-                Op::GaugeSet(name, value) => sink.gauge_set(name, *value),
-                Op::Span(name, ns) => sink.span_ns(name, *ns),
-                Op::Event(name, fields) => {
-                    let borrowed: Vec<(&str, Value<'_>)> = fields
-                        .iter()
-                        .map(|(k, v)| {
-                            let val = match v {
-                                OwnedValue::U64(x) => Value::U64(*x),
-                                OwnedValue::F64(x) => Value::F64(*x),
-                                OwnedValue::Str(s) => Value::Str(s.as_str()),
-                            };
-                            (k.as_str(), val)
-                        })
-                        .collect();
-                    sink.event(name, &borrowed);
-                }
-            }
+            inner: OrderedMutex::new(LockRank::Telemetry, "telemetry.recorder", Aggregates::default()),
         }
     }
 
@@ -374,10 +360,8 @@ impl MetricsRecorder {
 
     /// Deterministic JSON document of counters and gauges.
     ///
-    /// Only the deterministic surface is serialized — spans and events
-    /// never appear here — and keys are emitted in sorted order, so for
-    /// a fixed scenario this output is byte-identical across runs and
-    /// `--jobs` values.
+    /// Keys are emitted in sorted order, so for a fixed scenario this
+    /// output is byte-identical across runs and `--jobs` values.
     pub fn to_json(&self) -> String {
         let inner = self.inner.lock();
         let mut out = String::from("{\n  \"counters\": {");
@@ -433,26 +417,86 @@ impl MetricsRecorder {
 
 impl Telemetry for MetricsRecorder {
     fn counter(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock();
-        *inner.counters.entry(name.to_owned()).or_insert(0) += delta;
-        inner.log.push(Op::Counter(name.to_owned(), delta));
+        update(&mut self.inner.lock().counters, name, |v| v + delta);
     }
 
     fn gauge_max(&self, name: &str, value: u64) {
-        let mut inner = self.inner.lock();
-        let slot = inner.gauges.entry(name.to_owned()).or_insert(0);
-        *slot = (*slot).max(value);
-        inner.log.push(Op::Gauge(name.to_owned(), value));
+        update(&mut self.inner.lock().gauges, name, |v| v.max(value));
     }
 
     fn gauge_set(&self, name: &str, value: u64) {
-        let mut inner = self.inner.lock();
-        inner.gauges.insert(name.to_owned(), value);
-        inner.log.push(Op::GaugeSet(name.to_owned(), value));
+        update(&mut self.inner.lock().gauges, name, |_| value);
+    }
+}
+
+/// A replayable op log: every counter, gauge, span and event in call
+/// order, held until [`replay_into`](TelemetryShard::replay_into) moves
+/// it into another sink.
+///
+/// The planner gives each net its own shard and replays committed
+/// shards in net order, which is what makes the merged metrics
+/// independent of worker count and scheduling; discarded speculative
+/// attempts simply drop theirs. `crserve` records each solve into a
+/// shard and replays it into the service's aggregate recorder.
+#[derive(Debug)]
+pub struct TelemetryShard {
+    /// Telemetry-ranked, like [`MetricsRecorder`].
+    log: OrderedMutex<Vec<Op>>,
+}
+
+impl Default for TelemetryShard {
+    fn default() -> TelemetryShard {
+        TelemetryShard::new()
+    }
+}
+
+impl TelemetryShard {
+    /// An empty shard.
+    pub fn new() -> TelemetryShard {
+        TelemetryShard {
+            log: OrderedMutex::new(LockRank::Telemetry, "telemetry.shard", Vec::new()),
+        }
+    }
+
+    /// Replays every recorded operation, in original call order, into
+    /// `sink`, and empties the shard: a second replay adds nothing.
+    pub fn replay_into(&self, sink: &dyn Telemetry) {
+        // Take the log and release before replaying: the sink is
+        // typically a Telemetry-ranked recorder, and replaying under
+        // our own lock would be a same-rank double acquire (and a
+        // needlessly long hold).
+        let log = std::mem::take(&mut *self.log.lock());
+        for op in &log {
+            match op {
+                Op::Counter(name, delta) => sink.counter(name, *delta),
+                Op::Gauge(name, value) => sink.gauge_max(name, *value),
+                Op::GaugeSet(name, value) => sink.gauge_set(name, *value),
+                Op::Span(name, ns) => sink.span_ns(name, *ns),
+                Op::Event(name, fields) => {
+                    let borrowed: Vec<(&str, Value<'_>)> =
+                        fields.iter().map(|(k, v)| (k.as_str(), v.borrow())).collect();
+                    sink.event(name, &borrowed);
+                }
+            }
+        }
+    }
+}
+
+impl Telemetry for TelemetryShard {
+    fn counter(&self, name: &str, delta: u64) {
+        self.log.lock().push(Op::Counter(name.to_owned(), delta));
+    }
+
+    fn gauge_max(&self, name: &str, value: u64) {
+        self.log.lock().push(Op::Gauge(name.to_owned(), value));
+    }
+
+    fn gauge_set(&self, name: &str, value: u64) {
+        self.log.lock().push(Op::GaugeSet(name.to_owned(), value));
     }
 
     fn span_ns(&self, name: &str, nanos: u64) {
-        self.inner.lock().log.push(Op::Span(name.to_owned(), nanos));
+        self.log.lock().push(Op::Span(name.to_owned(), nanos));
     }
 
     fn event(&self, name: &str, fields: &[(&str, Value<'_>)]) {
@@ -460,7 +504,7 @@ impl Telemetry for MetricsRecorder {
             .iter()
             .map(|(k, v)| ((*k).to_owned(), OwnedValue::of(v)))
             .collect();
-        self.inner.lock().log.push(Op::Event(name.to_owned(), owned));
+        self.log.lock().push(Op::Event(name.to_owned(), owned));
     }
 }
 
@@ -600,21 +644,20 @@ mod tests {
 
     #[test]
     fn replay_reproduces_aggregates_and_order() {
-        let shard = MetricsRecorder::new();
+        let shard = TelemetryShard::new();
         shard.counter("a", 2);
         shard.gauge_max("g", 9);
         shard.span_ns("s", 123);
         shard.event("e", &[("net", Value::Str("n0")), ("x", Value::F64(1.5))]);
         shard.counter("a", 1);
 
+        // One replay feeds both an aggregate and a trace, which keeps
+        // call order.
         let total = MetricsRecorder::new();
-        shard.replay_into(&total);
+        let trace = TraceWriter::new(Vec::new());
+        shard.replay_into(&Tee(&total, &trace));
         assert_eq!(total.counter_value("a"), 3);
         assert_eq!(total.gauge_value("g"), 9);
-
-        // Replay into a trace preserves call order.
-        let trace = TraceWriter::new(Vec::new());
-        shard.replay_into(&trace);
         let text = String::from_utf8(trace.into_inner()).unwrap();
         let kinds: Vec<&str> = text
             .lines()
@@ -622,6 +665,49 @@ mod tests {
             .collect();
         assert_eq!(kinds, ["counter", "gauge", "span", "event", "counter"]);
         validate_jsonl(&text).unwrap();
+    }
+
+    #[test]
+    fn replay_drains_the_shard() {
+        let shard = TelemetryShard::new();
+        shard.counter("a", 2);
+        shard.gauge_set("len", 7);
+        shard.span_ns("s", 5);
+        let total = MetricsRecorder::new();
+        shard.replay_into(&total);
+        shard.replay_into(&total);
+        assert_eq!(total.counter_value("a"), 2, "a second replay adds nothing");
+        let trace = TraceWriter::new(Vec::new());
+        shard.replay_into(&trace);
+        assert!(trace.into_inner().is_empty(), "the shard is empty after replay");
+
+        // A drained shard records afresh.
+        shard.counter("a", 1);
+        shard.replay_into(&total);
+        assert_eq!(total.counter_value("a"), 3);
+    }
+
+    #[test]
+    fn recorder_aggregates_without_per_operation_storage() {
+        let rec = MetricsRecorder::new();
+        let (mut sum, mut peak) = (0u64, 0u64);
+        for i in 0..10_000u64 {
+            let v = i.wrapping_mul(7919) % 1000;
+            rec.counter("n", v);
+            rec.gauge_max("peak", v);
+            rec.gauge_set("last", v);
+            rec.span_ns("dropped", v);
+            rec.event("dropped", &[("v", Value::U64(v))]);
+            sum += v;
+            peak = peak.max(v);
+        }
+        assert_eq!(rec.counter_value("n"), sum);
+        assert_eq!(rec.gauge_value("peak"), peak);
+        assert_eq!(rec.gauge_value("last"), 9_999 * 7919 % 1000);
+        // The whole state is the name set: one counter, two gauges.
+        assert_eq!(rec.counters(), [("n".to_owned(), sum)]);
+        assert_eq!(rec.gauges().len(), 2);
+        assert_eq!(rec.summary_rows().len(), 3);
     }
 
     #[test]
@@ -643,15 +729,13 @@ mod tests {
 
     #[test]
     fn replay_preserves_gauge_set_ordering() {
-        let shard = MetricsRecorder::new();
+        let shard = TelemetryShard::new();
         shard.gauge_set("len", 7);
         shard.gauge_set("len", 4);
         let total = MetricsRecorder::new();
-        shard.replay_into(&total);
-        assert_eq!(total.gauge_value("len"), 4, "replay must keep call order");
-
         let trace = TraceWriter::new(Vec::new());
-        shard.replay_into(&trace);
+        shard.replay_into(&Tee(&total, &trace));
+        assert_eq!(total.gauge_value("len"), 4, "replay must keep call order");
         let text = String::from_utf8(trace.into_inner()).unwrap();
         validate_jsonl(&text).unwrap();
         assert_eq!(text.matches("\"gauge_set\"").count(), 2);

@@ -99,8 +99,8 @@ use clockroute_core::{
     failpoint::{self, FailAction},
     lockcheck,
     telemetry::Value,
-    FastPathSpec, GalsSpec, MetricsRecorder, RbpSpec, RouteError, RoutedPath, SearchBudget,
-    SearchStage, Telemetry, TelemetryHandle, TouchedRegion,
+    FastPathSpec, GalsSpec, RbpSpec, RouteError, RoutedPath, SearchBudget,
+    SearchStage, Telemetry, TelemetryHandle, TelemetryShard, TouchedRegion,
 };
 use clockroute_elmore::{GateId, GateLibrary, Technology};
 use clockroute_geom::units::{Length, Time};
@@ -387,7 +387,7 @@ impl TracedPlan {
 ///
 /// Wraps the trait object so [`Planner`] stays `Debug + Clone`. The
 /// planner writes each net's search counters into a private per-net
-/// [`MetricsRecorder`] shard and replays committed shards into this sink
+/// [`TelemetryShard`] and replays committed shards into this sink
 /// in net order, so counter/gauge aggregates are independent of the job
 /// count; trace-only spans and events flow through unchanged.
 #[derive(Clone)]
@@ -612,7 +612,7 @@ impl Planner {
                         touched: prior.footprints[i],
                     };
                     let outcome = Ok((routed, cached.degradation));
-                    let (result, fp) = self.commit(net, outcome, MetricsRecorder::new());
+                    let (result, fp) = self.commit(net, outcome, TelemetryShard::new());
                     debug_assert_eq!(&result, cached, "reused result must round-trip");
                     results.push(result);
                     footprints.push(fp);
@@ -742,11 +742,11 @@ impl Planner {
         nets: &[NetSpec],
         round: &[usize],
         inherited: &failpoint::ArmedSet,
-    ) -> Vec<(Outcome, MetricsRecorder)> {
+    ) -> Vec<(Outcome, TelemetryShard)> {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let workers = self.jobs.min(round.len());
         let cursor = AtomicUsize::new(0);
-        let collected: Vec<Vec<(usize, (Outcome, MetricsRecorder))>> = std::thread::scope(|s| {
+        let collected: Vec<Vec<(usize, (Outcome, TelemetryShard))>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     s.spawn(|| {
@@ -778,7 +778,7 @@ impl Planner {
                 .map(|h| h.join().expect("planner worker panicked"))
                 .collect()
         });
-        let mut outcomes: Vec<Option<(Outcome, MetricsRecorder)>> =
+        let mut outcomes: Vec<Option<(Outcome, TelemetryShard)>> =
             round.iter().map(|_| None).collect();
         for (k, outcome) in collected.into_iter().flatten() {
             outcomes[k] = Some(outcome);
@@ -800,12 +800,12 @@ impl Planner {
         &mut self,
         net: &NetSpec,
         outcome: Outcome,
-        shard: MetricsRecorder,
+        shard: TelemetryShard,
     ) -> (NetResult, Option<TouchedRegion>) {
         // Commit replays a Telemetry-ranked shard into a
         // Telemetry-ranked aggregate; that is only rank-clean because
-        // nothing else is held here (replay snapshots the shard's log
-        // before locking the sink — see MetricsRecorder::replay_into).
+        // nothing else is held here (replay takes the shard's log
+        // before locking the sink — see TelemetryShard::replay_into).
         lockcheck::assert_lock_free("plan.commit");
         if let Some(t) = &self.telemetry {
             shard.replay_into(t.sink());
@@ -887,8 +887,8 @@ impl Planner {
     /// counter the net's searches emitted (across all ladder rungs); the
     /// caller replays it into the aggregate sink only if this outcome
     /// commits, so discarded speculative attempts leave no metrics behind.
-    fn plan_net(&self, net: &NetSpec) -> (Outcome, MetricsRecorder) {
-        let shard = MetricsRecorder::new();
+    fn plan_net(&self, net: &NetSpec) -> (Outcome, TelemetryShard) {
+        let shard = TelemetryShard::new();
         let handle = TelemetryHandle::new(&shard);
         // crlint-allow: CR003 span start; the duration only reaches telemetry, never compared bytes
         let started = std::time::Instant::now();
@@ -1305,6 +1305,7 @@ fn expand_route(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clockroute_core::MetricsRecorder;
     use proptest::prelude::*;
 
     fn setup(n: u32) -> (GridGraph, Technology, GateLibrary) {

@@ -22,7 +22,8 @@ use std::sync::Arc;
 
 /// Everything a `route` response needs, as produced by a cold solve.
 /// A cache hit replays these fields verbatim, which is what makes hit
-/// responses byte-identical to cold ones.
+/// responses byte-identical to cold ones. The cache holds each one
+/// behind an `Arc`, so a hit shares the entry instead of copying it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Solved {
     /// The plan plus per-net footprints (for warm-starting later).
@@ -42,15 +43,15 @@ pub struct Solved {
 struct Entry {
     base: u64,
     scenario: Scenario,
-    solved: Solved,
+    solved: Arc<Solved>,
     last_used: u64,
 }
 
 /// A warm-start candidate pulled from the cache.
 #[derive(Debug, Clone)]
 pub struct WarmPrior {
-    /// The cached solve to reuse nets from.
-    pub traced: TracedPlan,
+    /// The cached solve to reuse nets from (its `traced` plan).
+    pub solved: Arc<Solved>,
     /// Grid points invalidated by the blockage delta.
     pub dirty: Vec<clockroute_geom::Point>,
 }
@@ -111,7 +112,7 @@ impl ResultCache {
 
     /// Exact lookup: the stored solve for `scenario` if an entry with
     /// this `key` exists *and* structurally matches. Bumps recency.
-    pub fn lookup(&mut self, key: u64, scenario: &Scenario) -> Option<Solved> {
+    pub fn lookup(&mut self, key: u64, scenario: &Scenario) -> Option<Arc<Solved>> {
         let tick = self.next_tick();
         let entry = self.entries.get_mut(&key)?;
         if !(same_base(&entry.scenario, scenario) && same_blocks(&entry.scenario, scenario)) {
@@ -120,7 +121,7 @@ impl ResultCache {
             return None;
         }
         entry.last_used = tick;
-        Some(entry.solved.clone())
+        Some(Arc::clone(&entry.solved))
     }
 
     /// Near-miss lookup: the most recently used entry sharing
@@ -167,7 +168,7 @@ impl ResultCache {
         }
         entry.last_used = tick;
         Some(WarmPrior {
-            traced: entry.solved.traced.clone(),
+            solved: Arc::clone(&entry.solved),
             dirty,
         })
     }
@@ -176,7 +177,7 @@ impl ResultCache {
     /// `(key, base, scenario, solved)` — the snapshot writer's view.
     /// Replaying the list through [`insert`](Self::insert) in order
     /// reproduces both the contents and the eviction order.
-    pub fn export(&self) -> Vec<(u64, u64, &Scenario, &Solved)> {
+    pub fn export(&self) -> Vec<(u64, u64, &Scenario, &Arc<Solved>)> {
         self.export_ticked()
             .into_iter()
             .map(|(_, k, b, s, v)| (k, b, s, v))
@@ -187,7 +188,7 @@ impl ResultCache {
     /// leading the tuple, so rows from several shards can be merged
     /// into one global LRU order (ticks come from the shared clock and
     /// are unique across shards).
-    pub fn export_ticked(&self) -> Vec<(u64, u64, u64, &Scenario, &Solved)> {
+    pub fn export_ticked(&self) -> Vec<(u64, u64, u64, &Scenario, &Arc<Solved>)> {
         let mut rows: Vec<(&u64, &Entry)> = self.entries.iter().collect();
         rows.sort_by_key(|(_, e)| e.last_used);
         rows.into_iter()
@@ -197,7 +198,7 @@ impl ResultCache {
 
     /// Stores a solve, evicting the least recently used entry if the
     /// cache is full. A no-op when the capacity is zero.
-    pub fn insert(&mut self, key: u64, base: u64, scenario: Scenario, solved: Solved) {
+    pub fn insert(&mut self, key: u64, base: u64, scenario: Scenario, solved: Arc<Solved>) {
         if self.cap == 0 {
             return;
         }
@@ -242,15 +243,15 @@ mod tests {
         .unwrap()
     }
 
-    fn solved(tag: &str) -> Solved {
-        Solved {
+    fn solved(tag: &str) -> Arc<Solved> {
+        Arc::new(Solved {
             report: tag.to_owned(),
             ..Solved::default()
-        }
+        })
     }
 
     fn report_of(cache: &mut ResultCache, s: &Scenario) -> Option<String> {
-        cache.lookup(scenario_key(s), s).map(|v| v.report)
+        cache.lookup(scenario_key(s), s).map(|v| v.report.clone())
     }
 
     #[test]

@@ -159,6 +159,11 @@ fn decode(bytes: &[u8]) -> String {
 /// Writes one response line plus `\n` and flushes — the single exit
 /// point for response bytes, hosting the `serve::write` failpoint.
 ///
+/// Line and newline leave in one `write` call. Written separately on a
+/// TCP socket, the one-byte newline would sit behind Nagle's algorithm
+/// until the client's delayed ACK of the line, about 40 ms, on every
+/// response.
+///
 /// # Errors
 ///
 /// Stream write errors, injected faults included. A short-write fault
@@ -179,8 +184,10 @@ pub fn write_line<W: Write>(writer: &mut W, line: &str) -> io::Result<()> {
         Some(FailAction::Panic) => panic!("failpoint serve::write: forced panic"),
         _ => {}
     }
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -322,6 +329,35 @@ mod tests {
         clockroute_core::failpoint::disarm_all();
     }
 
+    /// Counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_call() {
+        let mut out = CountingWriter::default();
+        let report = "r".repeat(100_000);
+        for (i, line) in ["{\"pong\":true}", "", report.as_str()].iter().enumerate() {
+            write_line(&mut out, line).unwrap();
+            assert_eq!(out.writes, i + 1, "frame {i} must be a single write");
+        }
+        assert_eq!(out.bytes, format!("{{\"pong\":true}}\n\n{report}\n").as_bytes());
+    }
+
     #[test]
     fn injected_write_faults() {
         clockroute_core::failpoint::disarm_all();
@@ -329,9 +365,9 @@ mod tests {
         write_line(&mut out, "hello").unwrap();
         assert_eq!(out, b"hello\n");
         clockroute_core::failpoint::arm("serve::write", FailAction::ShortIo, 1);
-        let mut torn = Vec::new();
+        let mut torn = CountingWriter::default();
         assert!(write_line(&mut torn, "hello").is_err());
-        assert_eq!(torn, b"he", "prefix written, frame torn");
+        assert_eq!(torn.bytes, b"he", "prefix written, frame torn");
         clockroute_core::failpoint::arm("serve::write", FailAction::IoError, 1);
         let mut none = Vec::new();
         assert!(write_line(&mut none, "hello").is_err());

@@ -240,7 +240,8 @@ mod tests {
     fn rejects_malformed_lines() {
         for (line, needle) in [
             ("", "expected '{'"),
-            ("{", "expected"),
+            ("{", "expected '\"' at byte 1"),
+            (r#"{"op""#, "expected ':' at byte 5"),
             ("not json", "expected '{'"),
             (r#"{"op":"route"}"#, "scenario"),
             (r#"{"op":"fly"}"#, "unknown op"),

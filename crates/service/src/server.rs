@@ -28,7 +28,7 @@ use crate::pool;
 use crate::protocol::{self, Op, Request};
 use crate::shard::{Lookup, ShardedCache};
 use clockroute_cli::{report, scenario};
-use clockroute_core::{lockcheck, MetricsRecorder, Telemetry};
+use clockroute_core::{lockcheck, MetricsRecorder, Telemetry, TelemetryShard};
 use clockroute_elmore::GateLibrary;
 use clockroute_grid::GridGraph;
 use clockroute_plan::{Planner, SharedTelemetry, TracedPlan};
@@ -235,7 +235,7 @@ impl Service {
                     // last-wins: a later insert replaces the slot, so
                     // neither `len` nor the eviction count ever counts
                     // one fingerprint twice.
-                    cache.insert(e.key, e.base, e.scenario, e.solved);
+                    cache.insert(e.key, e.base, e.scenario, Arc::new(e.solved));
                 }
                 let payloads: Vec<Vec<u8>> = cache
                     .export()
@@ -377,14 +377,14 @@ impl Service {
                         return protocol::error(id, &message);
                     }
                 };
-                let solved = self.render(traced);
+                let solved = Arc::new(self.render(traced));
                 // Encode before the insert: the append payload is a
                 // pure function of the entry, and the shard lock must
                 // stay short.
                 let record = self
                     .persists()
                     .then(|| persist::encode_entry(key, base, &parsed, &solved));
-                let (evicted, _) = slot.insert(base, parsed, solved.clone());
+                let (evicted, _) = slot.insert(base, parsed, Arc::clone(&solved));
                 if evicted > 0 {
                     self.metrics.counter("service.evictions", evicted);
                 }
@@ -441,7 +441,7 @@ impl Service {
         parsed: &scenario::Scenario,
         prior: Option<WarmPrior>,
     ) -> Result<TracedPlan, String> {
-        let shard = Arc::new(MetricsRecorder::new());
+        let shard = Arc::new(TelemetryShard::new());
         let shard_for_solve = shard.clone();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let (gw, gh) = parsed.grid;
@@ -452,7 +452,7 @@ impl Service {
                 .jobs(self.config.jobs)
                 .telemetry(SharedTelemetry::new(shard_for_solve));
             match prior {
-                Some(w) => planner.plan_warm(&parsed.nets, &w.traced, &w.dirty),
+                Some(w) => planner.plan_warm(&parsed.nets, &w.solved.traced, &w.dirty),
                 None => planner.plan_traced(&parsed.nets),
             }
         }));
@@ -577,6 +577,11 @@ impl Service {
                 let _ = stream.set_read_timeout(Some(Duration::from_millis(
                     self.config.poll_ms.max(1),
                 )));
+                // Best-effort too: every response leaves in one write,
+                // but a large report spans several segments, and Nagle
+                // would hold its last one until the client's (delayed)
+                // ACK of the others.
+                let _ = stream.set_nodelay(true);
                 if let Ok(write_half) = stream.try_clone() {
                     // Connection errors end the connection, never the
                     // service.

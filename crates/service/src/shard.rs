@@ -67,11 +67,12 @@ struct Shard {
 /// What a request learns about its key (see module docs).
 #[derive(Debug)]
 pub enum Lookup<'a> {
-    /// The entry was cached; recency bumped, solve skipped.
-    Hit(Solved),
+    /// The entry was cached; recency bumped, solve skipped. Shared with
+    /// the cache, not copied.
+    Hit(Arc<Solved>),
     /// The entry was produced by a concurrent leader this thread waited
     /// for — same bytes as a hit, different accounting.
-    Coalesced(Solved),
+    Coalesced(Arc<Solved>),
     /// This thread claimed the key and must solve. Dropping the slot
     /// releases any coalesced waiters, so hold it until the entry is
     /// inserted *and* durable.
@@ -88,7 +89,7 @@ pub struct SolveSlot<'a> {
 impl SolveSlot<'_> {
     /// Stores the leader's solve, returning
     /// `(evictions caused, shard len after)`.
-    pub fn insert(&self, base: u64, scenario: Scenario, solved: Solved) -> (u64, usize) {
+    pub fn insert(&self, base: u64, scenario: Scenario, solved: Arc<Solved>) -> (u64, usize) {
         let mut cache = self.shard.cache.lock();
         let before = cache.evictions();
         cache.insert(self.key, base, scenario, solved);
@@ -150,7 +151,7 @@ impl ShardedCache {
     pub fn lookup_or_claim(&self, key: u64, scenario: &Scenario) -> Lookup<'_> {
         let shard = self.shard(key);
         let mut waited = false;
-        let answer = |s: Solved, waited: bool| {
+        let answer = |s: Arc<Solved>, waited: bool| {
             if waited {
                 Lookup::Coalesced(s)
             } else {
@@ -209,7 +210,7 @@ impl ShardedCache {
     /// Direct insert, used by snapshot recovery (single-threaded, no
     /// coalescing needed). Routes to the owning shard, so replay lands
     /// entries exactly where live traffic would have put them.
-    pub fn insert(&self, key: u64, base: u64, scenario: Scenario, solved: Solved) {
+    pub fn insert(&self, key: u64, base: u64, scenario: Scenario, solved: Arc<Solved>) {
         self.shard(key).cache.lock().insert(key, base, scenario, solved);
     }
 
@@ -234,18 +235,18 @@ impl ShardedCache {
     }
 
     /// Every entry across all shards in global LRU order (least
-    /// recently used first) — the snapshot writer's view. Owned rows:
-    /// shard locks are taken one at a time, so borrows cannot be
-    /// carried out.
-    pub fn export(&self) -> Vec<(u64, u64, Scenario, Solved)> {
-        let mut rows: Vec<(u64, u64, u64, Scenario, Solved)> = Vec::new();
+    /// recently used first) — the snapshot writer's view. Owned rows
+    /// (the solve shared, not copied): shard locks are taken one at a
+    /// time, so borrows cannot be carried out.
+    pub fn export(&self) -> Vec<(u64, u64, Scenario, Arc<Solved>)> {
+        let mut rows: Vec<(u64, u64, u64, Scenario, Arc<Solved>)> = Vec::new();
         for shard in &self.shards {
             let cache = shard.cache.lock();
             rows.extend(
                 cache
                     .export_ticked()
                     .into_iter()
-                    .map(|(t, k, b, s, v)| (t, k, b, s.clone(), v.clone())),
+                    .map(|(t, k, b, s, v)| (t, k, b, s.clone(), Arc::clone(v))),
             );
         }
         rows.sort_by_key(|&(tick, ..)| tick);
@@ -270,21 +271,21 @@ mod tests {
         .unwrap()
     }
 
-    fn solved(tag: &str) -> Solved {
-        Solved {
+    fn solved(tag: &str) -> Arc<Solved> {
+        Arc::new(Solved {
             report: tag.to_owned(),
             ..Solved::default()
-        }
+        })
     }
 
     /// Resolve to a solved answer, solving with `make` when leading.
-    fn get_or_solve(cache: &ShardedCache, s: &Scenario, tag: &str) -> (Solved, &'static str) {
+    fn get_or_solve(cache: &ShardedCache, s: &Scenario, tag: &str) -> (Arc<Solved>, &'static str) {
         match cache.lookup_or_claim(scenario_key(s), s) {
             Lookup::Hit(v) => (v, "hit"),
             Lookup::Coalesced(v) => (v, "coalesced"),
             Lookup::Lead(slot) => {
                 let v = solved(tag);
-                slot.insert(base_key(s), s.clone(), v.clone());
+                slot.insert(base_key(s), s.clone(), Arc::clone(&v));
                 (v, "lead")
             }
         }
@@ -310,6 +311,18 @@ mod tests {
             assert!(lens[(key % 4) as usize] > 0);
         }
         assert_eq!(cache.evictions(), 0);
+    }
+
+    #[test]
+    fn hits_and_export_share_the_leaders_solve() {
+        let cache = ShardedCache::new(2, 8);
+        let s = scenario(3);
+        let (led, _) = get_or_solve(&cache, &s, "x");
+        let (hit, path) = get_or_solve(&cache, &s, "never");
+        assert_eq!(path, "hit");
+        assert!(Arc::ptr_eq(&led, &hit), "a hit shares the entry, never copies it");
+        let rows = cache.export();
+        assert!(Arc::ptr_eq(&rows[0].3, &led), "export shares it too");
     }
 
     #[test]
@@ -352,7 +365,7 @@ mod tests {
             let order: Vec<String> = cache
                 .export()
                 .into_iter()
-                .map(|(_, _, _, v)| v.report)
+                .map(|(_, _, _, v)| v.report.clone())
                 .collect();
             assert_eq!(
                 order,
@@ -382,7 +395,7 @@ mod tests {
                 tx.send(()).unwrap(); // follower is about to block
                 let outcome = cache.lookup_or_claim(key, &s);
                 match outcome {
-                    Lookup::Coalesced(v) => v.report,
+                    Lookup::Coalesced(v) => v.report.clone(),
                     other => panic!("follower must coalesce, got {other:?}"),
                 }
             })

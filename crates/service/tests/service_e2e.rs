@@ -563,9 +563,9 @@ fn crserve_unwritable_metrics_path_exits_two() {
     assert_eq!(status.code(), Some(2), "preflight fails before serving");
 }
 
-#[test]
-fn crserve_tcp_serves_concurrent_connections() {
-    use std::net::TcpStream;
+/// Starts `crserve --tcp` on an ephemeral port and returns the child
+/// and the address from its banner.
+fn spawn_tcp() -> (std::process::Child, String) {
     let mut child = crserve()
         .args(["--tcp", "127.0.0.1:0", "--quiet"])
         .stdin(Stdio::null())
@@ -581,6 +581,13 @@ fn crserve_tcp_serves_concurrent_connections() {
         .strip_prefix("listening on ")
         .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
         .to_owned();
+    (child, addr)
+}
+
+#[test]
+fn crserve_tcp_serves_concurrent_connections() {
+    use std::net::TcpStream;
+    let (mut child, addr) = spawn_tcp();
 
     let ask = |line: &str| -> String {
         let mut stream = TcpStream::connect(&addr).expect("connect");
@@ -601,4 +608,40 @@ fn crserve_tcp_serves_concurrent_connections() {
 
     let status = child.wait().expect("crserve exits after shutdown");
     assert!(status.success(), "clean TCP shutdown");
+}
+
+#[test]
+fn crserve_tcp_answers_sequential_pings_without_a_nagle_stall() {
+    use std::net::TcpStream;
+    use std::time::Instant;
+    let (mut child, addr) = spawn_tcp();
+    // A plain client: TCP_NODELAY stays off, as in most client
+    // libraries, so a response whose newline trailed in its own write
+    // would wait for this side's delayed ACK (~40 ms) every time.
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    assert!(!stream.nodelay().expect("read TCP_NODELAY"));
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut rtts_ms: Vec<f64> = (0..20)
+        .map(|i| {
+            // One write per request, so the client cannot stall itself.
+            let request = format!("{{\"id\":\"p{i}\",\"op\":\"ping\"}}\n");
+            let started = Instant::now();
+            stream.write_all(request.as_bytes()).expect("send ping");
+            let mut response = String::new();
+            reader.read_line(&mut response).expect("receive pong");
+            let rtt = started.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(response, format!("{{\"id\":\"p{i}\",\"status\":\"ok\",\"pong\":true}}\n"));
+            rtt
+        })
+        .collect();
+    stream
+        .write_all(b"{\"op\":\"shutdown\"}\n")
+        .expect("send shutdown");
+    let mut bye = String::new();
+    reader.read_line(&mut bye).expect("receive bye");
+    assert!(child.wait().expect("crserve exits").success());
+
+    rtts_ms.sort_by(f64::total_cmp);
+    let median = rtts_ms[rtts_ms.len() / 2];
+    assert!(median < 10.0, "median ping RTT {median:.2} ms; all: {rtts_ms:?}");
 }

@@ -36,6 +36,10 @@ cargo run --release -p clockroute-bench --bin corebench -- --check
 # planner must route all nets with strictly less overflow than the
 # order-driven sequential plan (see DESIGN.md §17).
 cargo run --release -p clockroute-bench --bin flowbench -- --check
+# Benchmark build gate: perfbench is a separate package that imports
+# the service, planner and telemetry APIs, so a change to one of them
+# fails here rather than in a benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # Service smoke: one crserve session through every answer path, JSONL
 # validation, and the exit-code contract (see DESIGN.md §12).
 sh scripts/serve_smoke.sh

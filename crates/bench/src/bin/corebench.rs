@@ -1,27 +1,30 @@
-//! Core-substrate benchmark: per-search wall-clock and effort counters
-//! for the legacy and arena engines, appended as JSONL rows to
-//! `BENCH_core.json` at the workspace root.
+//! Core-search benchmark: per-search wall-clock and effort counters,
+//! appended as JSONL rows to `BENCH_core.json` at the workspace root.
 //!
-//! Each run times the fast-path search and two register-bound RBP
-//! searches (periods derived from the measured fast-path optimum, so
-//! they scale with the grid) on every requested grid, for both engines.
-//! Rows carry the full counter set so future PRs can diff substrate
-//! performance as a trajectory; the first rows ever appended came from
-//! the pre-rewrite substrate.
+//! Each run times, on every requested grid, the fast-path search, two
+//! register-bound RBP searches, a two-domain GALS search and a latch
+//! search with time borrowing. The periods derive from the measured
+//! fast-path optimum, so they scale with the grid: RBP runs at 13 % and
+//! 6 % of it, GALS at a 13 % sender period and a receiver period 4/3 of
+//! that, and the latch search at 13 % with a borrowing window of a fifth
+//! of the period. Rows carry the full counter set so the file reads as a
+//! trajectory. Every row names its substrate in `engine`; new rows say
+//! `arena`, and the `legacy` rows are history from before the searches
+//! shared one substrate.
 //!
 //! Usage:
 //!   cargo run --release -p clockroute-bench --bin corebench [-- --grids 60,100,200]
 //!   cargo run --release -p clockroute-bench --bin corebench -- --check
 //!
 //! `--check` is the CI gate wired into `scripts/check.sh`: it re-runs
-//! the arena engine on small grids (60 and 100) and fails unless every
+//! every search on small grids (60 and 100) and fails unless every
 //! deterministic counter (`pops`, `pushed`, `pruned`, `stale`,
 //! `goal_pruned`, `max_queue`, `arena_bytes`) equals the most recent
 //! matching `BENCH_core.json` row exactly. Wall-clock is not gated.
 //! Bootstrap runs (no baseline row yet) pass. Check mode never appends.
 
 use clockroute_core::json::{self, Value};
-use clockroute_core::{EngineKind, FastPathSpec, RbpSpec, SearchStats};
+use clockroute_core::{FastPathSpec, GalsSpec, LatchSpec, RbpSpec, RouteError, SearchStats};
 use clockroute_elmore::{GateLibrary, Technology};
 use clockroute_geom::units::{Length, Time};
 use clockroute_geom::Point;
@@ -35,6 +38,17 @@ const BENCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_core.
 /// enough to force several pipeline waves on every grid size — the
 /// register-bound regime the paper's RBP experiments target.
 const RBP_PERIOD_FRACTIONS: [f64; 2] = [0.13, 0.06];
+
+/// GALS receiver period as a multiple of the sender period (the paper's
+/// 300/400 ps pair).
+const GALS_RECEIVER_RATIO: f64 = 4.0 / 3.0;
+
+/// Latch borrowing window as a fraction of the period (the paper's
+/// 60 ps at 300 ps).
+const LATCH_BORROW_FRACTION: f64 = 0.2;
+
+/// Substrate label of every row this binary writes.
+const ENGINE: &str = "arena";
 
 struct Instance {
     graph: GridGraph,
@@ -58,7 +72,6 @@ fn instance(n: u32) -> Instance {
 }
 
 struct Row {
-    engine: &'static str,
     grid: u32,
     search: &'static str,
     period: Option<f64>,
@@ -73,8 +86,7 @@ impl Row {
             None => "null".to_string(),
         };
         format!(
-            "{{\"bench\":\"core\",\"engine\":\"{}\",\"grid\":{},\"search\":\"{}\",\"period\":{},\"pops\":{},\"pushed\":{},\"pruned\":{},\"stale\":{},\"goal_pruned\":{},\"max_queue\":{},\"arena_bytes\":{},\"seconds\":{:.6}}}",
-            self.engine,
+            "{{\"bench\":\"core\",\"engine\":\"{ENGINE}\",\"grid\":{},\"search\":\"{}\",\"period\":{},\"pops\":{},\"pushed\":{},\"pruned\":{},\"stale\":{},\"goal_pruned\":{},\"max_queue\":{},\"arena_bytes\":{},\"seconds\":{:.6}}}",
             self.grid,
             self.search,
             period,
@@ -90,58 +102,70 @@ impl Row {
     }
 }
 
-fn run_fastpath(inst: &Instance, engine: EngineKind) -> (SearchStats, f64, f64) {
+/// Runs one search, timing it; the instances are routable, so an error
+/// is a regression and aborts the run.
+fn timed<S>(what: &str, solve: impl FnOnce() -> Result<S, RouteError>) -> (S, f64) {
     // crlint-allow: CR003 bench harness measures wall-clock by design; timings are reported, never byte-compared
     let start = std::time::Instant::now();
-    let sol = FastPathSpec::new(&inst.graph, &inst.tech, &inst.lib)
-        .source(inst.src)
-        .sink(inst.dst)
-        .engine(engine)
-        .solve()
-        .expect("fast-path route on an open grid");
-    let seconds = start.elapsed().as_secs_f64();
-    (*sol.stats(), seconds, sol.delay().ps())
+    let sol = solve().unwrap_or_else(|e| panic!("{what}: {e}"));
+    (sol, start.elapsed().as_secs_f64())
 }
 
-fn run_rbp(inst: &Instance, engine: EngineKind, period: f64) -> (SearchStats, f64) {
-    // crlint-allow: CR003 bench harness measures wall-clock by design; timings are reported, never byte-compared
-    let start = std::time::Instant::now();
-    let sol = RbpSpec::new(&inst.graph, &inst.tech, &inst.lib)
-        .source(inst.src)
-        .sink(inst.dst)
-        .period(Time::from_ps(period))
-        .engine(engine)
-        .solve()
-        .expect("rbp route at a fraction of the fast-path optimum");
-    let seconds = start.elapsed().as_secs_f64();
-    (*sol.stats(), seconds)
-}
-
-/// Runs the full search suite on one grid for one engine. The fast-path
-/// optimum (engine-independent) anchors the RBP periods.
-fn run_grid(grid: u32, engine: EngineKind, name: &'static str, rows: &mut Vec<Row>) {
+/// Runs the full search suite on one grid. The fast-path optimum
+/// anchors every period.
+fn run_grid(grid: u32, rows: &mut Vec<Row>) {
     let inst = instance(grid);
-    let (stats, seconds, delay) = run_fastpath(&inst, engine);
-    rows.push(Row {
-        engine: name,
-        grid,
-        search: "fastpath",
-        period: None,
-        stats,
-        seconds,
-    });
-    for (i, frac) in RBP_PERIOD_FRACTIONS.iter().enumerate() {
-        let period = delay * frac;
-        let (stats, seconds) = run_rbp(&inst, engine, period);
+    let (graph, tech, lib) = (&inst.graph, &inst.tech, &inst.lib);
+    let mut push = |search, period, stats: &SearchStats, seconds| {
         rows.push(Row {
-            engine: name,
             grid,
-            search: if i == 0 { "rbp_loose" } else { "rbp_tight" },
-            period: Some(period),
-            stats,
+            search,
+            period,
+            stats: *stats,
             seconds,
         });
+    };
+    let (fast, seconds) = timed("fast-path route on an open grid", || {
+        FastPathSpec::new(graph, tech, lib)
+            .source(inst.src)
+            .sink(inst.dst)
+            .solve()
+    });
+    push("fastpath", None, fast.stats(), seconds);
+    let delay = fast.delay().ps();
+    for (i, frac) in RBP_PERIOD_FRACTIONS.iter().enumerate() {
+        let period = delay * frac;
+        let (sol, seconds) = timed("rbp route at a fraction of the fast-path optimum", || {
+            RbpSpec::new(graph, tech, lib)
+                .source(inst.src)
+                .sink(inst.dst)
+                .period(Time::from_ps(period))
+                .solve()
+        });
+        let search = if i == 0 { "rbp_loose" } else { "rbp_tight" };
+        push(search, Some(period), sol.stats(), seconds);
     }
+    let period = delay * RBP_PERIOD_FRACTIONS[0];
+    let (sol, seconds) = timed("gals route at the loose rbp period", || {
+        GalsSpec::new(graph, tech, lib)
+            .source(inst.src)
+            .sink(inst.dst)
+            .periods(
+                Time::from_ps(period),
+                Time::from_ps(period * GALS_RECEIVER_RATIO),
+            )
+            .solve()
+    });
+    push("gals", Some(period), sol.stats(), seconds);
+    let (sol, seconds) = timed("latch route at the loose rbp period", || {
+        LatchSpec::new(graph, tech, lib)
+            .source(inst.src)
+            .sink(inst.dst)
+            .period(Time::from_ps(period))
+            .borrow_window(Time::from_ps(period * LATCH_BORROW_FRACTION))
+            .solve()
+    });
+    push("latch", Some(period), sol.stats(), seconds);
 }
 
 fn append_rows(rows: &[Row]) {
@@ -191,26 +215,20 @@ fn parse_rows(contents: &str) -> Result<Vec<Baseline>, String> {
         .collect()
 }
 
-/// Most recent recorded row for (engine, grid, search), if any.
-fn baseline_row<'a>(
-    rows: &'a [Baseline],
-    engine: &str,
-    grid: u32,
-    search: &str,
-) -> Option<&'a Baseline> {
+/// Most recent recorded row of this substrate for (grid, search), if
+/// any.
+fn baseline_row<'a>(rows: &'a [Baseline], grid: u32, search: &str) -> Option<&'a Baseline> {
     let is = |row: &Baseline, key: &str, want: &str| {
         matches!(row.get(key), Some(Value::Str(s)) if s == want)
     };
-    rows.iter()
-        .filter(|row| {
-            is(row, "engine", engine)
-                && is(row, "search", search)
-                && row.get("grid") == Some(&Value::Num(f64::from(grid)))
-        })
-        .next_back()
+    rows.iter().rfind(|row| {
+        is(row, "engine", ENGINE)
+            && is(row, "search", search)
+            && row.get("grid") == Some(&Value::Num(f64::from(grid)))
+    })
 }
 
-/// CI gate: every deterministic arena counter on small grids must equal
+/// CI gate: every deterministic counter on small grids must equal
 /// the last recorded row exactly. Returns process exit code.
 fn check() -> i32 {
     let contents = std::fs::read_to_string(BENCH_PATH).unwrap_or_default();
@@ -223,12 +241,12 @@ fn check() -> i32 {
     };
     let mut rows = Vec::new();
     for grid in [60, 100] {
-        run_grid(grid, EngineKind::Arena, "arena", &mut rows);
+        run_grid(grid, &mut rows);
     }
     let mut failures = 0;
     for row in &rows {
-        let label = format!("check {} grid={} {}", row.engine, row.grid, row.search);
-        let Some(base) = baseline_row(&baselines, row.engine, row.grid, row.search) else {
+        let label = format!("check grid={} {}", row.grid, row.search);
+        let Some(base) = baseline_row(&baselines, row.grid, row.search) else {
             println!(
                 "{label}: pops={} (no baseline, bootstrap pass)",
                 row.stats.configs
@@ -273,21 +291,15 @@ fn main() {
 
     let mut rows = Vec::new();
     for &grid in &grids {
-        for (engine, name) in [
-            (EngineKind::Legacy, "legacy"),
-            (EngineKind::Arena, "arena"),
-        ] {
-            run_grid(grid, engine, name, &mut rows);
-        }
+        run_grid(grid, &mut rows);
     }
     println!(
-        "{:<8} {:>5} {:<9} {:>10} {:>10} {:>11} {:>9} {:>10}",
-        "engine", "grid", "search", "period", "pops", "goal_pruned", "maxQ", "seconds"
+        "{:>5} {:<9} {:>10} {:>10} {:>11} {:>9} {:>10}",
+        "grid", "search", "period", "pops", "goal_pruned", "maxQ", "seconds"
     );
     for row in &rows {
         println!(
-            "{:<8} {:>5} {:<9} {:>10} {:>10} {:>11} {:>9} {:>10.4}",
-            row.engine,
+            "{:>5} {:<9} {:>10} {:>10} {:>11} {:>9} {:>10.4}",
             row.grid,
             row.search,
             row.period.map_or("-".to_string(), |p| format!("{p:.0}")),

@@ -194,7 +194,7 @@ fn concurrent_throughput(clients: usize, texts: &[String], refs: &[String]) -> (
                     let mut latencies = Vec::with_capacity(PER_CLIENT);
                     barrier.wait();
                     for r in 0..PER_CLIENT {
-                        let idx = (clockroute_core::canon::mix64((c as u64) * 1009 ^ (r as u64))
+                        let idx = (clockroute_core::canon::mix64(((c as u64) * 1009) ^ (r as u64))
                             % texts.len() as u64) as usize;
                         let line = route_line(&texts[idx]);
                         // crlint-allow: CR003 bench harness measures wall-clock by design; timings are reported, never byte-compared

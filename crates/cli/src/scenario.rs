@@ -367,10 +367,10 @@ pub fn parse(text: &str) -> Result<Scenario, ParseScenarioError> {
                 for y in y0..=y1 {
                     for x in x0..=x1 {
                         let p = Point::new(x, y);
-                        if x + 1 <= x1 {
+                        if x < x1 {
                             capacities.set_edge(p, Point::new(x + 1, y), c);
                         }
-                        if y + 1 <= y1 {
+                        if y < y1 {
                             capacities.set_edge(p, Point::new(x, y + 1), c);
                         }
                     }

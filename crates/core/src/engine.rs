@@ -4,13 +4,15 @@
 //! All four searches (fast path, RBP, GALS, latch) are label-correcting
 //! searches over the grid graph whose candidates carry a downstream
 //! capacitance `c` and a delay `d`. This module holds the data
-//! structures they share; the arena engine's loop over them is
+//! structures they share; the search loop over them is
 //! [`search`](crate::search).
 
 use clockroute_elmore::GateId;
 use clockroute_grid::NodeId;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+#[cfg(test)]
+use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 pub(crate) const NO_PARENT: u32 = u32::MAX;
 
@@ -142,93 +144,14 @@ impl Cand {
     }
 }
 
-/// Priority-queue wrapper: min-heap on `delay` with a deterministic
-/// sequence-number tie-break (Rust's `BinaryHeap` is a max-heap, hence the
-/// reversed ordering).
-pub(crate) struct DelayQueue {
-    heap: BinaryHeap<QueueEntry>,
-    seq: u64,
-}
-
-struct QueueEntry {
-    key: f64,
-    seq: u64,
-    cand: Cand,
-}
-
-impl PartialEq for QueueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.seq == other.seq
-    }
-}
-
-impl Eq for QueueEntry {}
-
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // `total_cmp` keeps the heap invariant even for non-finite keys
-        // (NaN sorts above +inf instead of comparing equal to everything,
-        // which would silently corrupt heap order).
-        other
-            .key
-            .total_cmp(&self.key)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-// The canonical CR001 pattern: `PartialOrd` delegates to the total
-// `Ord` above, so NaN can never corrupt the heap invariant. crlint
-// accepts exactly this shape (see crates/lint, rule CR001).
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl DelayQueue {
-    pub fn new() -> DelayQueue {
-        DelayQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    pub fn push(&mut self, key: f64, cand: Cand) {
-        debug_assert!(key.is_finite(), "non-finite queue key {key}");
-        self.seq += 1;
-        self.heap.push(QueueEntry {
-            key,
-            seq: self.seq,
-            cand,
-        });
-    }
-
-    pub fn pop(&mut self) -> Option<Cand> {
-        self.heap.pop().map(|e| e.cand)
-    }
-
-    /// Minimum key currently in the queue.
-    pub fn peek_key(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.key)
-    }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-/// A Pareto entry used for inferiority pruning.
+/// A Pareto entry of the [`PruneTable`] reference model.
 ///
 /// `capable` is `true` when the candidate can still receive a gate at its
 /// node (`m(v) = 0`); a gate-bearing candidate must never prune a
 /// still-capable one at equal `(c, d)`, or a legal insertion could be
 /// lost. `extra` is a third dominated dimension used by the latch
 /// extension (borrowed time); it is 0 elsewhere.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     cap: f64,
@@ -237,6 +160,7 @@ struct Entry {
     capable: bool,
 }
 
+#[cfg(test)]
 impl Entry {
     /// `self` dominates `other` (other may be pruned).
     fn dominates(&self, other: &Entry) -> bool {
@@ -257,11 +181,14 @@ impl Entry {
     }
 }
 
-/// Per-key Pareto fronts with O(1) lazy clearing between wave fronts.
+/// Per-key Pareto fronts as unsorted lists with linear-scan dominance.
+/// Test-only: the searches run on [`SortedFronts`]; this table survives
+/// as the decision model the sorted fronts are property-tested against.
 ///
 /// Keys are `node.index()` for single-domain searches and
 /// `node.index() * 2 + z` for GALS (separate fronts per `z`, per the
 /// paper's rule that candidates with different `z` are never compared).
+#[cfg(test)]
 pub(crate) struct PruneTable {
     lists: Vec<Vec<Entry>>,
     stamps: Vec<u64>,
@@ -269,6 +196,7 @@ pub(crate) struct PruneTable {
     comparisons: u64,
 }
 
+#[cfg(test)]
 impl PruneTable {
     pub fn new(keys: usize) -> PruneTable {
         PruneTable {
@@ -357,25 +285,6 @@ impl PruneTable {
     }
 }
 
-/// Which search substrate a spec runs on.
-///
-/// Both engines return byte-identical results; they differ only in how
-/// much work they do to get there. `Legacy` is the original
-/// boxed-candidate `BinaryHeap` + linear-scan implementation, retained
-/// verbatim as the in-tree equivalence reference for the differential
-/// suite (see `tests/differential.rs` and DESIGN.md §15).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// Flat struct-of-arrays candidate arena, sorted per-key Pareto
-    /// frontiers with binary-search dominance, and a monotone bucket
-    /// (dial) queue.
-    #[default]
-    Arena,
-    /// The pre-rewrite substrate: boxed candidates in a `BinaryHeap`,
-    /// linear-scan dominance.
-    Legacy,
-}
-
 const FLAG_GATE_HERE: u8 = 1 << 0;
 const FLAG_FIFO_INSERTED: u8 = 1 << 1;
 const FLAG_FINALIZED: u8 = 1 << 2;
@@ -386,10 +295,9 @@ const FLAG_DEAD: u8 = 1 << 3;
 /// The queue and the frontier table hold bare indices into this arena.
 /// A frontier eviction marks the index dead instead of removing it from
 /// the queue; the search loop skips dead pops before charging any budget
-/// or telemetry. A dead candidate is strictly dominated, so the legacy
-/// engine would have stale-skipped it *after* charging — eliding that
-/// charge is part of the work the rewrite saves, and it is the only
-/// reason `configs`/`stale_skipped` may differ between the engines.
+/// or telemetry. A dead candidate is strictly dominated, so the stale
+/// test would have skipped it anyway — skipping it first saves the
+/// charge and the front probe.
 #[derive(Debug, Default)]
 pub(crate) struct CandArena {
     cap: Vec<f64>,
@@ -493,7 +401,8 @@ impl PartialOrd for IdxEntry {
     }
 }
 
-/// Index-valued binary heap with the [`DelayQueue`] ordering. Test-only:
+/// Index-valued min-heap on `(key, seq)` under `f64::total_cmp` (Rust's
+/// `BinaryHeap` is a max-heap, hence the reversed ordering). Test-only:
 /// the production searches run on [`DialQueue`]; the heap survives as
 /// the pop-order reference the dial queue is property-tested against.
 #[cfg(test)]
@@ -870,15 +779,15 @@ fn scan_evict(
 
 /// Per-key sorted Pareto fronts with binary-search dominance.
 ///
-/// Drop-in replacement for [`PruneTable`] making the *same admit, evict
-/// and staleness decisions* on every input stream — pinned by the model
-/// property test below — in O(log f) comparisons per probe on the
+/// Makes the *same admit, evict and staleness decisions* as the
+/// test-only linear-scan model on every input stream — pinned by the
+/// model property test below — in O(log f) comparisons per probe on the
 /// uniform-`extra` fronts the main searches use, instead of O(f).
 ///
 /// The admit check and the insertion are split so the caller can run the
 /// (possibly rejecting) dominance probe *before* allocating trail steps
-/// and arena slots, keeping `arena_steps` byte-identical to the legacy
-/// engine: [`admits`](SortedFronts::admits) first, then on success
+/// and arena slots, so a rejected extension costs no arena memory:
+/// [`admits`](SortedFronts::admits) first, then on success
 /// [`insert`](SortedFronts::insert), which also kills evicted indices in
 /// the [`CandArena`].
 pub(crate) struct SortedFronts {
@@ -899,8 +808,7 @@ impl SortedFronts {
     }
 
     /// Total pairwise entry comparisons (binary-search probes counted at
-    /// their actual cost) — the counterpart of
-    /// [`PruneTable::comparisons`].
+    /// their actual cost), for `SearchStats::front_comparisons`.
     pub fn comparisons(&self) -> u64 {
         self.comparisons
     }
@@ -917,8 +825,8 @@ impl SortedFronts {
         }
     }
 
-    /// `true` if no existing entry dominates the candidate — the same
-    /// predicate [`PruneTable::try_admit`] gates on, without inserting.
+    /// `true` if no existing entry dominates the candidate (checked
+    /// without inserting).
     pub fn admits(&mut self, key: usize, cap: f64, delay: f64, extra: f64, capable: bool) -> bool {
         self.refresh(key);
         let f = &self.fronts[key];
@@ -991,8 +899,8 @@ impl SortedFronts {
         self.comparisons += comps;
     }
 
-    /// `true` if some entry strictly dominates the candidate — the same
-    /// predicate as [`PruneTable::is_stale`].
+    /// `true` if some entry strictly dominates the candidate: it can no
+    /// longer be on the Pareto front.
     pub fn is_stale(&mut self, key: usize, cap: f64, delay: f64, extra: f64, capable: bool) -> bool {
         self.refresh(key);
         let f = &self.fronts[key];
@@ -1046,30 +954,6 @@ mod tests {
     }
 
     #[test]
-    fn delay_queue_orders_by_key_then_fifo() {
-        use clockroute_geom::units::Length;
-        let g = clockroute_grid::GridGraph::open(2, 1, Length::from_um(1.0));
-        let n = nid(&g, 0, 0);
-        let mut q = DelayQueue::new();
-        let mk = |d: f64| {
-            let mut c = Cand::start(1.0, d, NO_PARENT, n);
-            c.gate_here = false;
-            c
-        };
-        q.push(5.0, mk(5.0));
-        q.push(1.0, mk(1.0));
-        q.push(3.0, mk(3.0));
-        q.push(1.0, mk(100.0)); // same key, later seq
-        assert_eq!(q.peek_key(), Some(1.0));
-        assert_eq!(q.pop().unwrap().delay, 1.0);
-        assert_eq!(q.pop().unwrap().delay, 100.0);
-        assert_eq!(q.pop().unwrap().delay, 3.0);
-        assert_eq!(q.pop().unwrap().delay, 5.0);
-        assert!(q.pop().is_none());
-        assert!(q.is_empty());
-    }
-
-    #[test]
     fn arena_touched_covers_all_steps() {
         use clockroute_geom::units::Length;
         let g = clockroute_grid::GridGraph::open(8, 8, Length::from_um(1.0));
@@ -1085,30 +969,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-finite queue key")]
     fn nan_key_is_rejected_in_debug_builds() {
-        use clockroute_geom::units::Length;
-        let g = clockroute_grid::GridGraph::open(2, 1, Length::from_um(1.0));
-        let mut q = DelayQueue::new();
-        q.push(f64::NAN, Cand::start(1.0, 0.0, NO_PARENT, nid(&g, 0, 0)));
-    }
-
-    #[test]
-    fn queue_total_order_survives_non_finite_keys() {
-        // Release builds skip the finite-key assert; the heap must still
-        // drain in a sane order rather than corrupting silently.
-        let mut heap = BinaryHeap::new();
-        let g = {
-            use clockroute_geom::units::Length;
-            clockroute_grid::GridGraph::open(2, 1, Length::from_um(1.0))
-        };
-        let cand = Cand::start(1.0, 0.0, NO_PARENT, nid(&g, 0, 0));
-        for (seq, key) in [(1, f64::NAN), (2, 1.0), (3, f64::INFINITY), (4, 0.5)] {
-            heap.push(QueueEntry { key, seq, cand });
-        }
-        let keys: Vec<f64> = std::iter::from_fn(|| heap.pop().map(|e| e.key)).collect();
-        assert_eq!(keys[0], 0.5);
-        assert_eq!(keys[1], 1.0);
-        assert_eq!(keys[2], f64::INFINITY);
-        assert!(keys[3].is_nan());
+        let mut q = DialQueue::new(1.0);
+        q.push(1.0, 0);
+        q.push(f64::NAN, 1);
     }
 
     #[test]
@@ -1237,7 +1100,7 @@ mod tests {
         use clockroute_geom::units::Length;
         let g = clockroute_grid::GridGraph::open(2, 1, Length::from_um(1.0));
         let n = nid(&g, 0, 0);
-        let mut legacy = PruneTable::new(2);
+        let mut model = PruneTable::new(2);
         let mut fronts = SortedFronts::new(2);
         let mut cands = CandArena::new();
         let script: &[(usize, f64, f64, f64, bool)] = &[
@@ -1252,7 +1115,7 @@ mod tests {
         ];
         let (mut ev_a, mut ev_b) = (0u64, 0u64);
         for &(key, cap, delay, extra, capable) in script {
-            let admitted = legacy.try_admit(key, cap, delay, extra, capable, &mut ev_a);
+            let admitted = model.try_admit(key, cap, delay, extra, capable, &mut ev_a);
             assert_eq!(fronts.admits(key, cap, delay, extra, capable), admitted);
             if admitted {
                 let idx = cands.alloc(&Cand::start(cap, delay, NO_PARENT, n));
@@ -1260,7 +1123,7 @@ mod tests {
             }
             assert_eq!(ev_a, ev_b);
             assert_eq!(
-                legacy.is_stale(key, cap, delay, extra, capable),
+                model.is_stale(key, cap, delay, extra, capable),
                 fronts.is_stale(key, cap, delay, extra, capable)
             );
         }
@@ -1268,10 +1131,10 @@ mod tests {
 
     #[test]
     fn sorted_fronts_use_fewer_comparisons_on_long_uniform_fronts() {
-        // The ISSUE's named inefficiency: the legacy table walks the whole
-        // per-key list per probe. The sorted front must make the same
-        // decisions in logarithmically many comparisons.
-        let mut legacy = PruneTable::new(1);
+        // The linear-scan model walks the whole per-key list per probe;
+        // the sorted front must make the same decisions in
+        // logarithmically many comparisons.
+        let mut model = PruneTable::new(1);
         let mut fronts = SortedFronts::new(1);
         let mut cands = CandArena::new();
         let g = {
@@ -1284,7 +1147,7 @@ mod tests {
             // An antichain: cap ascending, delay descending.
             let (cap, delay) = (i as f64, (2 * m - i) as f64);
             let (mut ea, mut eb) = (0, 0);
-            let a = legacy.try_admit(0, cap, delay, 0.0, true, &mut ea);
+            let a = model.try_admit(0, cap, delay, 0.0, true, &mut ea);
             let b = fronts.admits(0, cap, delay, 0.0, true);
             assert!(a && b);
             let idx = cands.alloc(&Cand::start(cap, delay, NO_PARENT, n));
@@ -1295,15 +1158,15 @@ mod tests {
         for i in 0..m {
             let (cap, delay) = (i as f64, (2 * m - i) as f64);
             assert_eq!(
-                legacy.is_stale(0, cap, delay, 0.0, true),
+                model.is_stale(0, cap, delay, 0.0, true),
                 fronts.is_stale(0, cap, delay, 0.0, true)
             );
         }
         assert!(
-            fronts.comparisons() * 8 < legacy.comparisons(),
-            "sorted: {} vs legacy: {}",
+            fronts.comparisons() * 8 < model.comparisons(),
+            "sorted: {} vs model: {}",
             fronts.comparisons(),
-            legacy.comparisons()
+            model.comparisons()
         );
     }
 
@@ -1328,7 +1191,7 @@ mod tests {
                 use clockroute_geom::units::Length;
                 let g = clockroute_grid::GridGraph::open(2, 1, Length::from_um(1.0));
                 let n = nid(&g, 0, 0);
-                let mut legacy = PruneTable::new(4);
+                let mut model = PruneTable::new(4);
                 let mut fronts = SortedFronts::new(4);
                 let mut cands = CandArena::new();
                 let (mut ev_a, mut ev_b) = (0u64, 0u64);
@@ -1341,18 +1204,18 @@ mod tests {
                     let capable = action % 2 == 0;
                     match action {
                         7 => {
-                            legacy.advance_wave();
+                            model.advance_wave();
                             fronts.advance_wave();
                         }
                         5 | 6 => {
                             prop_assert_eq!(
-                                legacy.is_stale(key, cap, delay, extra, capable),
+                                model.is_stale(key, cap, delay, extra, capable),
                                 fronts.is_stale(key, cap, delay, extra, capable)
                             );
                         }
                         _ => {
                             let admitted =
-                                legacy.try_admit(key, cap, delay, extra, capable, &mut ev_a);
+                                model.try_admit(key, cap, delay, extra, capable, &mut ev_a);
                             prop_assert_eq!(
                                 fronts.admits(key, cap, delay, extra, capable),
                                 admitted

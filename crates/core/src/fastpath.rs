@@ -9,14 +9,13 @@
 //! driving gate's delay added) is popped off the queue, it is the global
 //! minimum-delay buffered path.
 
-use crate::budget::{BudgetMeter, SearchStage};
+use crate::budget::SearchStage;
 use crate::ctx::Ctx;
-use crate::engine::{Arena, Cand, DelayQueue, EngineKind, PruneTable, NO_PARENT};
-use crate::failpoint::{self, FailAction};
+use crate::engine::Cand;
 use crate::goal::{probe_fastpath, GoalBound};
 use crate::search::{self, Rules};
 use crate::telemetry::TelemetryHandle;
-use crate::{FastPathSolution, RouteError, RoutedPath, SearchBudget, SearchStats};
+use crate::{FastPathSolution, RouteError, SearchBudget};
 use clockroute_elmore::{GateId, GateLibrary, Technology};
 use clockroute_geom::units::Time;
 use clockroute_geom::Point;
@@ -53,7 +52,6 @@ pub struct FastPathSpec<'a> {
     sink_gate: GateId,
     budget: SearchBudget,
     telemetry: TelemetryHandle<'a>,
-    engine: EngineKind,
     goal_prune: bool,
 }
 
@@ -71,22 +69,13 @@ impl<'a> FastPathSpec<'a> {
             sink_gate: lib.register(),
             budget: SearchBudget::unlimited(),
             telemetry: TelemetryHandle::none(),
-            engine: EngineKind::default(),
             goal_prune: true,
         }
     }
 
-    /// Selects the search substrate (default: [`EngineKind::Arena`]).
-    /// Both engines return identical routes; `Legacy` exists as the
-    /// equivalence reference.
-    pub fn engine(mut self, e: EngineKind) -> Self {
-        self.engine = e;
-        self
-    }
-
-    /// Enables or disables admissible goal pruning (default: on; arena
-    /// engine only). Like `wire_bound` on the RBP spec, this never
-    /// changes the result — only the amount of work spent reaching it.
+    /// Enables or disables admissible goal pruning (default: on). Like
+    /// `wire_bound` on the RBP spec, this never changes the result —
+    /// only the amount of work spent reaching it.
     pub fn goal_prune(mut self, on: bool) -> Self {
         self.goal_prune = on;
         self
@@ -145,170 +134,27 @@ impl<'a> FastPathSpec<'a> {
             self.source_gate,
             self.sink_gate,
         )?;
-        self.telemetry.search("fastpath", |stats| match self.engine {
-            EngineKind::Arena => solve_arena(&ctx, self.budget, self.goal_prune, stats),
-            EngineKind::Legacy => solve_legacy(&ctx, self.budget, stats),
+        self.telemetry.search("fastpath", |stats| {
+            let mut rules = FastPath {
+                ctx: &ctx,
+                bound: GoalBound::new(&ctx),
+                // `None` disables pruning (blocked probe path — no upper
+                // bound).
+                upper: if self.goal_prune {
+                    probe_fastpath(&ctx)
+                } else {
+                    None
+                },
+            };
+            let keys = self.graph.node_count();
+            let (path, done) = search::run(&ctx, self.budget, keys, stats, &mut rules)?;
+            Ok(FastPathSolution {
+                path,
+                delay: Time::from_ps(done.delay),
+                stats: *stats,
+            })
         })
     }
-}
-
-/// The pre-rewrite substrate, kept verbatim as the equivalence reference
-/// (DESIGN.md §15): boxed candidates in a binary heap, linear-scan
-/// dominance, no goal pruning.
-fn solve_legacy(
-    ctx: &Ctx<'_>,
-    budget: SearchBudget,
-    stats: &mut SearchStats,
-) -> Result<FastPathSolution, RouteError> {
-    let graph = ctx.graph;
-    let mut meter = BudgetMeter::new(budget, SearchStage::FastPath);
-    let mut arena = Arena::new();
-    let mut queue = DelayQueue::new();
-    let mut prune = PruneTable::new(graph.node_count());
-
-    let gt = ctx.lib.gate(ctx.gt);
-    let root = arena.push(ctx.t, None, NO_PARENT);
-    let start = Cand::start(gt.input_cap().ff(), gt.setup().ps(), root, ctx.t);
-    prune.try_admit(
-        ctx.t.index(),
-        start.cap,
-        start.delay,
-        0.0,
-        false,
-        &mut stats.pruned,
-    );
-    queue.push(start.delay, start);
-    stats.record_push(queue.len());
-
-    while let Some(cand) = queue.pop() {
-        match failpoint::hit("fastpath::pop") {
-            Some(FailAction::Panic) => panic!("failpoint fastpath::pop: forced panic"),
-            Some(FailAction::BudgetExhausted) => return Err(meter.exceeded()),
-            Some(FailAction::NoRoute) => return Err(RouteError::NoFeasibleRoute),
-            // I/O actions only apply at `serve::*` sites; inert here.
-            Some(FailAction::IoError | FailAction::ShortIo) | None => {}
-        }
-        stats.budget_charges += 1;
-        stats.arena_steps = arena.len() as u64;
-        meter.charge_pop(arena.len())?;
-        stats.configs += 1;
-        if cand.finalized {
-            // First completed candidate off the queue is globally optimal.
-            let (nodes, mut labels) = arena.reconstruct(cand.trail);
-            let points: Vec<Point> = nodes.iter().map(|&n| graph.point(n)).collect();
-            labels[0] = Some(ctx.gs);
-            let last = labels.len() - 1;
-            labels[last] = Some(ctx.gt);
-            let path = RoutedPath::new(points, labels, ctx.lib);
-            stats.touched = arena.touched(graph);
-            stats.front_comparisons = prune.comparisons();
-            return Ok(FastPathSolution {
-                path,
-                delay: Time::from_ps(cand.delay),
-                stats: *stats,
-            });
-        }
-        if prune.is_stale(
-            cand.node.index(),
-            cand.cap,
-            cand.delay,
-            0.0,
-            !cand.gate_here,
-        ) {
-            stats.stale_skipped += 1;
-            continue;
-        }
-
-        // Step 6 (Fig. 1): extend along each incident edge.
-        for v in graph.neighbors(cand.node) {
-            stats.budget_charges += 1;
-            meter.charge_expand()?;
-            let (re, ce) = ctx.edge(cand.node, v);
-            let cap = cand.cap + ce;
-            let delay = cand.delay + re * (cand.cap + ce / 2.0);
-            if !prune.try_admit(v.index(), cap, delay, 0.0, true, &mut stats.pruned) {
-                stats.pruned += 1;
-                continue;
-            }
-            let trail = arena.push(v, None, cand.trail);
-            let mut next = Cand::start(cap, delay, trail, v);
-            next.gate_here = false;
-            queue.push(delay, next);
-            stats.record_push(queue.len());
-            if v == ctx.s {
-                // Step 5: a source arrival — push the completed candidate
-                // keyed by its total delay.
-                let total = ctx.finish_at_source(cap, delay);
-                let mut fin = next;
-                fin.delay = total;
-                fin.finalized = true;
-                queue.push(total, fin);
-                stats.record_push(queue.len());
-            }
-        }
-
-        // Steps 7–8: try every buffer at the current node.
-        if cand.node != ctx.s
-            && cand.node != ctx.t
-            && !cand.gate_here
-            && graph.is_insertable(cand.node)
-        {
-            for b in &ctx.buffers {
-                stats.budget_charges += 1;
-                meter.charge_expand()?;
-                let cap = b.cap;
-                let delay = cand.delay + b.res * cand.cap * 1.0e-3 + b.k;
-                if !prune.try_admit(cand.node.index(), cap, delay, 0.0, false, &mut stats.pruned)
-                {
-                    stats.pruned += 1;
-                    continue;
-                }
-                let trail = arena.push(cand.node, Some(b.id), cand.trail);
-                let mut next = Cand::start(cap, delay, trail, cand.node);
-                next.gate_here = true;
-                queue.push(delay, next);
-                stats.record_push(queue.len());
-            }
-        }
-    }
-
-    stats.arena_steps = arena.len() as u64;
-    stats.front_comparisons = prune.comparisons();
-    Err(RouteError::NoFeasibleRoute)
-}
-
-/// Arena-engine fast path on the shared driver, plus (optionally)
-/// admissible goal pruning against a canonical-path upper bound.
-///
-/// Every decision the legacy engine makes is mirrored exactly — the same
-/// admits, the same pop order over surviving candidates, the same
-/// charges — so the returned route and delay are byte-identical. Dead
-/// pops (candidates evicted while queued, which the legacy engine
-/// charges and stale-skips) are elided before any charge, and goal
-/// pruning removes provably useless pushes; neither can touch the
-/// optimum (see `goal` module docs for the admissibility argument).
-fn solve_arena(
-    ctx: &Ctx<'_>,
-    budget: SearchBudget,
-    goal_prune: bool,
-    stats: &mut SearchStats,
-) -> Result<FastPathSolution, RouteError> {
-    let mut rules = FastPath {
-        ctx,
-        bound: GoalBound::new(ctx),
-        // `None` disables pruning (blocked probe path — no upper bound).
-        upper: if goal_prune {
-            probe_fastpath(ctx)
-        } else {
-            None
-        },
-    };
-    let (path, done) = search::run(ctx, budget, ctx.graph.node_count(), stats, &mut rules)?;
-    Ok(FastPathSolution {
-        path,
-        delay: Time::from_ps(done.delay),
-        stats: *stats,
-    })
 }
 
 /// The fast path's steps of the shared search: completed source

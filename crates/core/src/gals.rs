@@ -23,10 +23,9 @@
 //! Because waves are processed in increasing `l` and every source arrival
 //! adds the same `T_s`, the first feasible arrival is globally optimal.
 
-use crate::budget::{BudgetMeter, SearchStage};
+use crate::budget::SearchStage;
 use crate::ctx::Ctx;
-use crate::engine::{Arena, Cand, DelayQueue, EngineKind, PruneTable, NO_PARENT};
-use crate::failpoint::{self, FailAction};
+use crate::engine::Cand;
 use crate::search::{self, Rules, Search, WaveEnd};
 use crate::telemetry::TelemetryHandle;
 use crate::{GalsSolution, RouteError, RoutedPath, SearchBudget, SearchStats};
@@ -70,7 +69,6 @@ pub struct GalsSpec<'a> {
     t_t: Option<Time>,
     budget: SearchBudget,
     telemetry: TelemetryHandle<'a>,
-    engine: EngineKind,
 }
 
 impl<'a> GalsSpec<'a> {
@@ -88,16 +86,7 @@ impl<'a> GalsSpec<'a> {
             t_t: None,
             budget: SearchBudget::unlimited(),
             telemetry: TelemetryHandle::none(),
-            engine: EngineKind::default(),
         }
-    }
-
-    /// Selects the search substrate (default: [`EngineKind::Arena`]).
-    /// Both engines return identical routes; `Legacy` exists as the
-    /// equivalence reference.
-    pub fn engine(mut self, e: EngineKind) -> Self {
-        self.engine = e;
-        self
     }
 
     /// Sets the source grid point (sender domain).
@@ -154,9 +143,23 @@ impl<'a> GalsSpec<'a> {
             self.source_gate,
             self.sink_gate,
         )?;
-        self.telemetry.search("gals", |stats| match self.engine {
-            EngineKind::Arena => solve_arena(&ctx, t_s.ps(), t_t.ps(), self.budget, stats),
-            EngineKind::Legacy => solve_legacy(&ctx, t_s.ps(), t_t.ps(), self.budget, stats),
+        let (t_s, t_t) = (t_s.ps(), t_t.ps());
+        let n = self.graph.node_count();
+        self.telemetry.search("gals", |stats| {
+            // `Q*` is an ordered map from latency to seeds. No goal
+            // pruning: the two-domain latency objective has no
+            // admissible single-period bound.
+            let mut rules = Gals {
+                ctx: &ctx,
+                t_s,
+                t_t,
+                reg_marked: [vec![false; n], vec![false; n]],
+                fifo_marked: vec![false; n],
+                qstar: BTreeMap::new(),
+            };
+            // Separate Pareto fronts per z: key = node·2 + z.
+            let (path, _) = search::run(&ctx, self.budget, n * 2, stats, &mut rules)?;
+            Ok(solution(self.lib, path, t_s, t_t, *stats))
         })
     }
 }
@@ -169,222 +172,6 @@ fn t_of(z: bool, t_s: f64, t_t: f64) -> f64 {
     } else {
         t_t
     }
-}
-
-/// The pre-rewrite substrate, kept verbatim as the equivalence
-/// reference (DESIGN.md §15).
-fn solve_legacy(
-    ctx: &Ctx<'_>,
-    t_s: f64,
-    t_t: f64,
-    budget: SearchBudget,
-    stats: &mut SearchStats,
-) -> Result<GalsSolution, RouteError> {
-    let graph = ctx.graph;
-    let n = graph.node_count();
-    let mut meter = BudgetMeter::new(budget, SearchStage::Gals);
-    let mut arena = Arena::new();
-    // Separate Pareto fronts per z: key = node·2 + z.
-    let mut prune = PruneTable::new(n * 2);
-    // A_0 / A_1: register inserted at v with the given z; F: FIFO at v.
-    let mut reg_marked = [vec![false; n], vec![false; n]];
-    let mut fifo_marked = vec![false; n];
-
-    let fifo = ctx.lib.gate(ctx.lib.mcfifo());
-    let fifo_res = fifo.driver_res().ohms();
-    let fifo_cap = fifo.input_cap().ff();
-    let fifo_k = fifo.intrinsic().ps();
-    let fifo_setup = fifo.setup().ps();
-    let fifo_id = ctx.lib.mcfifo();
-
-    let mut queue = DelayQueue::new();
-    // Q*: next wave fronts, keyed by latency `l`.
-    let mut qstar = DelayQueue::new();
-
-    let gt = ctx.lib.gate(ctx.gt);
-    let root = arena.push(ctx.t, None, NO_PARENT);
-    let start = Cand::start(gt.input_cap().ff(), gt.setup().ps(), root, ctx.t);
-    prune.try_admit(ctx.t.index() * 2, start.cap, start.delay, 0.0, false, &mut stats.pruned);
-    queue.push(start.delay, start);
-    stats.record_push(queue.len());
-
-    loop {
-        while let Some(cand) = queue.pop() {
-            match failpoint::hit("gals::pop") {
-                Some(FailAction::Panic) => panic!("failpoint gals::pop: forced panic"),
-                Some(FailAction::BudgetExhausted) => return Err(meter.exceeded()),
-                Some(FailAction::NoRoute) => return Err(RouteError::NoFeasibleRoute),
-                // I/O actions only apply at `serve::*` sites; inert here.
-                Some(FailAction::IoError | FailAction::ShortIo) | None => {}
-            }
-            stats.budget_charges += 1;
-            stats.arena_steps = arena.len() as u64;
-            meter.charge_pop(arena.len())?;
-            stats.configs += 1;
-            let z = cand.fifo_inserted;
-            let key = cand.node.index() * 2 + usize::from(z);
-            if prune.is_stale(key, cand.cap, cand.delay, 0.0, !cand.gate_here) {
-                stats.stale_skipped += 1;
-                continue;
-            }
-            let t_cur = t_of(z, t_s, t_t);
-
-            // Step 4: source arrival — accept only with the FIFO inserted.
-            if cand.node == ctx.s && z {
-                let total = ctx.finish_at_source(cand.cap, cand.delay);
-                if total <= t_s {
-                    stats.arena_steps = arena.len() as u64;
-                    stats.front_comparisons = prune.comparisons();
-                    return Ok(build(ctx, &arena, cand, t_s, t_t, *stats));
-                }
-            }
-
-            // Step 5: wire expansion, bounded by the current domain period.
-            for v in graph.neighbors(cand.node) {
-                stats.budget_charges += 1;
-                meter.charge_expand()?;
-                let (re, ce) = ctx.edge(cand.node, v);
-                let cap = cand.cap + ce;
-                let delay = cand.delay + re * (cand.cap + ce / 2.0);
-                if delay > t_cur - ctx.reg_k - ctx.min_res * cap * 1.0e-3 {
-                    stats.bound_rejected += 1;
-                    continue;
-                }
-                let vkey = v.index() * 2 + usize::from(z);
-                if !prune.try_admit(vkey, cap, delay, 0.0, true, &mut stats.pruned) {
-                    stats.pruned += 1;
-                    continue;
-                }
-                let trail = arena.push(v, None, cand.trail);
-                let mut next = cand;
-                next.cap = cap;
-                next.delay = delay;
-                next.node = v;
-                next.trail = trail;
-                next.gate_here = false;
-                queue.push(delay, next);
-                stats.record_push(queue.len());
-            }
-
-            let internal = cand.node != ctx.s && cand.node != ctx.t && !cand.gate_here;
-
-            // Step 7: buffers (remember each stands for a pair, one per
-            // signal direction — §IV-B).
-            if internal && graph.is_insertable(cand.node) {
-                for b in &ctx.buffers {
-                    stats.budget_charges += 1;
-                    meter.charge_expand()?;
-                    let cap = b.cap;
-                    let delay = cand.delay + b.res * cand.cap * 1.0e-3 + b.k;
-                    if delay > t_cur - ctx.reg_k {
-                        stats.bound_rejected += 1;
-                        continue;
-                    }
-                    if !prune.try_admit(key, cap, delay, 0.0, false, &mut stats.pruned) {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                    let trail = arena.push(cand.node, Some(b.id), cand.trail);
-                    let mut next = cand;
-                    next.cap = cap;
-                    next.delay = delay;
-                    next.trail = trail;
-                    next.gate_here = true;
-                    queue.push(delay, next);
-                    stats.record_push(queue.len());
-                }
-            }
-
-            // Step 8: relay station (register) insertion → next wave,
-            // latency grows by the current domain period.
-            if internal
-                && graph.is_register_allowed(cand.node)
-                && !reg_marked[usize::from(z)][cand.node.index()]
-            {
-                let stage = ctx.register_stage(cand.cap, cand.delay);
-                if stage <= t_cur {
-                    reg_marked[usize::from(z)][cand.node.index()] = true;
-                    let trail = arena.push(cand.node, Some(ctx.reg_id), cand.trail);
-                    let mut next = cand;
-                    next.cap = ctx.reg_cap;
-                    next.delay = ctx.reg_setup;
-                    next.trail = trail;
-                    next.gate_here = true;
-                    next.latency = cand.latency + t_cur;
-                    qstar.push(next.latency, next);
-                } else {
-                    stats.bound_rejected += 1;
-                }
-            }
-
-            // Step 9: MCFIFO insertion (only once, only before any FIFO),
-            // latency grows by T_t (the FIFO's get interface launches the
-            // downstream stage on the receiver clock).
-            if internal && !z && graph.is_register_allowed(cand.node) && !fifo_marked[cand.node.index()]
-            {
-                let stage = cand.delay + fifo_res * cand.cap * 1.0e-3 + fifo_k;
-                if stage <= t_cur {
-                    fifo_marked[cand.node.index()] = true;
-                    let trail = arena.push(cand.node, Some(fifo_id), cand.trail);
-                    let mut next = cand;
-                    next.cap = fifo_cap;
-                    next.delay = fifo_setup;
-                    next.trail = trail;
-                    next.gate_here = true;
-                    next.fifo_inserted = true;
-                    next.latency = cand.latency + t_t;
-                    qstar.push(next.latency, next);
-                } else {
-                    stats.bound_rejected += 1;
-                }
-            }
-        }
-
-        // ExtractAllMin(Q*): promote the minimum-latency wave front.
-        let Some(l_min) = qstar.peek_key() else {
-            stats.arena_steps = arena.len() as u64;
-            stats.front_comparisons = prune.comparisons();
-            return Err(RouteError::NoFeasibleRoute);
-        };
-        stats.waves += 1;
-        prune.advance_wave();
-        while qstar.peek_key() == Some(l_min) {
-            stats.budget_charges += 1;
-            stats.promoted += 1;
-            meter.charge_expand()?;
-            // crlint-allow: CR002 `peek_key` on the same queue just returned Some
-            let cand = qstar.pop().expect("peeked");
-            let key = cand.node.index() * 2 + usize::from(cand.fifo_inserted);
-            prune.try_admit(key, cand.cap, cand.delay, 0.0, false, &mut stats.pruned);
-            queue.push(cand.delay, cand);
-            stats.record_push(queue.len());
-        }
-    }
-}
-
-/// Arena-engine search on the shared driver, with `Q*` an ordered map
-/// from latency to seeds. Returns exactly what [`solve_legacy`]
-/// returns. No goal pruning: the two-domain latency
-/// objective has no admissible single-period bound.
-fn solve_arena(
-    ctx: &Ctx<'_>,
-    t_s: f64,
-    t_t: f64,
-    budget: SearchBudget,
-    stats: &mut SearchStats,
-) -> Result<GalsSolution, RouteError> {
-    let n = ctx.graph.node_count();
-    let mut rules = Gals {
-        ctx,
-        t_s,
-        t_t,
-        reg_marked: [vec![false; n], vec![false; n]],
-        fifo_marked: vec![false; n],
-        qstar: BTreeMap::new(),
-    };
-    // Separate Pareto fronts per z: key = node·2 + z.
-    let (path, _) = search::run(ctx, budget, n * 2, stats, &mut rules)?;
-    Ok(solution(ctx.lib, path, t_s, t_t, *stats))
 }
 
 /// GALS's steps of the shared search (paper §IV-B).
@@ -477,19 +264,6 @@ impl Rules for Gals<'_> {
             None => WaveEnd::Exhausted,
         }
     }
-}
-
-fn build(
-    ctx: &Ctx<'_>,
-    arena: &Arena,
-    cand: Cand,
-    t_s: f64,
-    t_t: f64,
-    mut stats: SearchStats,
-) -> GalsSolution {
-    stats.touched = arena.touched(ctx.graph);
-    let path = search::reconstruct(ctx, arena, cand.trail);
-    solution(ctx.lib, path, t_s, t_t, stats)
 }
 
 fn solution(

@@ -183,17 +183,20 @@ impl Parser<'_> {
             self.pos += 1;
             return Ok(());
         }
-        loop {
+        let at = loop {
             item(self)?;
             self.skip_ws();
+            // The offset of the byte read, or the input's length at its
+            // end.
+            let at = self.pos;
             match self.next() {
                 Some(b',') => {}
                 Some(b) if b == close => return Ok(()),
-                _ => break,
+                _ => break at,
             }
-        }
+        };
         let close = char::from(close);
-        Err(format!("expected ',' or '{close}' at byte {}", self.pos))
+        Err(format!("expected ',' or '{close}' at byte {at}"))
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
@@ -236,10 +239,11 @@ impl Parser<'_> {
                 self.pos += 1;
             }
             out.push_str(&self.text[start..self.pos]);
+            let at = self.pos;
             match self.next() {
                 Some(b'"') => return Ok(out),
                 Some(b'\\') => out.push(self.escape()?),
-                Some(_) => return Err(format!("raw control byte in string at {}", self.pos)),
+                Some(_) => return Err(format!("raw control byte in string at {at}")),
                 None => return Err("unterminated string".to_owned()),
             }
         }
@@ -248,6 +252,7 @@ impl Parser<'_> {
     /// Decodes the escape after a backslash, joining a `\uXXXX` high
     /// surrogate with the low surrogate escape that must follow it.
     fn escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
         Ok(match self.next() {
             Some(c @ (b'"' | b'\\' | b'/')) => char::from(c),
             Some(b'n') => '\n',
@@ -266,7 +271,7 @@ impl Parser<'_> {
                 }
                 char::from_u32(code).ok_or_else(|| format!("lone surrogate at byte {at}"))?
             }
-            _ => return Err(format!("bad escape at byte {}", self.pos)),
+            _ => return Err(format!("bad escape at byte {at}")),
         })
     }
 
@@ -302,6 +307,8 @@ mod tests {
         ] {
             assert!(validate_json(good).is_ok(), "{good}: {:?}", parse(good));
         }
+        // Offsets name the offending byte, or the input's length when it
+        // ends early.
         for (bad, needle) in [
             ("", "expected a value"),
             ("{", "expected '\"' at byte 1"),
@@ -312,7 +319,11 @@ mod tests {
             ("}", "expected a value"),
             ("{\"a\":}", "expected a value"),
             ("{\"a\":1,}", "expected '\"' at byte 7"),
-            ("[1 2]", "expected ',' or ']'"),
+            ("[1 2]", "expected ',' or ']' at byte 3"),
+            ("[1}", "expected ',' or ']' at byte 2"),
+            ("[1, 2 ", "expected ',' or ']' at byte 6"),
+            ("{\"a\":1 2}", "expected ',' or '}' at byte 7"),
+            ("{\"a\":1", "expected ',' or '}' at byte 6"),
             ("tru", "bad literal"),
             ("1.", "bad number"),
             ("01x", "bad number"),
@@ -334,11 +345,12 @@ mod tests {
             ("{\"a\":1} extra", "trailing garbage"),
             ("{'a':1}", "expected '\"'"),
             ("{\"a\":1,\"a\":2}", "duplicate field `a`"),
-            ("\"a\u{1}b\"", "raw control byte"),
-            ("\"\\x\"", "bad escape"),
-            ("\"\\u12\"", "bad \\u escape"),
+            ("\"a\u{1}b\"", "raw control byte in string at 2"),
+            ("\"\\x\"", "bad escape at byte 2"),
+            ("\"\\", "bad escape at byte 2"),
+            ("\"\\u12\"", "bad \\u escape at byte 3"),
             ("\"\\ud83d\"", "lone surrogate"),
-            ("\"\\ud83dx\"", "lone surrogate"),
+            ("\"\\ud83dx\"", "lone surrogate at byte 3"),
             ("\"\\ud83d\\u0041\"", "lone surrogate"),
             ("\"\\ude00\"", "lone surrogate"),
         ] {

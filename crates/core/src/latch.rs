@@ -29,10 +29,9 @@
 //! are too unevenly spaced for edge-triggered registers, sometimes saving
 //! entire pipeline stages.
 
-use crate::budget::{BudgetMeter, SearchStage};
+use crate::budget::SearchStage;
 use crate::ctx::Ctx;
-use crate::engine::{Arena, Cand, DelayQueue, EngineKind, PruneTable, NO_PARENT};
-use crate::failpoint::{self, FailAction};
+use crate::engine::Cand;
 use crate::search::{self, Rules, Search, WaveEnd};
 use crate::telemetry::TelemetryHandle;
 use crate::{RouteError, RoutedPath, SearchBudget, SearchStats};
@@ -77,7 +76,6 @@ pub struct LatchSpec<'a> {
     borrow: Time,
     budget: SearchBudget,
     telemetry: TelemetryHandle<'a>,
-    engine: EngineKind,
 }
 
 impl<'a> LatchSpec<'a> {
@@ -96,16 +94,7 @@ impl<'a> LatchSpec<'a> {
             borrow: Time::ZERO,
             budget: SearchBudget::unlimited(),
             telemetry: TelemetryHandle::none(),
-            engine: EngineKind::default(),
         }
-    }
-
-    /// Selects the search substrate (default: [`EngineKind::Arena`]).
-    /// Both engines return identical routes; `Legacy` exists as the
-    /// equivalence reference.
-    pub fn engine(mut self, e: EngineKind) -> Self {
-        self.engine = e;
-        self
     }
 
     /// Sets the source grid point.
@@ -164,9 +153,26 @@ impl<'a> LatchSpec<'a> {
             self.source_gate,
             self.sink_gate,
         )?;
-        self.telemetry.search("latch", |stats| match self.engine {
-            EngineKind::Arena => solve_arena(&ctx, t_phi, self.borrow, self.budget, stats),
-            EngineKind::Legacy => solve_legacy(&ctx, t_phi, self.borrow, self.budget, stats),
+        self.telemetry.search("latch", |stats| {
+            // The sorted fronts fall back to linear scans where a node's
+            // front mixes lateness values. No goal pruning: the
+            // borrowed-lateness dimension makes the single-period
+            // distance bound inadmissible.
+            let n = self.graph.node_count();
+            let mut rules = Latches {
+                ctx: &ctx,
+                t: t_phi.ps(),
+                b: self.borrow.ps(),
+                spill: Vec::new(),
+                best_seed_v: vec![f64::INFINITY; n],
+            };
+            let (path, _) = search::run(&ctx, self.budget, n, stats, &mut rules)?;
+            Ok(LatchSolution {
+                path,
+                period: t_phi,
+                borrow: self.borrow,
+                stats: *stats,
+            })
         })
     }
 }
@@ -240,255 +246,6 @@ pub fn validate_borrowing(stages: &[Time], t: Time, b: Time) -> bool {
     true
 }
 
-/// The pre-rewrite substrate, kept verbatim as the equivalence
-/// reference (DESIGN.md §15).
-fn solve_legacy(
-    ctx: &Ctx<'_>,
-    t_phi: Time,
-    borrow: Time,
-    search_budget: SearchBudget,
-    stats: &mut SearchStats,
-) -> Result<LatchSolution, RouteError> {
-    let graph = ctx.graph;
-    let t = t_phi.ps();
-    let b = borrow.ps();
-    let n = graph.node_count();
-    let mut meter = BudgetMeter::new(search_budget, SearchStage::Latch);
-    let mut arena = Arena::new();
-    let mut prune = PruneTable::new(n);
-    // Unlike RBP, a node may receive latch insertions from several
-    // candidates (their lateness differs), so we rely on pruning alone
-    // rather than a global A(v) marking — the 3-D front keeps at most a
-    // small Pareto set per node per wave.
-    let latch_gate = ctx.lib.gate(ctx.lib.latch());
-    let latch_res = latch_gate.driver_res().ohms();
-    let latch_cap = latch_gate.input_cap().ff();
-    let latch_k = latch_gate.intrinsic().ps();
-    let latch_setup = latch_gate.setup().ps();
-    let latch_id = ctx.lib.latch();
-
-    let mut queue = DelayQueue::new();
-    let mut spill: Vec<Cand> = Vec::new();
-    // Cross-wave seed dominance: a latch seed at node u always restarts
-    // from the same (C, Setup); only its lateness V differs. A seed from
-    // an earlier wave with V ≤ V' strictly dominates a later one (less
-    // latency, weakly more future feasibility), so remember the best V
-    // ever seeded per node and skip non-improving insertions. This is
-    // the latch analogue of RBP's A(v) marking.
-    let mut best_seed_v = vec![f64::INFINITY; n];
-
-    let gt = ctx.lib.gate(ctx.gt);
-    let root = arena.push(ctx.t, None, NO_PARENT);
-    let mut start = Cand::start(gt.input_cap().ff(), gt.setup().ps(), root, ctx.t);
-    start.borrowed = 0.0; // V at the sink
-    prune.try_admit(ctx.t.index(), start.cap, start.delay, b, false, &mut stats.pruned);
-    queue.push(start.delay, start);
-    stats.record_push(queue.len());
-
-    loop {
-        while let Some(cand) = queue.pop() {
-            match failpoint::hit("latch::pop") {
-                Some(FailAction::Panic) => panic!("failpoint latch::pop: forced panic"),
-                Some(FailAction::BudgetExhausted) => return Err(meter.exceeded()),
-                Some(FailAction::NoRoute) => return Err(RouteError::NoFeasibleRoute),
-                // I/O actions only apply at `serve::*` sites; inert here.
-                Some(FailAction::IoError | FailAction::ShortIo) | None => {}
-            }
-            stats.budget_charges += 1;
-            stats.arena_steps = arena.len() as u64;
-            meter.charge_pop(arena.len())?;
-            stats.configs += 1;
-            let extra = cand.borrowed + b; // shifted to ≥ 0
-            if prune.is_stale(cand.node.index(), cand.cap, cand.delay, extra, !cand.gate_here) {
-                stats.stale_skipped += 1;
-                continue;
-            }
-
-            if cand.node == ctx.s {
-                let total = ctx.finish_at_source(cand.cap, cand.delay);
-                // The source launches exactly at the edge: no borrowing.
-                if total - t + cand.borrowed <= 0.0 {
-                    stats.arena_steps = arena.len() as u64;
-                    stats.front_comparisons = prune.comparisons();
-                    stats.touched = arena.touched(graph);
-                    let (nodes, mut labels) = arena.reconstruct(cand.trail);
-                    let points: Vec<Point> = nodes.iter().map(|&nd| graph.point(nd)).collect();
-                    labels[0] = Some(ctx.gs);
-                    let last = labels.len() - 1;
-                    labels[last] = Some(ctx.gt);
-                    return Ok(LatchSolution {
-                        path: RoutedPath::new(points, labels, ctx.lib),
-                        period: t_phi,
-                        borrow,
-                        stats: *stats,
-                    });
-                }
-            }
-
-            // Per-candidate admissible budget for the stage under
-            // construction: σ ≤ T − V.
-            let budget = t - cand.borrowed;
-
-            for v in graph.neighbors(cand.node) {
-                stats.budget_charges += 1;
-                meter.charge_expand()?;
-                let (re, ce) = ctx.edge(cand.node, v);
-                let cap = cand.cap + ce;
-                let delay = cand.delay + re * (cand.cap + ce / 2.0);
-                if delay > budget - latch_k - ctx.min_res * cap * 1.0e-3 {
-                    stats.bound_rejected += 1;
-                    continue;
-                }
-                if !prune.try_admit(v.index(), cap, delay, extra, true, &mut stats.pruned) {
-                    stats.pruned += 1;
-                    continue;
-                }
-                let trail = arena.push(v, None, cand.trail);
-                let mut next = cand;
-                next.cap = cap;
-                next.delay = delay;
-                next.node = v;
-                next.trail = trail;
-                next.gate_here = false;
-                queue.push(delay, next);
-                stats.record_push(queue.len());
-            }
-
-            let internal = cand.node != ctx.s && cand.node != ctx.t && !cand.gate_here;
-
-            if internal && graph.is_insertable(cand.node) {
-                for bf in &ctx.buffers {
-                    stats.budget_charges += 1;
-                    meter.charge_expand()?;
-                    let cap = bf.cap;
-                    let delay = cand.delay + bf.res * cand.cap * 1.0e-3 + bf.k;
-                    if delay > budget - latch_k {
-                        stats.bound_rejected += 1;
-                        continue;
-                    }
-                    if !prune.try_admit(
-                        cand.node.index(),
-                        cap,
-                        delay,
-                        extra,
-                        false,
-                        &mut stats.pruned,
-                    ) {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                    let trail = arena.push(cand.node, Some(bf.id), cand.trail);
-                    let mut next = cand;
-                    next.cap = cap;
-                    next.delay = delay;
-                    next.trail = trail;
-                    next.gate_here = true;
-                    queue.push(delay, next);
-                    stats.record_push(queue.len());
-                }
-            }
-
-            // Latch insertion → next wave, carrying the new lateness V'.
-            if internal && graph.is_register_allowed(cand.node) {
-                let stage = cand.delay + latch_res * cand.cap * 1.0e-3 + latch_k;
-                // Feasible iff σ ≤ T − V; the borrowing allowance of the
-                // downstream latch is already folded into V (clamped at
-                // −B), so a stage may overshoot T by up to B when the
-                // downstream windows have that much slack.
-                if stage - t + cand.borrowed <= 0.0 {
-                    let new_v = (stage - t + cand.borrowed).max(-b);
-                    if new_v >= best_seed_v[cand.node.index()] {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                    best_seed_v[cand.node.index()] = new_v;
-                    let trail = arena.push(cand.node, Some(latch_id), cand.trail);
-                    let mut next = cand;
-                    next.cap = latch_cap;
-                    next.delay = latch_setup;
-                    next.trail = trail;
-                    next.gate_here = true;
-                    next.borrowed = new_v;
-                    spill.push(next);
-                } else {
-                    stats.bound_rejected += 1;
-                }
-            }
-        }
-
-        if spill.is_empty() {
-            stats.arena_steps = arena.len() as u64;
-            stats.front_comparisons = prune.comparisons();
-            return Err(RouteError::NoFeasibleRoute);
-        }
-        // Termination bound: every latch occupies a distinct node
-        // (m: V → I ∪ {0}), so a feasible solution never needs more
-        // latches than there are grid nodes. Unlike RBP there is no
-        // global A(v) marking here (candidates with different lateness
-        // may all legitimately latch at the same node), so without this
-        // cap an infeasible instance would spawn waves forever.
-        if stats.waves as usize >= graph.node_count() {
-            stats.arena_steps = arena.len() as u64;
-            stats.front_comparisons = prune.comparisons();
-            return Err(RouteError::NoFeasibleRoute);
-        }
-        stats.waves += 1;
-        prune.advance_wave();
-        // Seed the next wave, pruning among its candidates (several may
-        // share a node with different lateness).
-        let mut next_wave = std::mem::take(&mut spill);
-        next_wave.sort_by(|a, b2| a.delay.total_cmp(&b2.delay));
-        for cand in next_wave {
-            stats.budget_charges += 1;
-            stats.promoted += 1;
-            meter.charge_expand()?;
-            let extra = cand.borrowed + b;
-            if !prune.try_admit(
-                cand.node.index(),
-                cand.cap,
-                cand.delay,
-                extra,
-                false,
-                &mut stats.pruned,
-            ) {
-                stats.pruned += 1;
-                continue;
-            }
-            queue.push(cand.delay, cand);
-            stats.record_push(queue.len());
-        }
-    }
-}
-
-/// Arena-engine search on the shared driver; its sorted fronts fall
-/// back to linear scans where a node's front mixes lateness values.
-/// Returns exactly what [`solve_legacy`] returns. No goal pruning: the
-/// borrowed-lateness dimension makes the single-period distance bound
-/// inadmissible.
-fn solve_arena(
-    ctx: &Ctx<'_>,
-    t_phi: Time,
-    borrow: Time,
-    search_budget: SearchBudget,
-    stats: &mut SearchStats,
-) -> Result<LatchSolution, RouteError> {
-    let n = ctx.graph.node_count();
-    let mut rules = Latches {
-        ctx,
-        t: t_phi.ps(),
-        b: borrow.ps(),
-        spill: Vec::new(),
-        best_seed_v: vec![f64::INFINITY; n],
-    };
-    let (path, _) = search::run(ctx, search_budget, n, stats, &mut rules)?;
-    Ok(LatchSolution {
-        path,
-        period: t_phi,
-        borrow,
-        stats: *stats,
-    })
-}
-
 /// The latch search's steps of the shared search. A candidate's
 /// `borrowed` field is its backward lateness `V`.
 struct Latches<'a> {
@@ -497,7 +254,9 @@ struct Latches<'a> {
     b: f64,
     /// Latch insertions feeding the next wave.
     spill: Vec<u32>,
-    /// Cross-wave seed dominance, as in the legacy engine.
+    /// Cross-wave seed dominance: the lowest lateness `V` of any latch
+    /// inserted at each node so far; a later insertion there must have
+    /// less.
     best_seed_v: Vec<f64>,
 }
 
@@ -550,13 +309,16 @@ impl Rules for Latches<'_> {
     fn wave_end(&mut self, s: &mut Search<'_>) -> WaveEnd {
         // Termination bound: every latch occupies a distinct node
         // (m: V → I ∪ {0}), so a feasible solution never needs more
-        // latches than there are grid nodes (see the legacy engine).
+        // latches than there are grid nodes. Unlike RBP there is no
+        // global A(v) marking here (candidates with different lateness
+        // may all legitimately latch at the same node), so without this
+        // cap an infeasible instance would spawn waves forever.
         if self.spill.is_empty() || s.stats.waves as usize >= self.ctx.graph.node_count() {
             return WaveEnd::Exhausted;
         }
         // Seed in delay order, pruning among the wave's candidates
-        // (several may share a node with different lateness); the
-        // stable sort keeps the legacy seeding order byte-for-byte.
+        // (several may share a node with different lateness); the sort
+        // is stable, so equal delays keep their insertion order.
         let mut wave = std::mem::take(&mut self.spill);
         wave.sort_by(|&a, &b| s.cands.get(a).delay.total_cmp(&s.cands.get(b).delay));
         WaveEnd::Next(wave)

@@ -69,13 +69,12 @@ mod stats;
 pub mod telemetry;
 
 pub use budget::{BudgetMeter, SearchBudget, SearchStage};
-pub use engine::EngineKind;
 pub use error::RouteError;
 pub use fastpath::FastPathSpec;
 pub use gals::GalsSpec;
 pub use latch::{LatchSolution, LatchSpec};
 pub use lockcheck::{LockRank, OrderedCondvar, OrderedMutex};
-pub use rbp::{RbpSpec, RbpVariant, TieBreak, WaveTrace};
+pub use rbp::{RbpSpec, TieBreak, WaveTrace};
 pub use result::{FastPathSolution, GalsSolution, RbpSolution, RoutedPath};
 pub use stats::{SearchStats, TouchedRegion};
 pub use telemetry::{MetricsRecorder, Telemetry, TelemetryHandle, TelemetryShard, TraceWriter};

@@ -667,10 +667,8 @@ mod tests {
         // the gate constant matches the build so the release test run
         // (checks off) and the debug run (checks on) both cover their
         // branch of every `if ENABLED`.
-        if cfg!(any(debug_assertions, lockcheck)) {
-            assert!(ENABLED);
-        } else {
-            assert!(!ENABLED);
+        assert_eq!(ENABLED, cfg!(any(debug_assertions, lockcheck)));
+        if !ENABLED {
             // With checks off an inverted acquire must NOT panic.
             let pending = OrderedMutex::new(LockRank::Pending, "off.pending", ());
             let cache = OrderedMutex::new(LockRank::Cache, "off.cache", ());

@@ -15,11 +15,10 @@
 //!
 //! Extensions beyond the paper's pseudo-code, all noted in `DESIGN.md`:
 //!
-//! * [`RbpVariant::QueueArray`] — the alternative implementation the paper
-//!   sketches at the end of §III (an array of queues indexed by register
-//!   count) — results are identical; only the legacy engine keeps the
-//!   array, since the arena engine promotes each wave's claims in push
-//!   order either way;
+//! * the paper's alternative queue organisation (end of §III: an array
+//!   of queues indexed by register count) needs no separate mode — each
+//!   wave's register claims are promoted in push order from one list,
+//!   which is what the array would hold (DESIGN.md §15);
 //! * [`TieBreak::MaxEndpointSlack`] — among minimum-latency solutions,
 //!   maximise the sum of source and sink stage slack (paper §III, last
 //!   paragraph); implemented by adding the sink-stage delay as a third
@@ -29,10 +28,9 @@
 //! * the admissible wire bound of step 5 can be disabled
 //!   ([`RbpSpec::wire_bound`]) to measure how much work it saves.
 
-use crate::budget::{BudgetMeter, SearchStage};
+use crate::budget::SearchStage;
 use crate::ctx::Ctx;
-use crate::engine::{Arena, Cand, DelayQueue, EngineKind, PruneTable, NO_PARENT};
-use crate::failpoint::{self, FailAction};
+use crate::engine::Cand;
 use crate::goal::{probe_rbp, GoalBound};
 use crate::search::{self, Rules, Search, WaveEnd};
 use crate::telemetry::TelemetryHandle;
@@ -41,19 +39,6 @@ use clockroute_elmore::{GateId, GateLibrary, Technology};
 use clockroute_geom::units::Time;
 use clockroute_geom::Point;
 use clockroute_grid::{GridGraph, NodeId};
-
-/// Queue organisation of the wave-front search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RbpVariant {
-    /// The paper's primary formulation: one active queue plus `Q*` for
-    /// the next wave.
-    #[default]
-    TwoQueue,
-    /// The paper's alternative: an array of queues indexed by register
-    /// count (same results, more memory). Only the legacy engine differs;
-    /// the arena engine runs both variants the same way.
-    QueueArray,
-}
 
 /// How to choose among equal-latency optima.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -105,12 +90,10 @@ pub struct RbpSpec<'a> {
     source_gate: GateId,
     sink_gate: GateId,
     period: Option<Time>,
-    variant: RbpVariant,
     tie_break: TieBreak,
     wire_bound: bool,
     budget: SearchBudget,
     telemetry: TelemetryHandle<'a>,
-    engine: EngineKind,
     goal_prune: bool,
 }
 
@@ -127,26 +110,16 @@ impl<'a> RbpSpec<'a> {
             source_gate: lib.register(),
             sink_gate: lib.register(),
             period: None,
-            variant: RbpVariant::default(),
             tie_break: TieBreak::default(),
             wire_bound: true,
             budget: SearchBudget::unlimited(),
             telemetry: TelemetryHandle::none(),
-            engine: EngineKind::default(),
             goal_prune: true,
         }
     }
 
-    /// Selects the search substrate (default: [`EngineKind::Arena`]).
-    /// Both engines return identical routes; `Legacy` exists as the
-    /// equivalence reference.
-    pub fn engine(mut self, e: EngineKind) -> Self {
-        self.engine = e;
-        self
-    }
-
     /// Enables or disables admissible goal pruning against the
-    /// canonical-path register bound (default: on; arena engine only).
+    /// canonical-path register bound (default: on).
     /// Like [`wire_bound`](RbpSpec::wire_bound), this never changes the
     /// result — only the amount of work.
     pub fn goal_prune(mut self, on: bool) -> Self {
@@ -171,12 +144,6 @@ impl<'a> RbpSpec<'a> {
     /// [`FastPathSpec`](crate::FastPathSpec) instead.
     pub fn period(mut self, t: Time) -> Self {
         self.period = Some(t);
-        self
-    }
-
-    /// Selects the queue organisation.
-    pub fn variant(mut self, v: RbpVariant) -> Self {
-        self.variant = v;
         self
     }
 
@@ -229,276 +196,9 @@ impl<'a> RbpSpec<'a> {
         Ok((sol, trace))
     }
 
+    /// The search on the shared driver, plus (optionally) admissible
+    /// wave-budget goal pruning.
     fn run(
-        &self,
-        trace: Option<&mut WaveTrace>,
-        stats: &mut SearchStats,
-    ) -> Result<(RbpSolution, ()), RouteError> {
-        match self.engine {
-            EngineKind::Arena => self.run_arena(trace, stats),
-            EngineKind::Legacy => self.run_legacy(trace, stats),
-        }
-    }
-
-    /// The pre-rewrite substrate, kept verbatim as the equivalence
-    /// reference (DESIGN.md §15).
-    fn run_legacy(
-        &self,
-        mut trace: Option<&mut WaveTrace>,
-        stats: &mut SearchStats,
-    ) -> Result<(RbpSolution, ()), RouteError> {
-        let t_phi = self.period.ok_or(RouteError::InvalidPeriod)?;
-        if t_phi.ps() <= 0.0 || !t_phi.is_finite() {
-            return Err(RouteError::InvalidPeriod);
-        }
-        let ctx = Ctx::new(
-            self.graph,
-            self.tech,
-            self.lib,
-            self.source,
-            self.sink,
-            self.source_gate,
-            self.sink_gate,
-        )?;
-        let t = t_phi.ps();
-        let slack_mode = self.tie_break == TieBreak::MaxEndpointSlack;
-
-        let graph = ctx.graph;
-        let n = graph.node_count();
-        let mut meter = BudgetMeter::new(self.budget, SearchStage::Rbp);
-        let mut arena = Arena::new();
-        let mut prune = PruneTable::new(n);
-        // A(v): a register has been inserted at v in some candidate
-        // (global across the run — paper difference #3).
-        let mut reg_marked = vec![false; n];
-
-        let mut queue = DelayQueue::new();
-        // Next-wave storage. TwoQueue keeps a single spill vector (`Q*`);
-        // QueueArray keeps every wave's queue alive simultaneously.
-        let mut spill: Vec<Cand> = Vec::new();
-        let mut wave_queues: Vec<DelayQueue> = Vec::new();
-
-        let gt = ctx.lib.gate(ctx.gt);
-        let root = arena.push(ctx.t, None, NO_PARENT);
-        let start = Cand::start(gt.input_cap().ff(), gt.setup().ps(), root, ctx.t);
-        prune.try_admit(ctx.t.index(), start.cap, start.delay, 0.0, false, &mut stats.pruned);
-        queue.push(start.delay, start);
-        stats.record_push(queue.len());
-
-        // Best slack-mode arrival in the current wave:
-        // (slack_sum, trail, source_stage, sink_stage).
-        let mut best: Option<(f64, u32, f64, f64)> = None;
-
-        loop {
-            while let Some(cand) = queue.pop() {
-                match failpoint::hit("rbp::pop") {
-                    Some(FailAction::Panic) => panic!("failpoint rbp::pop: forced panic"),
-                    Some(FailAction::BudgetExhausted) => return Err(meter.exceeded()),
-                    Some(FailAction::NoRoute) => return Err(RouteError::NoFeasibleRoute),
-                    // I/O actions only apply at `serve::*` sites; inert here.
-                    Some(FailAction::IoError | FailAction::ShortIo) | None => {}
-                }
-                stats.budget_charges += 1;
-                stats.arena_steps = arena.len() as u64;
-                meter.charge_pop(arena.len())?;
-                stats.configs += 1;
-                let extra = prune_extra(slack_mode, cand.sink_stage);
-                if prune.is_stale(cand.node.index(), cand.cap, cand.delay, extra, !cand.gate_here)
-                {
-                    stats.stale_skipped += 1;
-                    continue;
-                }
-
-                // Step 4: source arrival.
-                if cand.node == ctx.s {
-                    let total = ctx.finish_at_source(cand.cap, cand.delay);
-                    if total <= t {
-                        let sink_stage = if cand.sink_stage.is_nan() {
-                            total
-                        } else {
-                            cand.sink_stage
-                        };
-                        match self.tie_break {
-                            TieBreak::FirstFound => {
-                                stats.arena_steps = arena.len() as u64;
-                                stats.front_comparisons = prune.comparisons();
-                                return Ok((
-                                    self.build(&ctx, &arena, cand.trail, t_phi, *stats, total,
-                                               sink_stage),
-                                    (),
-                                ));
-                            }
-                            TieBreak::MaxEndpointSlack => {
-                                let slack_sum = (t - total) + (t - sink_stage);
-                                if best.is_none_or(|(s, ..)| slack_sum > s) {
-                                    best = Some((slack_sum, cand.trail, total, sink_stage));
-                                }
-                            }
-                        }
-                    }
-                    // An infeasible (or slack-mode) arrival keeps expanding
-                    // normally: other routes may pass through this node.
-                }
-
-                // Step 5: wire expansion with admissible bound.
-                for v in graph.neighbors(cand.node) {
-                    stats.budget_charges += 1;
-                    meter.charge_expand()?;
-                    let (re, ce) = ctx.edge(cand.node, v);
-                    let cap = cand.cap + ce;
-                    let delay = cand.delay + re * (cand.cap + ce / 2.0);
-                    if self.wire_bound
-                        && delay > t - ctx.reg_k - ctx.min_res * cap * 1.0e-3
-                    {
-                        stats.bound_rejected += 1;
-                        continue;
-                    }
-                    if !prune.try_admit(v.index(), cap, delay, extra, true, &mut stats.pruned) {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                    let trail = arena.push(v, None, cand.trail);
-                    let mut next = cand;
-                    next.cap = cap;
-                    next.delay = delay;
-                    next.node = v;
-                    next.trail = trail;
-                    next.gate_here = false;
-                    queue.push(delay, next);
-                    stats.record_push(queue.len());
-                }
-
-                let internal = cand.node != ctx.s && cand.node != ctx.t && !cand.gate_here;
-
-                // Step 7: buffer insertion (`d' ≤ T_φ − K(r)` bound).
-                if internal && graph.is_insertable(cand.node) {
-                    for b in &ctx.buffers {
-                        stats.budget_charges += 1;
-                        meter.charge_expand()?;
-                        let cap = b.cap;
-                        let delay = cand.delay + b.res * cand.cap * 1.0e-3 + b.k;
-                        if delay > t - ctx.reg_k {
-                            stats.bound_rejected += 1;
-                            continue;
-                        }
-                        if !prune.try_admit(
-                            cand.node.index(),
-                            cap,
-                            delay,
-                            extra,
-                            false,
-                            &mut stats.pruned,
-                        ) {
-                            stats.pruned += 1;
-                            continue;
-                        }
-                        let trail = arena.push(cand.node, Some(b.id), cand.trail);
-                        let mut next = cand;
-                        next.cap = cap;
-                        next.delay = delay;
-                        next.trail = trail;
-                        next.gate_here = true;
-                        queue.push(delay, next);
-                        stats.record_push(queue.len());
-                    }
-                }
-
-                // Step 8: register insertion → next wave.
-                if internal
-                    && graph.is_register_allowed(cand.node)
-                    && !reg_marked[cand.node.index()]
-                {
-                    let stage = ctx.register_stage(cand.cap, cand.delay);
-                    if stage <= t {
-                        reg_marked[cand.node.index()] = true;
-                        if let Some(trace) = trace.as_deref_mut() {
-                            let wave = stats.waves as usize;
-                            if trace.register_rings.len() <= wave {
-                                trace.register_rings.resize(wave + 1, Vec::new());
-                            }
-                            trace.register_rings[wave].push(graph.point(cand.node));
-                        }
-                        let trail = arena.push(cand.node, Some(ctx.reg_id), cand.trail);
-                        let mut next = cand;
-                        next.cap = ctx.reg_cap;
-                        next.delay = ctx.reg_setup;
-                        next.trail = trail;
-                        next.gate_here = true;
-                        if next.sink_stage.is_nan() {
-                            next.sink_stage = stage;
-                        }
-                        match self.variant {
-                            RbpVariant::TwoQueue => spill.push(next),
-                            RbpVariant::QueueArray => {
-                                let idx = stats.waves as usize;
-                                if wave_queues.len() <= idx {
-                                    wave_queues.resize_with(idx + 1, DelayQueue::new);
-                                }
-                                wave_queues[idx].push(next.delay, next);
-                            }
-                        }
-                    } else {
-                        stats.bound_rejected += 1;
-                    }
-                }
-            }
-
-            // Current wave exhausted.
-            if let Some((_, trail, source_stage, sink_stage)) = best.take() {
-                let total = source_stage;
-                stats.arena_steps = arena.len() as u64;
-                stats.front_comparisons = prune.comparisons();
-                return Ok((
-                    self.build(&ctx, &arena, trail, t_phi, *stats, total, sink_stage),
-                    (),
-                ));
-            }
-
-            let next_wave: Vec<Cand> = match self.variant {
-                RbpVariant::TwoQueue => std::mem::take(&mut spill),
-                RbpVariant::QueueArray => {
-                    let idx = stats.waves as usize;
-                    if wave_queues.len() <= idx {
-                        Vec::new()
-                    } else {
-                        let mut drained = Vec::new();
-                        // crlint-allow: CR005 bounded drain of entries already charged at push; no expansion work between pops
-                        while let Some(c) = wave_queues[idx].pop() {
-                            drained.push(c);
-                        }
-                        drained
-                    }
-                }
-            };
-            if next_wave.is_empty() {
-                stats.front_comparisons = prune.comparisons();
-                return Err(RouteError::NoFeasibleRoute);
-            }
-            stats.waves += 1;
-            prune.advance_wave();
-            for cand in next_wave {
-                stats.budget_charges += 1;
-                stats.promoted += 1;
-                meter.charge_expand()?;
-                let extra = prune_extra(slack_mode, cand.sink_stage);
-                prune.try_admit(
-                    cand.node.index(),
-                    cand.cap,
-                    cand.delay,
-                    extra,
-                    false,
-                    &mut stats.pruned,
-                );
-                queue.push(cand.delay, cand);
-                stats.record_push(queue.len());
-            }
-        }
-    }
-
-    /// Arena-engine search on the shared driver, plus (optionally)
-    /// admissible wave-budget goal pruning. Returns exactly what
-    /// [`run_legacy`](RbpSpec::run_legacy) returns.
-    fn run_arena(
         &self,
         trace: Option<&mut WaveTrace>,
         stats: &mut SearchStats,
@@ -549,26 +249,6 @@ impl<'a> RbpSpec<'a> {
         ))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        &self,
-        ctx: &Ctx<'_>,
-        arena: &Arena,
-        trail: u32,
-        period: Time,
-        mut stats: SearchStats,
-        source_stage: f64,
-        sink_stage: f64,
-    ) -> RbpSolution {
-        stats.touched = arena.touched(ctx.graph);
-        RbpSolution {
-            path: search::reconstruct(ctx, arena, trail),
-            period,
-            stats,
-            source_stage: Time::from_ps(source_stage),
-            sink_stage: Time::from_ps(sink_stage),
-        }
-    }
 }
 
 /// RBP's steps of the shared search (paper Fig. 5).
@@ -588,7 +268,7 @@ struct Rbp<'a> {
     /// `Q*`: the register claims of the current wave. Every claim
     /// starts its stage at the register's setup time, so the wave pops
     /// first in, first out: it is a list. The paper's queue array would
-    /// hold only this wave's claims too, so both variants use it.
+    /// hold only this wave's claims too.
     spill: Vec<u32>,
 }
 
@@ -900,29 +580,6 @@ mod tests {
             }
         }
         assert!(sol.path().grid_path().validate(&g).is_ok());
-    }
-
-    #[test]
-    fn variants_agree() {
-        let (g, tech, lib) = setup(25, 500.0);
-        for period in [200.0, 400.0, 800.0] {
-            let two = RbpSpec::new(&g, &tech, &lib)
-                .source(p(0, 3))
-                .sink(p(24, 20))
-                .period(Time::from_ps(period))
-                .variant(RbpVariant::TwoQueue)
-                .solve()
-                .unwrap();
-            let arr = RbpSpec::new(&g, &tech, &lib)
-                .source(p(0, 3))
-                .sink(p(24, 20))
-                .period(Time::from_ps(period))
-                .variant(RbpVariant::QueueArray)
-                .solve()
-                .unwrap();
-            assert_eq!(two.register_count(), arr.register_count(), "period {period}");
-            assert_eq!(two.latency(), arr.latency());
-        }
     }
 
     #[test]

@@ -369,7 +369,7 @@ fn f(q: &Q) {
             line: 7,
             message: "line\nbreak".to_string(),
         };
-        let one = to_json(&[f.clone()]);
+        let one = to_json(std::slice::from_ref(&f));
         assert_eq!(one, to_json(&[f]));
         assert!(one.contains("a\\\"b.rs"));
         assert!(one.contains("line\\nbreak"));

@@ -54,9 +54,11 @@ const CR004_THREAD_PATHS: [&str; 3] = [
 
 /// The label-correcting search modules whose queue loops must be
 /// budget-cancellable (the PR 2 promptness bug: expansion/promotion
-/// loops that never sampled the deadline): the arena search driver
-/// that runs all four searches, the four search modules (their legacy
-/// reference loops), and the flow oracle's priced Dijkstra.
+/// loops that never sampled the deadline): the search driver that runs
+/// all four searches, the flow oracle's priced Dijkstra, and the four
+/// search modules. Those hold no queue loop today — they state their
+/// steps as `search::Rules` hooks — and are listed so that a
+/// hand-rolled loop added back to one is caught.
 const CR005_FILES: [&str; 6] = [
     "crates/core/src/search.rs",
     "crates/core/src/fastpath.rs",
@@ -167,8 +169,8 @@ fn finding(ctx: &FileCtx, rule: &str, line: u32, message: String) -> Finding {
 ///    `None` as `Equal`, silently corrupting heap order;
 /// 2. an `impl PartialOrd for …` block that does not delegate to a
 ///    total order (`self.cmp(…)` or `f64::total_cmp`). The canonical
-///    allowed pattern is `QueueEntry` in `crates/core/src/engine.rs`
-///    and `HeapEntry` in `crates/grid/src/dijkstra.rs`.
+///    allowed pattern is `HeapEntry` in `crates/grid/src/dijkstra.rs`
+///    and `crates/flow/src/price.rs`.
 fn cr001_partial_cmp(ctx: &FileCtx, out: &mut Vec<Finding>) {
     for i in 0..ctx.tokens.len() {
         // Pattern 1: `.partial_cmp(`.
@@ -183,7 +185,7 @@ fn cr001_partial_cmp(ctx: &FileCtx, out: &mut Vec<Finding>) {
                 ctx.line_of(i + 1),
                 "NaN-unsound `.partial_cmp(` call on an ordering key; use \
                  `f64::total_cmp` or delegate to a total `Ord` impl \
-                 (canonical pattern: QueueEntry in crates/core/src/engine.rs)"
+                 (canonical pattern: HeapEntry in crates/grid/src/dijkstra.rs)"
                     .to_string(),
             ));
         }

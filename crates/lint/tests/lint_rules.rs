@@ -253,7 +253,7 @@ fn real_source(rel: &str) -> String {
 
 #[test]
 fn deleting_the_total_cmp_delegation_fails_cr001() {
-    for rel in ["crates/core/src/engine.rs", "crates/grid/src/dijkstra.rs"] {
+    for rel in ["crates/grid/src/dijkstra.rs", "crates/flow/src/price.rs"] {
         let src = real_source(rel);
         // The file as shipped is clean.
         assert!(
@@ -273,6 +273,9 @@ fn deleting_the_total_cmp_delegation_fails_cr001() {
 
 #[test]
 fn deleting_a_budget_charge_fails_cr005() {
+    // Every CR005 file is clean as shipped, the four search modules
+    // included: they hold no queue loop of their own, only the hooks the
+    // driver calls.
     for rel in [
         "crates/core/src/search.rs",
         "crates/core/src/fastpath.rs",
@@ -286,6 +289,10 @@ fn deleting_a_budget_charge_fails_cr005() {
             lint_source(rel, &src).is_empty(),
             "{rel} should be crlint-clean as shipped"
         );
+    }
+    // The files that hold the loops trip the rule once their charges go.
+    for rel in ["crates/core/src/search.rs", "crates/flow/src/price.rs"] {
+        let src = real_source(rel);
         // Strip every charge call the way a careless refactor would.
         let broken = src
             .replace("charge_pop(", "uncharged_pop_stub(")

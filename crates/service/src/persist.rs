@@ -1055,7 +1055,7 @@ mod tests {
         let s = scenario();
         let solved = solve(&s);
         let payload = encode_entry(scenario_key(&s), base_key(&s), &s, &solved);
-        rewrite(&dir, &[payload.clone()]).unwrap();
+        rewrite(&dir, std::slice::from_ref(&payload)).unwrap();
         failpoint::disarm_all();
         failpoint::arm("serve::persist", FailAction::IoError, 1);
         assert!(rewrite(&dir, &[payload.clone(), payload.clone()]).is_err());

@@ -193,6 +193,6 @@ mod tests {
             seed: 3,
         };
         let d = p.backoff_ms(70, None).unwrap();
-        assert!(d >= 50 && d <= 62, "{d}");
+        assert!((50..=62).contains(&d), "{d}");
     }
 }

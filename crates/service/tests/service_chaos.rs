@@ -18,7 +18,7 @@ use clockroute_core::json::json_string;
 use clockroute_service::{Service, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -119,7 +119,8 @@ fn run_faulted_session(tag: &str, spec: &str, requests: &[String]) {
     service
         .serve("{\"op\":\"ping\"}\n".as_bytes(), &mut out)
         .expect("post-fault session");
-    assert!(String::from_utf8(out).unwrap().contains("\"pong\":true"));
+    let out = String::from_utf8(out).expect("utf-8 response");
+    assert!(out.contains("\"pong\":true"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -216,7 +217,7 @@ fn crserve() -> Command {
 
 /// Spawns `crserve --tcp 127.0.0.1:0 --state <dir>` and returns the
 /// child plus the bound address parsed from the stderr banner.
-fn spawn_tcp(state: &PathBuf) -> (Child, String) {
+fn spawn_tcp(state: &Path) -> (Child, String) {
     let mut child = crserve()
         .args(["--tcp", "127.0.0.1:0", "--quiet"])
         .args(["--state", state.to_str().expect("utf-8 temp path")])

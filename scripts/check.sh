@@ -47,4 +47,6 @@ sh scripts/serve_smoke.sh
 # SIGTERM graceful drain, snapshot corruption, and a concurrent-client
 # burst SIGKILLed mid-flight (see DESIGN.md §13–14).
 sh scripts/chaos_smoke.sh
-cargo clippy --all-targets -- -D warnings
+# --workspace: at the root, which is itself a package, plain
+# `cargo clippy` would lint only that package and skip crates/*.
+cargo clippy --workspace --all-targets -- -D warnings

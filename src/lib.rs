@@ -72,8 +72,8 @@ pub use clockroute_sim as sim;
 /// Convenient single-import surface for applications.
 pub mod prelude {
     pub use clockroute_core::{
-        EngineKind, FastPathSpec, GalsSolution, GalsSpec, RbpSolution, RbpSpec, RouteError,
-        RoutedPath, SearchStats,
+        FastPathSpec, GalsSolution, GalsSpec, RbpSolution, RbpSpec, RouteError, RoutedPath,
+        SearchStats,
     };
     pub use clockroute_elmore::{Gate, GateId, GateKind, GateLibrary, Technology};
     pub use clockroute_geom::units::{Capacitance, Length, Resistance, Time};

@@ -1,17 +1,20 @@
-//! Differential fuzz suite: production searches vs the exhaustive oracles.
+//! Differential fuzz suite: production searches vs the exhaustive oracles
+//! and a golden counter table.
 //!
 //! Generates 200+ tiny random scenarios (grids up to 4×4 with random node
 //! and edge blockages, random pitch, random wire technology, random clock
-//! periods) from fixed seeds, then checks that the fast-path, RBP and
-//! GALS searches agree *exactly* with the brute-force oracles in
-//! `clockroute::core::reference` — same feasibility verdict, same optimal
-//! value. Seeds are deterministic (`BASE_SEED + index`), so a failure
-//! reproduces by running the suite again; the panic message carries the
-//! full scenario dump needed to rebuild the failing instance by hand.
+//! periods) from fixed seeds, then checks two things. First, that the
+//! fast-path, RBP and GALS searches agree *exactly* with the brute-force
+//! oracles in `clockroute::core::reference` — same feasibility verdict,
+//! same optimal value. Second, that every search's route, value and
+//! counters on every scenario equal the rows of
+//! `tests/golden/arena_counters.txt`, so a change that moves a route or
+//! a counter fails here even when the optimum survives. Seeds are
+//! deterministic (`BASE_SEED + index`), so a failure reproduces by
+//! running the suite again; the panic message carries the full scenario
+//! dump needed to rebuild the failing instance by hand.
 
-use clockroute::core::{
-    reference, LatchSpec, MetricsRecorder, RbpVariant, TelemetryHandle, TieBreak,
-};
+use clockroute::core::{reference, LatchSpec, MetricsRecorder, TelemetryHandle, TieBreak};
 use clockroute::geom::units::{CapPerLength, ResPerLength};
 use clockroute::prelude::*;
 use rand::rngs::StdRng;
@@ -301,149 +304,7 @@ fn gals_never_worse_than_oracle_on_random_scenarios() {
     assert!(exact * 2 > checked, "only {exact}/{checked} exact matches");
 }
 
-/// Old-vs-new equivalence mode: every search re-run on the same 200
-/// scenarios under the retained pre-rewrite substrate
-/// (`EngineKind::Legacy`) must return byte-identical *results* — same
-/// routed path, same optimal value, same feasibility verdict — as the
-/// default arena substrate. Stats legitimately differ (that is the
-/// point of the rewrite), so only results are compared here; the
-/// counter contract is pinned separately below.
-#[test]
-fn arena_engine_matches_legacy_reference_on_random_scenarios() {
-    let lib = GateLibrary::paper_library();
-    for i in 0..INSTANCES {
-        let sc = Scenario::generate(BASE_SEED + i);
-        let g = sc.graph();
-        let tech = sc.tech();
-        let t = Time::from_ps(sc.period_ps);
-        let tt = Time::from_ps(sc.sink_period_ps);
-
-        let fp = |e: EngineKind| {
-            FastPathSpec::new(&g, &tech, &lib)
-                .source(sc.source())
-                .sink(sc.sink())
-                .engine(e)
-                .solve()
-                .map(|s| (s.path().clone(), s.delay()))
-        };
-        assert_equivalent(&sc, "fastpath", fp(EngineKind::Arena), fp(EngineKind::Legacy));
-
-        let rbp = |e: EngineKind| {
-            RbpSpec::new(&g, &tech, &lib)
-                .source(sc.source())
-                .sink(sc.sink())
-                .period(t)
-                .engine(e)
-                .solve()
-                .map(|s| (s.path().clone(), (s.register_count(), s.latency())))
-        };
-        assert_equivalent(&sc, "rbp", rbp(EngineKind::Arena), rbp(EngineKind::Legacy));
-
-        let gals = |e: EngineKind| {
-            GalsSpec::new(&g, &tech, &lib)
-                .source(sc.source())
-                .sink(sc.sink())
-                .periods(t, tt)
-                .engine(e)
-                .solve()
-                .map(|s| (s.path().clone(), s.latency()))
-        };
-        assert_equivalent(&sc, "gals", gals(EngineKind::Arena), gals(EngineKind::Legacy));
-
-        // Level-sensitive extension, with a deterministic borrow window
-        // derived from the scenario so the whole sweep stays seeded.
-        let b = Time::from_ps(sc.sink_period_ps * 0.25);
-        let latch = |e: EngineKind| {
-            LatchSpec::new(&g, &tech, &lib)
-                .source(sc.source())
-                .sink(sc.sink())
-                .period(t)
-                .borrow_window(b)
-                .engine(e)
-                .solve()
-                .map(|s| (s.path().clone(), (s.latch_count(), s.latency())))
-        };
-        assert_equivalent(&sc, "latch", latch(EngineKind::Arena), latch(EngineKind::Legacy));
-    }
-}
-
-/// `Ok` sides must be identical (paths compare exactly; `RoutedPath`
-/// is `PartialEq`), `Err` sides must both be `NoFeasibleRoute`.
-fn assert_equivalent<V: PartialEq + std::fmt::Debug>(
-    scenario: &Scenario,
-    what: &str,
-    arena: Result<(RoutedPath, V), RouteError>,
-    legacy: Result<(RoutedPath, V), RouteError>,
-) {
-    match (&arena, &legacy) {
-        (Ok(a), Ok(b)) if a == b => {}
-        (Err(RouteError::NoFeasibleRoute), Err(RouteError::NoFeasibleRoute)) => {}
-        _ => panic!(
-            "{what} engines diverged:\narena  {arena:?}\nlegacy {legacy:?}\n\
-             reproduce with: {scenario:#?}"
-        ),
-    }
-}
-
-/// Pins the satellite counter contract on a mid-size production grid:
-/// with goal pruning off, the arena substrate must generate *exactly*
-/// the work the legacy substrate does — same pushes, prunes, and
-/// Elmore bound rejections, and no more pops — while the sorted
-/// frontiers perform
-/// strictly fewer dominance comparisons than the legacy linear scans.
-/// This is the regression test for the `PruneTable::is_stale`
-/// whole-list walk: if the staircase frontier ever degrades back to
-/// linear scanning, `front_comparisons` climbs back to parity and this
-/// test fails.
-#[test]
-fn arena_substrate_reduces_comparisons_with_identical_telemetry() {
-    let lib = GateLibrary::paper_library();
-    let g = GridGraph::open(40, 40, Length::from_um(500.0));
-    let tech = Technology::paper_070nm();
-    let run = |e: EngineKind| {
-        FastPathSpec::new(&g, &tech, &lib)
-            .source(Point::new(4, 4))
-            .sink(Point::new(35, 35))
-            .engine(e)
-            .goal_prune(false)
-            .solve()
-            .expect("open grid is routable")
-    };
-    let arena = run(EngineKind::Arena);
-    let legacy = run(EngineKind::Legacy);
-
-    assert_eq!(arena.path(), legacy.path());
-    assert_eq!(arena.delay(), legacy.delay());
-    let (a, l) = (arena.stats(), legacy.stats());
-    // The arena kills dominated candidates while they are still queued
-    // and skips their corpses at pop time, so its pop count may only
-    // drop; every expansion it *does* perform is the same one legacy
-    // performs, which is what the exact push/prune/bound counts pin.
-    assert!(
-        a.configs <= l.configs,
-        "arena popped more than legacy: {} vs {}",
-        a.configs,
-        l.configs
-    );
-    assert_eq!(a.pushed, l.pushed);
-    assert_eq!(a.pruned, l.pruned);
-    assert_eq!(
-        a.bound_rejected, l.bound_rejected,
-        "bound-reject telemetry must be unchanged by the substrate"
-    );
-    // Strictly fewer on a real routing instance; the asymptotic win on
-    // long fronts is pinned by the proptest in `engine.rs`
-    // (`sorted_fronts_use_fewer_comparisons_on_long_uniform_fronts`).
-    assert!(
-        a.front_comparisons < l.front_comparisons,
-        "sorted frontiers should reduce dominance comparisons: \
-         arena {} vs legacy {}",
-        a.front_comparisons,
-        l.front_comparisons
-    );
-}
-
-/// Golden counter table for the arena engine: one row per (seed,
+/// Golden counter table of the searches: one row per (seed,
 /// search) over the 200-seed corpus. See the header of the file for
 /// the column layout.
 const ARENA_COUNTERS: &str = include_str!("golden/arena_counters.txt");
@@ -498,13 +359,13 @@ fn counter_row<T>(
     )
 }
 
-/// Every counter of every arena search on the 200-seed corpus, pinned
+/// Every counter of every search on the 200-seed corpus, pinned
 /// exactly against a checked-in table: fast path and RBP with goal
-/// pruning on and off, RBP's queue-array variant with the slack
-/// tie-break, GALS and latch, feasible and infeasible. The
-/// legacy-equivalence test above pins only results; this one stops a
-/// change to the arena searches from silently moving `pruned`,
-/// `goal_pruned`, `max_queue` or any other counter.
+/// pruning on and off, RBP with the slack tie-break, GALS and latch,
+/// feasible and infeasible. The oracle tests above pin optimal values;
+/// this one pins the routes themselves and stops a change to the
+/// searches from silently moving `pushed`, `pruned`, `goal_pruned`,
+/// `front_comparisons`, `max_queue` or any other counter.
 #[test]
 fn arena_counters_match_golden_table() {
     let lib = GateLibrary::paper_library();
@@ -529,12 +390,13 @@ fn arena_counters_match_golden_table() {
                 (format!("{:?}", s.delay().ps()), s.path(), s.stats())
             }));
         }
-        let (two, array) = (RbpVariant::TwoQueue, RbpVariant::QueueArray);
         let (first, slack) = (TieBreak::FirstFound, TieBreak::MaxEndpointSlack);
-        for (name, goal, variant, tie) in [
-            ("rbp", true, two, first),
-            ("rbp_nogoal", false, two, first),
-            ("rbp_array_slack", true, array, slack),
+        // `rbp_array_slack` keeps the label of the paper's queue-array
+        // organisation, which ran exactly like plain RBP.
+        for (name, goal, tie) in [
+            ("rbp", true, first),
+            ("rbp_nogoal", false, first),
+            ("rbp_array_slack", true, slack),
         ] {
             let rec = MetricsRecorder::new();
             let out = RbpSpec::new(&g, &tech, &lib)
@@ -542,7 +404,6 @@ fn arena_counters_match_golden_table() {
                 .sink(sc.sink())
                 .period(t)
                 .goal_prune(goal)
-                .variant(variant)
                 .tie_break(tie)
                 .telemetry(TelemetryHandle::new(&rec))
                 .solve();

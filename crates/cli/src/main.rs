@@ -27,9 +27,9 @@
 //! `capacity` directives. `--flow-iters <n>` sets the fractional price
 //! rounds and `--flow-seed <n>` the rounding seed; both require
 //! `--flow` (exit 2 otherwise). Under `--flow` the plan is a pure
-//! function of scenario + seed + iters: `--jobs` is accepted but is a
-//! documented no-op for ordering (flow planning is sequential), and a
-//! non-quiet run appends a congestion/overflow section to the report.
+//! function of scenario + seed + iters, byte-identical for every
+//! `--jobs` value like any other plan, and a non-quiet run appends a
+//! congestion/overflow section to the report.
 //!
 //! `--metrics <file>` writes the aggregated telemetry counters/gauges as
 //! a JSON object; the file is byte-identical for every `--jobs` value.
@@ -252,13 +252,10 @@ fn main() -> ExitCode {
         None => recorder.clone(),
     };
 
-    // Under --flow, --jobs is a documented no-op: flow planning is
-    // sequential so the plan is a pure function of scenario + seed +
-    // iters for every job count.
     let planner = Planner::new(graph.clone(), scenario.tech, lib.clone())
         .reserve_routes(scenario.reserve)
         .budget(opts.budget)
-        .jobs(if opts.flow { 1 } else { opts.jobs })
+        .jobs(opts.jobs)
         .telemetry(SharedTelemetry::new(sink));
     let (plan, flow_summary) = if opts.flow {
         let mut cfg = FlowConfig::default();

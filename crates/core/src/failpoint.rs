@@ -8,16 +8,17 @@
 //!
 //! The registry is **thread-local**, so armed points never leak across
 //! concurrently running tests. Code that fans work out to worker threads
-//! (the parallel batch planner) inherits failpoints explicitly: it
-//! snapshots the spawning thread's registry with [`capture`] and each
-//! worker [`install`]s the snapshot before every unit of work, so
-//! `CLOCKROUTE_FAILPOINTS` armed in a binary still fires deterministically
-//! inside workers. Because the snapshot is re-installed per unit of work,
-//! hit counts restart with each unit — `@N` means "the N-th hit *within
-//! one net*" under the parallel planner, versus a global count on the
-//! sequential path. Arming is either programmatic ([`arm`]) or
-//! environment-driven ([`arm_from_env`]) for end-to-end tests that
-//! exercise the `crplan` binary:
+//! (the batch planner above one job, cold or warm) inherits failpoints
+//! explicitly: it snapshots the spawning thread's registry with
+//! [`capture`] and each worker [`install`]s the snapshot before every
+//! unit of work, so `CLOCKROUTE_FAILPOINTS` armed in a binary still fires
+//! deterministically inside workers. Because the snapshot is re-installed
+//! per unit of work, hit counts restart with each unit — `@N` means "the
+//! N-th hit *within one net*" with workers, versus a global count at
+//! `jobs` 1, where nets are routed inline on the calling thread. Arming
+//! is either programmatic ([`arm`]) or environment-driven
+//! ([`arm_from_env`]) for end-to-end tests that exercise the `crplan`
+//! binary:
 //!
 //! ```text
 //! CLOCKROUTE_FAILPOINTS="rbp::pop=budget@100,plan::net=panic@2+"

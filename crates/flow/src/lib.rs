@@ -105,9 +105,9 @@ pub trait PlannerFlowExt {
     /// With no finite capacity anywhere this is exactly
     /// [`Planner::plan`] (byte-identical, same reservation and job
     /// settings). Otherwise the three-phase flow pipeline runs; inner
-    /// legalization planners run sequentially with reservation off —
-    /// the capacity model replaces route reservation as the contention
-    /// mechanism.
+    /// legalization planners route one net each, at one job, with
+    /// reservation off — the capacity model replaces route reservation
+    /// as the contention mechanism.
     fn flow(self, nets: &[NetSpec], caps: &EdgeCapacities, config: FlowConfig) -> FlowPlan;
 }
 
@@ -204,8 +204,9 @@ fn corridor_graph(base: &GridGraph, points: &[Point]) -> GridGraph {
     g
 }
 
-/// One inner per-net legalization planner: sequential, reservation
-/// off, same budget and ladder as the outer planner, telemetry shared.
+/// One inner per-net legalization planner: one job (the default),
+/// reservation off, same budget and ladder as the outer planner,
+/// telemetry shared.
 fn inner_planner(
     outer: &Planner,
     graph: GridGraph,
@@ -214,8 +215,7 @@ fn inner_planner(
     let mut p = Planner::new(graph, *outer.technology(), outer.library().clone())
         .reserve_routes(false)
         .budget(outer.search_budget())
-        .degrade(outer.degrades())
-        .jobs(1);
+        .degrade(outer.degrades());
     if let Some(t) = telemetry {
         p = p.telemetry(t.clone());
     }

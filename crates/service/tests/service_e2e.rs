@@ -86,7 +86,9 @@ proptest! {
 
     /// Satellite (c), part 1: cache-hit and warm-start responses are
     /// byte-identical to a cold solve of the same scenario — for every
-    /// shard count (sharding must only move locks, never bytes).
+    /// shard count (sharding must only move locks, never bytes) and for
+    /// one and several planner workers (warm starts run on the same
+    /// parallel scheduler as cold solves).
     #[test]
     fn hit_and_warm_responses_match_cold(bx in 1u32..13, by in 1u32..13, dx in 1u32..13) {
         // Force a real block move (the vendored proptest has no
@@ -94,8 +96,8 @@ proptest! {
         let dx = if dx == bx { bx % 12 + 1 } else { dx };
         let a = scenario_text(bx, by);
         let b = scenario_text(dx, by); // same base, moved block
-        for shards in [1usize, 2, 8] {
-            let service = Service::new(ServiceConfig { shards, ..ServiceConfig::default() });
+        for (jobs, shards) in [(1, 1), (1, 2), (1, 8), (4, 1), (4, 2), (4, 8)] {
+            let service = Service::new(ServiceConfig { shards, jobs, ..ServiceConfig::default() });
 
             let cold_a = service.handle_line(&route_line("x", &a));
             prop_assert!(cold_a.contains("\"cache\":\"cold\""), "{}", cold_a);
@@ -113,7 +115,7 @@ proptest! {
             // A's entry whichever shard holds it), yet byte-identical
             // to B's cold solve.
             let warm = service.handle_line(&route_line("x", &b));
-            prop_assert!(warm.contains("\"cache\":\"warm\""), "shards {}: {}", shards, warm);
+            prop_assert!(warm.contains("\"cache\":\"warm\""), "jobs {}, shards {}: {}", jobs, shards, warm);
             prop_assert_eq!(normalize(&warm), normalize(&cold_reference(&b)));
             prop_assert_eq!(service.metrics().counter_value("service.warm_reuse"), 1);
 

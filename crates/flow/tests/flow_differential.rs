@@ -45,9 +45,7 @@ fn generate(seed: u64) -> Instance {
     let net_count = rng.gen_range(2usize..=5);
     let mut nets = Vec::new();
     for i in 0..net_count {
-        let pick = |rng: &mut StdRng| {
-            Point::new(rng.gen_range(0..width), rng.gen_range(0..height))
-        };
+        let pick = |rng: &mut StdRng| Point::new(rng.gen_range(0..width), rng.gen_range(0..height));
         let source = pick(&mut rng);
         let sink = loop {
             let p = pick(&mut rng);
@@ -61,7 +59,11 @@ fn generate(seed: u64) -> Instance {
 }
 
 fn planner(graph: GridGraph) -> Planner {
-    Planner::new(graph, Technology::paper_070nm(), GateLibrary::paper_library())
+    Planner::new(
+        graph,
+        Technology::paper_070nm(),
+        GateLibrary::paper_library(),
+    )
 }
 
 /// Per-net report lines keyed by name: the comparison surface for
@@ -123,9 +125,7 @@ fn oversubscribed() -> (GridGraph, Vec<NetSpec>, EdgeCapacities) {
 
 #[test]
 fn raising_one_capacity_never_increases_overflow() {
-    for (tag, (graph, nets, caps)) in
-        [("spread", contention()), ("jam", oversubscribed())]
-    {
+    for (tag, (graph, nets, caps)) in [("spread", contention()), ("jam", oversubscribed())] {
         let base = planner(graph.clone()).flow(&nets, &caps, FlowConfig::default());
         let base_overflow = base.summary().total_overflow;
         for (a, b, cap) in caps.capacitated_edges(&graph) {

@@ -39,7 +39,11 @@ impl fmt::Display for ValidatePathError {
                 write!(f, "path point #{index} {point} is outside the grid")
             }
             ValidatePathError::NotAdjacent { index } => {
-                write!(f, "path points #{index} and #{} are not adjacent", index + 1)
+                write!(
+                    f,
+                    "path points #{index} and #{} are not adjacent",
+                    index + 1
+                )
             }
             ValidatePathError::BlockedEdge { index } => {
                 write!(f, "path edge #{index} is blocked")
@@ -207,7 +211,10 @@ mod tests {
     fn non_adjacent_detected() {
         let g = open_graph();
         let path = GridPath::new(vec![p(0, 0), p(2, 0)]);
-        assert_eq!(path.validate(&g), Err(ValidatePathError::NotAdjacent { index: 0 }));
+        assert_eq!(
+            path.validate(&g),
+            Err(ValidatePathError::NotAdjacent { index: 0 })
+        );
     }
 
     #[test]
@@ -216,7 +223,10 @@ mod tests {
         blk.block_edge(p(1, 0), p(2, 0));
         let g = GridGraph::new(blk, Length::from_um(100.0), Length::from_um(100.0));
         let path = GridPath::new(vec![p(0, 0), p(1, 0), p(2, 0)]);
-        assert_eq!(path.validate(&g), Err(ValidatePathError::BlockedEdge { index: 1 }));
+        assert_eq!(
+            path.validate(&g),
+            Err(ValidatePathError::BlockedEdge { index: 1 })
+        );
     }
 
     #[test]

@@ -167,7 +167,12 @@ mod tests {
     fn labels_take_precedence() {
         let g = GridGraph::open(2, 1, Length::from_um(100.0));
         let route = GridPath::new(vec![p(0, 0), p(1, 0)]);
-        let art = render_grid(&g, Some(&route), &[(p(0, 0), 'R')], &RenderOptions::default());
+        let art = render_grid(
+            &g,
+            Some(&route),
+            &[(p(0, 0), 'R')],
+            &RenderOptions::default(),
+        );
         assert!(art.contains('R'));
     }
 

@@ -6,7 +6,7 @@ set -eu
 
 # Format gate, scoped to the crates already formatted; it widens crate by
 # crate until `cargo fmt --all --check` passes.
-cargo fmt --check -p clockroute-plan
+cargo fmt --check -p clockroute-plan -p clockroute-flow -p clockroute-grid
 cargo build --release
 # crlint first: the invariant gate (NaN-safe orderings, cancellable
 # search loops, deterministic reports — see DESIGN.md §11) is cheaper

@@ -460,25 +460,38 @@ net comb name=s2 src=0,2 dst=6,2
     }
 
     /// Flow plans are a pure function of scenario + seed + iters: the
-    /// full report is byte-identical across repeat runs and across
-    /// `--jobs` values (a documented no-op under `--flow`).
+    /// full report and the `--metrics` file, the oracle's exact work
+    /// counts included, are byte-identical across repeat runs and
+    /// across `--jobs` values.
     #[test]
     fn flow_report_is_byte_identical_across_runs_and_jobs() {
         let path = scenario_file("flowdet", FLOW_CONGESTED);
-        let run = |extra: &[&str]| {
+        let run = |extra: &[&str], tag: &str| {
+            let metrics = artifact(&format!("flowdet-{tag}.json"));
             let out = crplan()
                 .arg(&path)
-                .args(["--flow", "--flow-seed", "7"])
+                .args(["--flow", "--flow-seed", "7", "--metrics"])
+                .arg(&metrics)
                 .args(extra)
                 .output()
                 .expect("run crplan");
             assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-            out.stdout
+            let json = std::fs::read_to_string(&metrics).expect("metrics file written");
+            let _ = std::fs::remove_file(&metrics);
+            (out.stdout, json)
         };
-        let first = run(&[]);
-        assert_eq!(first, run(&[]), "flow run not reproducible");
-        assert_eq!(first, run(&["--jobs", "1"]), "--jobs 1 changed the plan");
-        assert_eq!(first, run(&["--jobs", "4"]), "--jobs 4 changed the plan");
+        let first = run(&[], "default");
+        for counter in ["\"flow.oracle.calls\"", "\"flow.oracle.pops\""] {
+            assert!(first.1.contains(counter), "{counter} missing: {}", first.1);
+        }
+        assert_eq!(first, run(&[], "again"), "flow run not reproducible");
+        for jobs in ["1", "2", "4"] {
+            assert_eq!(
+                first,
+                run(&["--jobs", jobs], jobs),
+                "--jobs {jobs} changed the plan or its metrics"
+            );
+        }
     }
 
     /// The congestion section is part of the non-quiet chrome only:

@@ -194,7 +194,8 @@ impl BudgetMeter {
             return Ok(());
         };
         self.expansions += 1;
-        if self.expansions.is_multiple_of(EXPANSION_CHECK_INTERVAL) && self.start.elapsed() > deadline
+        if self.expansions.is_multiple_of(EXPANSION_CHECK_INTERVAL)
+            && self.start.elapsed() > deadline
         {
             return Err(self.exceeded());
         }

@@ -144,10 +144,7 @@ mod tests {
     fn matches_fnv1a_reference_vectors() {
         // Standard FNV-1a 64 vectors: "" and "a".
         assert_eq!(hash_of(|_| ()), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(
-            hash_of(|h| h.write_bytes(b"a")),
-            0xaf63_dc4c_8601_ec8c
-        );
+        assert_eq!(hash_of(|h| h.write_bytes(b"a")), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]
@@ -175,7 +172,10 @@ mod tests {
 
     #[test]
     fn f64_is_canonical() {
-        assert_eq!(hash_of(|h| h.write_f64(0.0)), hash_of(|h| h.write_f64(-0.0)));
+        assert_eq!(
+            hash_of(|h| h.write_f64(0.0)),
+            hash_of(|h| h.write_f64(-0.0))
+        );
         assert_eq!(
             hash_of(|h| h.write_f64(f64::NAN)),
             hash_of(|h| h.write_f64(-f64::NAN))
@@ -185,10 +185,7 @@ mod tests {
 
     #[test]
     fn integers_disambiguate_width() {
-        assert_ne!(
-            hash_of(|h| h.write_u32(7)),
-            hash_of(|h| h.write_u64(7))
-        );
+        assert_ne!(hash_of(|h| h.write_u32(7)), hash_of(|h| h.write_u64(7)));
         assert_ne!(hash_of(|h| h.write_u32(1)), hash_of(|h| h.write_u32(256)));
     }
 

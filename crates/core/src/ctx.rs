@@ -140,9 +140,7 @@ impl<'a> Ctx<'a> {
     /// Smallest input capacitance any gate the searches place can
     /// present: the floor for downstream loads.
     pub fn min_gate_cap(&self) -> f64 {
-        let mut best = self
-            .reg_cap
-            .min(self.lib.gate(self.gt).input_cap().ff());
+        let mut best = self.reg_cap.min(self.lib.gate(self.gt).input_cap().ff());
         for b in &self.buffers {
             best = best.min(b.cap);
         }
@@ -184,8 +182,14 @@ mod tests {
         let mk = |s: Option<Point>, t: Option<Point>| {
             Ctx::new(&g, &tech, &lib, s, t, reg, reg).map(|_| ())
         };
-        assert_eq!(mk(None, Some(Point::new(1, 1))), Err(RouteError::UnspecifiedSource));
-        assert_eq!(mk(Some(Point::new(1, 1)), None), Err(RouteError::UnspecifiedSink));
+        assert_eq!(
+            mk(None, Some(Point::new(1, 1))),
+            Err(RouteError::UnspecifiedSource)
+        );
+        assert_eq!(
+            mk(Some(Point::new(1, 1)), None),
+            Err(RouteError::UnspecifiedSink)
+        );
         assert_eq!(
             mk(Some(Point::new(9, 0)), Some(Point::new(1, 1))),
             Err(RouteError::SourceOffGrid(Point::new(9, 0)))

@@ -301,9 +301,13 @@ mod tests {
             &lib,
             ClockRule::TwoDomain { t_s: t, t_t: t },
         );
-        assert!(violations
-            .iter()
-            .any(|v| matches!(v, DrcViolation::WrongFifoCount { found: 0, required: 1 })));
+        assert!(violations.iter().any(|v| matches!(
+            v,
+            DrcViolation::WrongFifoCount {
+                found: 0,
+                required: 1
+            }
+        )));
     }
 
     #[test]

@@ -264,7 +264,14 @@ impl PruneTable {
 
     /// `true` if the candidate has become stale: some entry now strictly
     /// dominates it (it can no longer be on the Pareto front).
-    pub fn is_stale(&mut self, key: usize, cap: f64, delay: f64, extra: f64, capable: bool) -> bool {
+    pub fn is_stale(
+        &mut self,
+        key: usize,
+        cap: f64,
+        delay: f64,
+        extra: f64,
+        capable: bool,
+    ) -> bool {
         let entry = Entry {
             cap,
             delay,
@@ -878,7 +885,15 @@ impl SortedFronts {
             }
         } else {
             if capable {
-                scan_evict(&mut f.capable, cap, delay, extra, cands, evicted, &mut comps);
+                scan_evict(
+                    &mut f.capable,
+                    cap,
+                    delay,
+                    extra,
+                    cands,
+                    evicted,
+                    &mut comps,
+                );
             }
             scan_evict(&mut f.gated, cap, delay, extra, cands, evicted, &mut comps);
         }
@@ -893,7 +908,11 @@ impl SortedFronts {
             extra,
             idx,
         };
-        let list = if capable { &mut f.capable } else { &mut f.gated };
+        let list = if capable {
+            &mut f.capable
+        } else {
+            &mut f.gated
+        };
         let pos = list.partition_point(|e| e.cap < cap);
         list.insert(pos, entry);
         self.comparisons += comps;
@@ -901,7 +920,14 @@ impl SortedFronts {
 
     /// `true` if some entry strictly dominates the candidate: it can no
     /// longer be on the Pareto front.
-    pub fn is_stale(&mut self, key: usize, cap: f64, delay: f64, extra: f64, capable: bool) -> bool {
+    pub fn is_stale(
+        &mut self,
+        key: usize,
+        cap: f64,
+        delay: f64,
+        extra: f64,
+        capable: bool,
+    ) -> bool {
         self.refresh(key);
         let f = &self.fronts[key];
         let mut comps = 0u64;
@@ -1177,10 +1203,7 @@ mod tests {
         /// A compressed op stream over a tiny coordinate domain so that
         /// dominance, ties and evictions all occur frequently.
         fn front_ops() -> impl Strategy<Value = Vec<(u8, u8, u8, u8, u8)>> {
-            proptest::collection::vec(
-                (0u8..4, 0u8..6, 0u8..6, 0u8..3, 0u8..8),
-                1..120,
-            )
+            proptest::collection::vec((0u8..4, 0u8..6, 0u8..6, 0u8..3, 0u8..8), 1..120)
         }
 
         proptest! {

@@ -273,7 +273,10 @@ mod tests {
         })
         .join()
         .unwrap();
-        assert_eq!(fired, (Some(FailAction::NoRoute), Some(FailAction::NoRoute)));
+        assert_eq!(
+            fired,
+            (Some(FailAction::NoRoute), Some(FailAction::NoRoute))
+        );
         disarm_all();
     }
 

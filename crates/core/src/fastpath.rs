@@ -467,7 +467,10 @@ mod tests {
         assert_eq!(rec.counter_value("search.fastpath.errors"), 0);
         assert_eq!(rec.counter_value("search.fastpath.pops"), s.configs);
         assert_eq!(rec.counter_value("search.fastpath.pushed"), s.pushed);
-        assert_eq!(rec.counter_value("search.fastpath.arena_bytes"), s.arena_bytes());
+        assert_eq!(
+            rec.counter_value("search.fastpath.arena_bytes"),
+            s.arena_bytes()
+        );
         assert_eq!(
             rec.gauge_value("search.fastpath.max_queue"),
             s.max_queue as u64

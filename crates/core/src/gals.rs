@@ -366,14 +366,16 @@ mod tests {
     #[test]
     fn stage_delays_respect_both_domains() {
         let (g, tech, lib) = setup(30, 500.0);
-        for (ts, tt) in [(300.0, 300.0), (200.0, 300.0), (300.0, 200.0), (250.0, 420.0)] {
+        for (ts, tt) in [
+            (300.0, 300.0),
+            (200.0, 300.0),
+            (300.0, 200.0),
+            (250.0, 420.0),
+        ] {
             let sol = solve(&g, &tech, &lib, p(0, 0), p(29, 29), ts, tt).unwrap();
             let report = sol.path().report(&g, &tech, &lib);
             assert!(
-                report.is_feasible_gals(
-                    Time::from_ps(ts + 1e-9),
-                    Time::from_ps(tt + 1e-9)
-                ),
+                report.is_feasible_gals(Time::from_ps(ts + 1e-9), Time::from_ps(tt + 1e-9)),
                 "({ts},{tt}): stage delays {:?}",
                 report.stages
             );

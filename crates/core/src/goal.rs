@@ -358,7 +358,11 @@ mod tests {
             .sink(Point::new(14, 14))
             .solve()
             .expect("open grid");
-        assert!(u >= sol.delay().ps() - 1e-9, "U {u} < optimum {}", sol.delay());
+        assert!(
+            u >= sol.delay().ps() - 1e-9,
+            "U {u} < optimum {}",
+            sol.delay()
+        );
         // On an open uniform grid every monotone route is equivalent, so
         // the probe is in fact tight.
         assert!(u <= sol.delay().ps() + 1e-6, "U {u} should be tight");

@@ -379,11 +379,7 @@ mod tests {
                 .period(Time::from_ps(period))
                 .solve()
                 .unwrap();
-            assert_eq!(
-                lat.latch_count(),
-                rbp.register_count(),
-                "period {period}"
-            );
+            assert_eq!(lat.latch_count(), rbp.register_count(), "period {period}");
             assert_eq!(lat.latency(), rbp.latency());
         }
     }

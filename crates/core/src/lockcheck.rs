@@ -327,7 +327,10 @@ impl<T> OrderedMutex<T> {
     /// builds) and riding through poison.
     pub fn lock(&self) -> OrderedGuard<'_, T> {
         acquire(self.rank, self.name);
-        let guard = self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let guard = self
+            .inner
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         OrderedGuard {
             rank: self.rank,
             name: self.name,

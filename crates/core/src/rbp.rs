@@ -248,7 +248,6 @@ impl<'a> RbpSpec<'a> {
             (),
         ))
     }
-
 }
 
 /// RBP's steps of the shared search (paper Fig. 5).
@@ -637,12 +636,17 @@ mod tests {
             // And the slack figures are consistent with ground truth.
             let report = slack.path().report(&g, &tech, &lib);
             let first_stage = report.stages[0].delay;
-            assert!((Time::from_ps(period) - first_stage - slack.source_slack()).abs().ps() < 1e-6);
+            assert!(
+                (Time::from_ps(period) - first_stage - slack.source_slack())
+                    .abs()
+                    .ps()
+                    < 1e-6
+            );
         }
     }
 
     #[test]
-    fn wave_trace_rings_expand(){
+    fn wave_trace_rings_expand() {
         let (g, tech, lib) = setup(30, 500.0);
         let (sol, trace) = RbpSpec::new(&g, &tech, &lib)
             .source(p(0, 0))
@@ -651,10 +655,7 @@ mod tests {
             .solve_traced()
             .unwrap();
         assert!(sol.register_count() >= 2);
-        assert_eq!(
-            trace.register_rings.len() as u32,
-            sol.stats().waves + 1
-        );
+        assert_eq!(trace.register_rings.len() as u32, sol.stats().waves + 1);
         // Later rings lie (weakly) farther from the sink in hop distance.
         let sink = p(29, 29);
         let avg: Vec<f64> = trace
@@ -666,10 +667,7 @@ mod tests {
             })
             .collect();
         for w in 1..avg.len() {
-            assert!(
-                avg[w] > avg[w - 1],
-                "ring {w} did not expand: {avg:?}"
-            );
+            assert!(avg[w] > avg[w - 1], "ring {w} did not expand: {avg:?}");
         }
     }
 
@@ -719,7 +717,10 @@ mod tests {
         );
         // Generous tolerance for slow CI machines; an unbudgeted run of
         // this instance takes several seconds.
-        assert!(elapsed < deadline + Duration::from_millis(300), "overshot: {elapsed:?}");
+        assert!(
+            elapsed < deadline + Duration::from_millis(300),
+            "overshot: {elapsed:?}"
+        );
     }
 
     #[test]

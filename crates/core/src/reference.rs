@@ -67,10 +67,7 @@ struct State {
 }
 
 fn pareto_insert(states: &mut Vec<State>, s: State) {
-    if states
-        .iter()
-        .any(|e| e.cap <= s.cap && e.delay <= s.delay)
-    {
+    if states.iter().any(|e| e.cap <= s.cap && e.delay <= s.delay) {
         return;
     }
     states.retain(|e| !(s.cap <= e.cap && s.delay <= e.delay));
@@ -390,7 +387,10 @@ mod tests {
         for_each_simple_path(&g, g.node(p(0, 0)), g.node(p(2, 2)), 8, &mut |_| count += 1);
         // Simple paths (0,0)→(2,2) on a 3×3 grid with ≤8 edges: the 6
         // monotone 4-edge paths plus longer detours = 12 within 8 edges.
-        assert!(count >= 6, "expected at least the monotone paths, got {count}");
+        assert!(
+            count >= 6,
+            "expected at least the monotone paths, got {count}"
+        );
         let mut monotone = 0usize;
         for_each_simple_path(&g, g.node(p(0, 0)), g.node(p(2, 2)), 4, &mut |path| {
             assert_eq!(path.len(), 5);
@@ -423,16 +423,9 @@ mod tests {
     #[test]
     fn oracle_min_registers_zero_when_loose() {
         let (g, tech, lib) = setup(3, 1, 500.0);
-        let r = min_registers_exhaustive(
-            &g,
-            &tech,
-            &lib,
-            p(0, 0),
-            p(2, 0),
-            Time::from_ps(1000.0),
-            4,
-        )
-        .unwrap();
+        let r =
+            min_registers_exhaustive(&g, &tech, &lib, p(0, 0), p(2, 0), Time::from_ps(1000.0), 4)
+                .unwrap();
         assert_eq!(r, 0);
     }
 

@@ -352,14 +352,7 @@ mod tests {
         let reg = lib.register();
         let buf = lib.buffers().next().unwrap();
         let points = vec![p(0, 0), p(1, 0), p(2, 0), p(3, 0), p(4, 0), p(5, 0)];
-        let labels = vec![
-            Some(reg),
-            None,
-            Some(buf),
-            None,
-            Some(reg),
-            Some(reg),
-        ];
+        let labels = vec![Some(reg), None, Some(buf), None, Some(reg), Some(reg)];
         let path = RoutedPath::new(points, labels, &lib);
         (graph, lib, path)
     }
@@ -436,7 +429,11 @@ mod tests {
     #[should_panic(expected = "terminal gates")]
     fn missing_terminal_gate_rejected() {
         let lib = GateLibrary::paper_library();
-        let _ = RoutedPath::new(vec![p(0, 0), p(1, 0)], vec![Some(lib.register()), None], &lib);
+        let _ = RoutedPath::new(
+            vec![p(0, 0), p(1, 0)],
+            vec![Some(lib.register()), None],
+            &lib,
+        );
     }
 
     #[test]

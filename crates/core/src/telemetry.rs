@@ -326,7 +326,11 @@ impl MetricsRecorder {
     /// An empty recorder.
     pub fn new() -> MetricsRecorder {
         MetricsRecorder {
-            inner: OrderedMutex::new(LockRank::Telemetry, "telemetry.recorder", Aggregates::default()),
+            inner: OrderedMutex::new(
+                LockRank::Telemetry,
+                "telemetry.recorder",
+                Aggregates::default(),
+            ),
         }
     }
 
@@ -342,7 +346,8 @@ impl MetricsRecorder {
 
     /// Snapshot of all counters, sorted by name.
     pub fn counters(&self) -> Vec<(String, u64)> {
-        self.inner.lock()
+        self.inner
+            .lock()
             .counters
             .iter()
             .map(|(k, v)| (k.clone(), *v))
@@ -351,7 +356,8 @@ impl MetricsRecorder {
 
     /// Snapshot of all gauges, sorted by name.
     pub fn gauges(&self) -> Vec<(String, u64)> {
-        self.inner.lock()
+        self.inner
+            .lock()
             .gauges
             .iter()
             .map(|(k, v)| (k.clone(), *v))
@@ -473,8 +479,10 @@ impl TelemetryShard {
                 Op::GaugeSet(name, value) => sink.gauge_set(name, *value),
                 Op::Span(name, ns) => sink.span_ns(name, *ns),
                 Op::Event(name, fields) => {
-                    let borrowed: Vec<(&str, Value<'_>)> =
-                        fields.iter().map(|(k, v)| (k.as_str(), v.borrow())).collect();
+                    let borrowed: Vec<(&str, Value<'_>)> = fields
+                        .iter()
+                        .map(|(k, v)| (k.as_str(), v.borrow()))
+                        .collect();
                     sink.event(name, &borrowed);
                 }
             }
@@ -659,10 +667,7 @@ mod tests {
         assert_eq!(total.counter_value("a"), 3);
         assert_eq!(total.gauge_value("g"), 9);
         let text = String::from_utf8(trace.into_inner()).unwrap();
-        let kinds: Vec<&str> = text
-            .lines()
-            .map(|l| l.split('"').nth(3).unwrap())
-            .collect();
+        let kinds: Vec<&str> = text.lines().map(|l| l.split('"').nth(3).unwrap()).collect();
         assert_eq!(kinds, ["counter", "gauge", "span", "event", "counter"]);
         validate_jsonl(&text).unwrap();
     }
@@ -679,7 +684,10 @@ mod tests {
         assert_eq!(total.counter_value("a"), 2, "a second replay adds nothing");
         let trace = TraceWriter::new(Vec::new());
         shard.replay_into(&trace);
-        assert!(trace.into_inner().is_empty(), "the shard is empty after replay");
+        assert!(
+            trace.into_inner().is_empty(),
+            "the shard is empty after replay"
+        );
 
         // A drained shard records afresh.
         shard.counter("a", 1);

@@ -18,9 +18,10 @@
 //! summary.
 //!
 //! `--jobs <n>` sets the number of routing worker threads (default: the
-//! machine's available parallelism). The plan — and therefore the entire
-//! report — is bit-identical for every job count; parallelism only
-//! changes wall-clock time.
+//! machine's available parallelism). Under `--flow` the same workers run
+//! the price rounds and the per-net legalization. The plan — and
+//! therefore the entire report — is bit-identical for every job count;
+//! parallelism only changes wall-clock time.
 //!
 //! `--flow` routes the whole batch with the congestion-aware
 //! multicommodity-flow mode (`clockroute-flow`) against the scenario's

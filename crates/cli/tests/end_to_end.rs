@@ -75,7 +75,9 @@ mod binary {
     //! Tests that drive the compiled `crplan` binary end to end,
     //! including the resilience flags and the fault-injection env hook.
 
+    use std::ffi::OsStr;
     use std::io::Write;
+    use std::path::{Path, PathBuf};
     use std::process::Command;
     use std::time::Instant;
 
@@ -83,12 +85,45 @@ mod binary {
         Command::new(env!("CARGO_BIN_EXE_crplan"))
     }
 
-    /// Writes `text` to a unique temp file and returns its path.
-    fn scenario_file(tag: &str, text: &str) -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!(
-            "crplan-e2e-{tag}-{}.cr",
-            std::process::id()
-        ));
+    /// A path in the system temp directory, unique to this process,
+    /// whose file is removed when the guard drops — also when the test
+    /// that made it fails.
+    struct TempPath(PathBuf);
+
+    impl TempPath {
+        fn new(name: &str) -> TempPath {
+            TempPath(std::env::temp_dir().join(format!("crplan-e2e-{name}-{}", std::process::id())))
+        }
+    }
+
+    impl Drop for TempPath {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    impl std::ops::Deref for TempPath {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TempPath {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<OsStr> for TempPath {
+        fn as_ref(&self) -> &OsStr {
+            self.0.as_os_str()
+        }
+    }
+
+    /// Writes `text` to a unique temp file and returns its guard.
+    fn scenario_file(tag: &str, text: &str) -> TempPath {
+        let path = TempPath::new(&format!("{tag}.cr"));
         let mut f = std::fs::File::create(&path).expect("create scenario");
         f.write_all(text.as_bytes()).expect("write scenario");
         path
@@ -221,9 +256,9 @@ net comb name=d0 src=0,0 dst=19,19
             .join("../../scenarios/stress.cr")
     }
 
-    /// Unique temp-file path for a run artifact.
-    fn artifact(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("crplan-e2e-{tag}-{}", std::process::id()))
+    /// Unique temp-file path for a run artifact, removed on drop.
+    fn artifact(tag: &str) -> TempPath {
+        TempPath::new(tag)
     }
 
     #[test]
@@ -477,7 +512,6 @@ net comb name=s2 src=0,2 dst=6,2
                 .expect("run crplan");
             assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
             let json = std::fs::read_to_string(&metrics).expect("metrics file written");
-            let _ = std::fs::remove_file(&metrics);
             (out.stdout, json)
         };
         let first = run(&[], "default");
@@ -492,6 +526,124 @@ net comb name=s2 src=0,2 dst=6,2
                 "--jobs {jobs} changed the plan or its metrics"
             );
         }
+    }
+
+    /// A flow batch with every net kind on a unit-capacity channel.
+    const FLOW_MIXED: &str = "\
+die 7mm 5mm
+grid 7 5
+reserve off
+capacity default 1
+net comb name=c0 src=0,2 dst=6,2
+net reg  name=r0 src=0,2 dst=6,2 period=400
+net gals name=g0 src=0,2 dst=6,2 ts=400 tt=450
+net comb name=c1 src=0,1 dst=6,3
+";
+
+    /// Sticky failpoints fire in every inner legalization planner,
+    /// inline at one job and on the workers at four (which re-install
+    /// them per net). Either way each net lands on the same ladder rung,
+    /// and the report and the `--metrics` aggregate — the `plan.nets.*`
+    /// tallies and the inner planners' search counters included — are
+    /// byte-identical. `plan::net` fails every attempt before a search
+    /// starts; `fastpath::pop` fails only the comb nets' searches, so
+    /// the reg and gals nets' search counters are in the aggregate.
+    #[test]
+    fn flow_failpoints_and_metrics_are_identical_across_jobs() {
+        let path = scenario_file("flowfp", FLOW_MIXED);
+        for spec in [
+            "plan::net=panic@1+",
+            "plan::net=budget@1+",
+            "fastpath::pop=panic@1+",
+        ] {
+            let run = |jobs: &str| {
+                let metrics = artifact(&format!("flowfp-{jobs}.json"));
+                let out = crplan()
+                    .arg(&path)
+                    .args(["--flow", "--jobs", jobs, "--metrics"])
+                    .arg(&metrics)
+                    .env("CLOCKROUTE_FAILPOINTS", spec)
+                    .output()
+                    .expect("run crplan");
+                assert!(out.status.success(), "{spec} --jobs {jobs}");
+                let json = std::fs::read_to_string(&metrics).expect("metrics file written");
+                (String::from_utf8_lossy(&out.stdout).into_owned(), json)
+            };
+            let one = run("1");
+            assert!(one.0.contains("[degraded: "), "{spec}: {}", one.0);
+            assert!(one.1.contains("\"plan.nets.degraded."), "{spec}: {}", one.1);
+            if spec.starts_with("fastpath") {
+                for counter in ["\"search.rbp.pops\"", "\"search.gals.pops\""] {
+                    assert!(one.1.contains(counter), "{spec}: {}", one.1);
+                }
+            }
+            assert_eq!(one, run("4"), "{spec}: --jobs 4 differs");
+        }
+    }
+
+    /// The flow phase spans reach `--trace` only: `--metrics` carries
+    /// no span, does not change when a trace is written, and `--quiet`
+    /// stays exactly the library's report.
+    #[test]
+    fn flow_phase_spans_are_trace_only() {
+        use clockroute_cli::{report, scenario};
+        use clockroute_elmore::GateLibrary;
+        use clockroute_flow::{FlowConfig, PlannerFlowExt};
+        use clockroute_grid::GridGraph;
+        use clockroute_plan::Planner;
+
+        let path = scenario_file("flowspans", FLOW_CONGESTED);
+        let traced_metrics = artifact("flowspans-traced.json");
+        let plain_metrics = artifact("flowspans-plain.json");
+        let trace = artifact("flowspans.jsonl");
+        let traced = crplan()
+            .arg(&path)
+            .args(["--flow", "--quiet", "--metrics"])
+            .arg(&traced_metrics)
+            .arg("--trace")
+            .arg(&trace)
+            .output()
+            .expect("run crplan");
+        assert!(traced.status.success());
+        let jsonl = std::fs::read_to_string(&trace).expect("trace written");
+        let json = std::fs::read_to_string(&traced_metrics).expect("metrics written");
+        for span in ["flow.fractional_ns", "flow.ripup_ns", "flow.legalize_ns"] {
+            let record = format!("{{\"kind\":\"span\",\"name\":\"{span}\"");
+            assert!(jsonl.contains(&record), "{span} not traced: {jsonl}");
+            assert!(!json.contains(span), "{span} reached --metrics: {json}");
+        }
+
+        let plain = crplan()
+            .arg(&path)
+            .args(["--flow", "--quiet", "--metrics"])
+            .arg(&plain_metrics)
+            .output()
+            .expect("run crplan");
+        assert!(plain.status.success());
+        assert_eq!(
+            std::fs::read_to_string(&plain_metrics).expect("metrics written"),
+            json,
+            "writing a trace changed --metrics"
+        );
+        assert_eq!(
+            plain.stdout, traced.stdout,
+            "writing a trace changed --quiet"
+        );
+
+        let s = scenario::parse(FLOW_CONGESTED).expect("parse");
+        let (gw, gh) = s.grid;
+        let fp = Planner::new(
+            GridGraph::from_floorplan(&s.floorplan, gw, gh),
+            s.tech,
+            GateLibrary::paper_library(),
+        )
+        .reserve_routes(s.reserve)
+        .flow(&s.nets, &s.capacities, FlowConfig::default());
+        assert_eq!(
+            String::from_utf8_lossy(&plain.stdout),
+            report::plan_report(fp.plan()),
+            "--flow --quiet stdout must be plan_report verbatim"
+        );
     }
 
     /// The congestion section is part of the non-quiet chrome only:

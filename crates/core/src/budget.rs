@@ -201,11 +201,90 @@ impl BudgetMeter {
         }
         Ok(())
     }
+
+    /// A meter for work done off to the side, to be charged here later
+    /// with [`absorb`](BudgetMeter::absorb): same budget, same stage,
+    /// same start instant, and this meter's pop and expansion counts as
+    /// its base. A fork trips no earlier than this meter would on the
+    /// same work, since it sees only part of what the two will carry in
+    /// the end.
+    pub fn fork(&self) -> BudgetMeter {
+        BudgetMeter {
+            budget: self.budget,
+            stage: self.stage,
+            start: self.start,
+            popped: self.popped,
+            expansions: self.expansions,
+        }
+    }
+
+    /// Charges `pops` candidate pops and `expands` expansion steps that
+    /// forks of this meter already made, unless charging them one at a
+    /// time could have tripped here: the pops would pass the candidate
+    /// cap, or the deadline has passed. Then nothing is charged and the
+    /// error is returned, so the caller can redo the work on this meter
+    /// and trip where that would. Arena caps are the forks' to enforce,
+    /// pop by pop.
+    pub fn absorb(&mut self, pops: u64, expands: u64) -> Result<(), RouteError> {
+        let popped = self.popped + pops;
+        let over_cap = self.budget.max_candidates.is_some_and(|max| popped > max);
+        let late = self
+            .budget
+            .deadline
+            .is_some_and(|deadline| self.start.elapsed() > deadline);
+        if over_cap || late {
+            return Err(self.exceeded());
+        }
+        self.popped = popped;
+        if self.budget.deadline.is_some() {
+            self.expansions += expands;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn absorbing_forked_work_matches_charging_it_here() {
+        let budget = SearchBudget::unlimited().with_max_candidates(10);
+        let mut meter = BudgetMeter::new(budget, SearchStage::Flow);
+        for _ in 0..4 {
+            assert!(meter.charge_pop(0).is_ok());
+        }
+        // Two forks popping 3 each fit under the cap from a base of 4 ...
+        let mut forks = [meter.fork(), meter.fork()];
+        for fork in &mut forks {
+            for _ in 0..3 {
+                assert!(fork.charge_pop(0).is_ok());
+            }
+        }
+        assert!(meter.absorb(6, 0).is_ok());
+        assert_eq!(meter.popped, 10);
+        // ... and one pop more would trip: absorbing it fails and charges
+        // nothing, so a redo on this meter trips on that very pop.
+        assert!(matches!(
+            meter.absorb(1, 0),
+            Err(RouteError::BudgetExceeded {
+                candidates: 10,
+                stage: SearchStage::Flow,
+                ..
+            })
+        ));
+        assert_eq!(meter.popped, 10);
+        assert!(meter.charge_pop(0).is_err());
+    }
+
+    #[test]
+    fn a_fork_keeps_the_deadline_and_the_clock() {
+        let budget = SearchBudget::unlimited().with_deadline(Duration::ZERO);
+        let meter = BudgetMeter::new(budget, SearchStage::Flow);
+        assert!(meter.fork().charge_pop(0).is_err());
+        let mut meter = meter;
+        assert!(meter.absorb(0, 0).is_err());
+    }
 
     #[test]
     fn unlimited_never_trips() {

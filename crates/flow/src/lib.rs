@@ -27,15 +27,27 @@
 //!    in its corridor retries on the full grid, reusing the
 //!    degradation ladder end to end.
 //!
+//! Phases 1 and 3 are per-net independent work, and run on the
+//! planner's [`Planner::jobs`] workers; rip-up stays on the calling
+//! thread, because each reroute reads the usage the previous one left.
+//!
 //! **Determinism contract.** Same scenario + seed + iteration count ⇒
-//! byte-identical plan, regardless of `--jobs`: per-edge state lives in
-//! arrays over the grid's dense edge slots ([`GridGraph::edge_slot`]),
-//! per-net state in `BTreeMap`s keyed by net name, the oracle breaks
-//! ties by node id, and rounding draws are per-net functions of the
-//! seed and name. When no edge anywhere has a finite capacity
-//! ([`EdgeCapacities::is_unconstrained`]), `flow` delegates wholesale
-//! to [`Planner::plan`], so every pre-existing scenario is
-//! byte-identical by construction.
+//! byte-identical plan, summary and metrics, regardless of `--jobs`:
+//! per-edge state lives in arrays over the grid's dense edge slots
+//! ([`GridGraph::edge_slot`]), per-net state in `BTreeMap`s keyed by
+//! net name, the oracle breaks ties by node id, and rounding draws are
+//! per-net functions of the seed and name. On the workers, each oracle
+//! call's path and pop/relaxation counts are a function of the prices
+//! and its terminals alone, and results merge in net order; a round
+//! whose work trips the flow budget on any worker, or would trip it in
+//! total, is discarded and re-run inline on the shared meter, so it
+//! trips exactly where one job does. Each net's legalization records
+//! its telemetry into its own shard, replayed in net order. Only
+//! wall-clock budgets ([`clockroute_core::SearchBudget::with_deadline`])
+//! can differ run to run, as anywhere else. When no edge anywhere has a
+//! finite capacity ([`EdgeCapacities::is_unconstrained`]), `flow`
+//! delegates wholesale to [`Planner::plan`], so every pre-existing
+//! scenario is byte-identical by construction.
 
 mod price;
 pub mod report;
@@ -43,12 +55,15 @@ pub mod report;
 pub use report::{FlowMode, FlowSummary, RoundStats};
 
 use clockroute_core::canon::{mix64, CanonHasher};
+use clockroute_core::failpoint::{self, ArmedSet};
 use clockroute_core::telemetry::Value;
-use clockroute_core::{BudgetMeter, SearchStage, TelemetryHandle};
+use clockroute_core::{BudgetMeter, RouteError, SearchStage, TelemetryHandle, TelemetryShard};
 use clockroute_geom::Point;
 use clockroute_grid::{edge_key, EdgeCapacities, EdgeKey, GridGraph};
-use clockroute_plan::{NetResult, NetSpec, Plan, Planner, SharedTelemetry};
+use clockroute_plan::{workers, NetResult, NetSpec, Plan, Planner, SharedTelemetry};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Knobs of the flow pipeline.
 ///
@@ -109,10 +124,12 @@ pub trait PlannerFlowExt {
     ///
     /// With no finite capacity anywhere this is exactly
     /// [`Planner::plan`] (byte-identical, same reservation and job
-    /// settings). Otherwise the three-phase flow pipeline runs; inner
-    /// legalization planners route one net each, at one job, with
-    /// reservation off — the capacity model replaces route reservation
-    /// as the contention mechanism.
+    /// settings). Otherwise the three-phase flow pipeline runs, its
+    /// price rounds and legalization on the planner's [`Planner::jobs`]
+    /// workers; inner legalization planners route one net each, inline
+    /// on the worker that took the net, with reservation off — the
+    /// capacity model replaces route reservation as the contention
+    /// mechanism. The result does not depend on the job count.
     fn flow(self, nets: &[NetSpec], caps: &EdgeCapacities, config: FlowConfig) -> FlowPlan;
 }
 
@@ -144,6 +161,17 @@ fn th(t: &Option<SharedTelemetry>) -> TelemetryHandle<'_> {
         Some(s) => s.handle(),
         None => TelemetryHandle::none(),
     }
+}
+
+/// Wall-clock start of a trace-only phase span.
+fn span_start() -> Instant {
+    // crlint-allow: CR003 span start; the duration only reaches telemetry, never compared bytes
+    Instant::now()
+}
+
+/// Closes the trace-only span `name` opened at `started`.
+fn span_end(telemetry: &Option<SharedTelemetry>, name: &str, started: Instant) {
+    th(telemetry).span_ns(name, started.elapsed().as_nanos() as u64);
 }
 
 /// Canonical geometry key: the path's points as a comparable value.
@@ -222,7 +250,7 @@ fn corridor_graph(base: &GridGraph, points: &[Point]) -> GridGraph {
 
 /// One inner per-net legalization planner: one job (the default),
 /// reservation off, same budget and ladder as the outer planner,
-/// telemetry shared.
+/// recording into `telemetry` (the net's shard).
 fn inner_planner(
     outer: &Planner,
     graph: GridGraph,
@@ -236,6 +264,96 @@ fn inner_planner(
         p = p.telemetry(t.clone());
     }
     p
+}
+
+/// One synchronous price round: every net's cheapest path under
+/// `prices`, in net order, leaving out nets with no route.
+///
+/// With `inherited` failpoints (more than one job) the nets' oracle
+/// calls run on the workers, each worker on a fork of `oracle` and of
+/// `meter`. A call's path and work counts are a function of the
+/// prices and its terminals alone, so the round commits — its pops and
+/// relaxations charged to `meter` and counted on `oracle` — unless a
+/// worker tripped or charging the round would trip `meter`. Then the
+/// round is discarded and re-run inline on `meter`, exactly as with
+/// one job, so the trip point and everything after it are one job's.
+fn price_round<'n>(
+    oracle: &mut price::PricedOracle<'_>,
+    meter: &mut BudgetMeter,
+    nets: &'n [NetSpec],
+    prices: &[f64],
+    jobs: usize,
+    inherited: Option<&ArmedSet>,
+) -> Result<Vec<(&'n str, Vec<Point>)>, RouteError> {
+    if inherited.is_some() {
+        let (shared, base) = (&*oracle, &*meter);
+        let calls = workers::map_indexed(
+            jobs,
+            nets.len(),
+            inherited,
+            || (shared.fork(), base.fork()),
+            |(fork, fork_meter), i| {
+                let (pops, expands) = (fork.pops, fork.expands);
+                let path = fork.path(nets[i].source, nets[i].sink, |s| prices[s], fork_meter);
+                (path, fork.pops - pops, fork.expands - expands)
+            },
+        );
+        let pops = calls.iter().map(|c| c.1).sum();
+        let expands = calls.iter().map(|c| c.2).sum();
+        if calls.iter().all(|c| c.0.is_ok()) && meter.absorb(pops, expands).is_ok() {
+            oracle.calls += calls.len() as u64;
+            oracle.pops += pops;
+            oracle.expands += expands;
+            return Ok(nets
+                .iter()
+                .zip(calls)
+                .filter_map(|(net, (path, ..))| Some((net.name.as_str(), path.ok().flatten()?)))
+                .collect());
+        }
+    }
+    let mut round_paths = Vec::new();
+    for net in nets {
+        // `None`: unreachable terminals; the full planner decides later.
+        if let Some(points) = oracle.path(net.source, net.sink, |s| prices[s], meter)? {
+            round_paths.push((net.name.as_str(), points));
+        }
+    }
+    Ok(round_paths)
+}
+
+/// Legalizes one net: the exact searches along its chosen geometry
+/// `points`, or — without a geometry, or when the corridor is too
+/// tight for the timing searches — on the full grid with the complete
+/// degradation ladder.
+fn legalize(
+    outer: &Planner,
+    graph: &GridGraph,
+    net: &NetSpec,
+    points: Option<&Vec<Point>>,
+    telemetry: &Option<SharedTelemetry>,
+) -> NetResult {
+    let single = std::slice::from_ref(net);
+    let corridor_result = points.and_then(|points| {
+        let inner = inner_planner(outer, corridor_graph(graph, points), telemetry);
+        let plan = inner.plan(single);
+        plan.results().first().cloned().filter(|r| r.is_routed())
+    });
+    corridor_result.unwrap_or_else(|| {
+        let inner = inner_planner(outer, graph.clone(), telemetry);
+        let plan = inner.plan(single);
+        match plan.results().first().cloned() {
+            Some(r) => r,
+            None => NetResult {
+                name: net.name.clone(),
+                path: None,
+                latency: None,
+                cycles: None,
+                wirelength: None,
+                error: None,
+                degradation: Default::default(),
+            },
+        }
+    })
 }
 
 fn flow_priced(
@@ -262,26 +380,32 @@ fn flow_priced(
     let mut oracle = price::PricedOracle::new(&graph);
     let mut meter = BudgetMeter::new(planner.search_budget(), SearchStage::Flow);
     let mut budget_exhausted = false;
+    // The per-net phases run on the planner's workers. Failpoints are
+    // captured once and re-installed per unit of work, as the commit
+    // scheduler does; one job runs everything inline.
+    let jobs = planner.job_count();
+    let inherited = (jobs > 1 && nets.len() > 1).then(failpoint::capture);
 
     // Phase 1 — fractional price rounds (synchronous: every net in a
     // round sees the same prices, so the round's outcome is a pure
     // function of the previous round, not of net declaration order).
+    let started = span_start();
     let mut candidates: BTreeMap<&str, BTreeMap<PathKey, u32>> = BTreeMap::new();
     let mut round_stats = Vec::new();
     let mut price_updates = 0u64;
     let mut rounds = 0u32;
-    'rounds: for round in 0..iters {
-        let mut round_paths: Vec<(&str, Vec<Point>)> = Vec::new();
-        for net in nets {
-            match oracle.path(net.source, net.sink, |s| prices[s], &mut meter) {
-                Ok(Some(points)) => round_paths.push((&net.name, points)),
-                Ok(None) => {} // unreachable terminals: full planner decides later
-                Err(_) => {
-                    budget_exhausted = true;
-                    break 'rounds;
-                }
-            }
-        }
+    for round in 0..iters {
+        let Ok(round_paths) = price_round(
+            &mut oracle,
+            &mut meter,
+            nets,
+            &prices,
+            jobs,
+            inherited.as_ref(),
+        ) else {
+            budget_exhausted = true;
+            break;
+        };
         rounds += 1;
         usage.fill(0);
         for (_, points) in &round_paths {
@@ -324,11 +448,13 @@ fn flow_priced(
         }
     }
     let best_fractional_overflow = round_stats.iter().map(|r| r.total_overflow).min();
+    span_end(&telemetry, "flow.fractional_ns", started);
 
     // Phase 2a — seeded randomized rounding: each net draws one
     // geometry from its candidate distribution, weighted by how many
     // rounds chose it. The draw is a pure function of (seed, name), so
     // declaration order cannot change anyone's route.
+    let started = span_start();
     let mut chosen: BTreeMap<&str, Vec<Point>> = BTreeMap::new();
     for net in nets {
         let Some(dist) = candidates.get(net.name.as_str()) else {
@@ -426,42 +552,35 @@ fn flow_priced(
         }
     }
 
+    span_end(&telemetry, "flow.ripup_ns", started);
+
     // Phase 3 — per-net corridor legalization through the exact
-    // searches. Sequential in declaration order; each net's result is
-    // independent of every other net (reservation off), so emission
-    // order is the only thing declaration order still controls.
+    // searches, on the workers. Each net's result is independent of
+    // every other net (reservation off), and each net's inner planner
+    // records into its own shard, replayed here in net order, so
+    // declaration order controls emission order and nothing else.
+    let started = span_start();
+    let legalized = workers::map_indexed(
+        jobs,
+        nets.len(),
+        inherited.as_ref(),
+        || (),
+        |_, i| {
+            let net = &nets[i];
+            let shard = telemetry.as_ref().map(|_| Arc::new(TelemetryShard::new()));
+            let sink = shard.as_ref().map(|s| SharedTelemetry::new(s.clone()));
+            let result = legalize(&planner, &graph, net, chosen.get(net.name.as_str()), &sink);
+            (result, shard)
+        },
+    );
     let mut results: Vec<NetResult> = Vec::with_capacity(nets.len());
-    for net in nets {
-        let single = std::slice::from_ref(net);
-        let corridor_result = chosen.get(net.name.as_str()).and_then(|points| {
-            let inner = inner_planner(&planner, corridor_graph(&graph, points), &telemetry);
-            let plan = inner.plan(single);
-            plan.results().first().cloned().filter(|r| r.is_routed())
-        });
-        let result = match corridor_result {
-            Some(r) => r,
-            None => {
-                // No geometry, or the corridor was too tight for the
-                // timing searches: fall back to the full grid and the
-                // complete degradation ladder.
-                let inner = inner_planner(&planner, graph.clone(), &telemetry);
-                let plan = inner.plan(single);
-                match plan.results().first().cloned() {
-                    Some(r) => r,
-                    None => NetResult {
-                        name: net.name.clone(),
-                        path: None,
-                        latency: None,
-                        cycles: None,
-                        wirelength: None,
-                        error: None,
-                        degradation: Default::default(),
-                    },
-                }
-            }
-        };
+    for (result, shard) in legalized {
+        if let (Some(t), Some(shard)) = (&telemetry, shard) {
+            t.replay(&shard);
+        }
         results.push(result);
     }
+    span_end(&telemetry, "flow.legalize_ns", started);
 
     // Final congestion is measured on the routes that actually shipped.
     usage.fill(0);

@@ -9,12 +9,14 @@
 //! prices steer where a net goes, the Elmore searches decide what gets
 //! inserted along the way.
 //!
-//! One [`PricedOracle`] serves a whole flow run. It builds the grid's
-//! adjacency once, as `(neighbour, edge slot, length)` arcs in
-//! [`GridGraph::neighbors`] order, and reuses its distance, predecessor
-//! and heap buffers across every call; the multiplier is a function of
-//! the dense edge slot ([`GridGraph::edge_slot`]), so a relaxation is
-//! an array read, not a map lookup.
+//! The grid's adjacency is built once per flow run, as `(neighbour,
+//! edge slot, length)` arcs in [`GridGraph::neighbors`] order, and
+//! shared read-only by every [`PricedOracle`] searching it: the run's
+//! own, and one fork per worker of a parallel price round. Each oracle
+//! reuses its own distance, predecessor and heap buffers across calls;
+//! the multiplier is a function of the dense edge slot
+//! ([`GridGraph::edge_slot`]), so a relaxation is an array read, not a
+//! map lookup.
 //!
 //! Every pop and every relaxation charges the shared flow-phase
 //! [`BudgetMeter`], so a blown deadline surfaces as
@@ -26,6 +28,7 @@ use clockroute_geom::Point;
 use clockroute_grid::{GridGraph, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 #[derive(PartialEq)]
 struct HeapEntry {
@@ -62,26 +65,19 @@ struct OutEdge {
     length: f64,
 }
 
-/// The priced Dijkstra over one grid, with its buffers.
-pub(crate) struct PricedOracle<'g> {
+/// The grid's arcs, built once per flow run and shared, read-only, by
+/// every oracle searching it.
+struct Adjacency<'g> {
     graph: &'g GridGraph,
     /// Arcs of node `u` are `arcs[first[u]..first[u + 1]]`.
     first: Vec<usize>,
     arcs: Vec<OutEdge>,
-    dist: Vec<f64>,
-    prev: Vec<Option<NodeId>>,
-    heap: BinaryHeap<HeapEntry>,
-    /// Calls to [`PricedOracle::path`].
-    pub(crate) calls: u64,
-    /// Heap pops, each charged to the meter.
-    pub(crate) pops: u64,
-    /// Relaxations, each charged to the meter.
-    pub(crate) expands: u64,
 }
 
-impl<'g> PricedOracle<'g> {
-    /// Builds the adjacency of `graph` and sizes the buffers.
-    pub(crate) fn new(graph: &'g GridGraph) -> PricedOracle<'g> {
+impl<'g> Adjacency<'g> {
+    /// The arcs of `graph` as `(neighbour, slot, length)`, in
+    /// [`GridGraph::neighbors`] order.
+    fn new(graph: &'g GridGraph) -> Adjacency<'g> {
         let n = graph.node_count();
         let mut first = Vec::with_capacity(n + 1);
         let mut arcs = Vec::with_capacity(4 * n);
@@ -101,10 +97,37 @@ impl<'g> PricedOracle<'g> {
             }
         }
         first.push(arcs.len());
+        Adjacency { graph, first, arcs }
+    }
+}
+
+/// The priced Dijkstra over one grid: a shared [`Adjacency`] plus this
+/// oracle's own search buffers and work counts. A flow run holds one,
+/// and [`fork`](PricedOracle::fork)s one more per worker of a parallel
+/// price round.
+pub(crate) struct PricedOracle<'g> {
+    adjacency: Arc<Adjacency<'g>>,
+    dist: Vec<f64>,
+    prev: Vec<Option<NodeId>>,
+    heap: BinaryHeap<HeapEntry>,
+    /// Calls to [`PricedOracle::path`].
+    pub(crate) calls: u64,
+    /// Heap pops, each charged to the meter.
+    pub(crate) pops: u64,
+    /// Relaxations, each charged to the meter.
+    pub(crate) expands: u64,
+}
+
+impl<'g> PricedOracle<'g> {
+    /// Builds the adjacency of `graph` and sizes the buffers.
+    pub(crate) fn new(graph: &'g GridGraph) -> PricedOracle<'g> {
+        PricedOracle::on(Arc::new(Adjacency::new(graph)))
+    }
+
+    fn on(adjacency: Arc<Adjacency<'g>>) -> PricedOracle<'g> {
+        let n = adjacency.graph.node_count();
         PricedOracle {
-            graph,
-            first,
-            arcs,
+            adjacency,
             dist: vec![f64::INFINITY; n],
             prev: vec![None; n],
             heap: BinaryHeap::new(),
@@ -112,6 +135,13 @@ impl<'g> PricedOracle<'g> {
             pops: 0,
             expands: 0,
         }
+    }
+
+    /// An oracle on the same adjacency with its own buffers and zero
+    /// counts. Its paths and per-call counts equal this oracle's on the
+    /// same inputs: a call reads only the adjacency and its arguments.
+    pub(crate) fn fork(&self) -> PricedOracle<'g> {
+        PricedOracle::on(Arc::clone(&self.adjacency))
     }
 
     /// Cheapest source→sink geometry when the edge in slot `s` costs its
@@ -134,7 +164,8 @@ impl<'g> PricedOracle<'g> {
         meter: &mut BudgetMeter,
     ) -> Result<Option<Vec<Point>>, RouteError> {
         self.calls += 1;
-        let graph = self.graph;
+        let Adjacency { graph, first, arcs } = &*self.adjacency;
+        let graph = *graph;
         if !graph.contains(source) || !graph.contains(sink) {
             return Ok(None);
         }
@@ -155,7 +186,7 @@ impl<'g> PricedOracle<'g> {
             if u == t {
                 break;
             }
-            for arc in &self.arcs[self.first[u.index()]..self.first[u.index() + 1]] {
+            for arc in &arcs[first[u.index()]..first[u.index() + 1]] {
                 self.expands += 1;
                 meter.charge_expand()?;
                 let nd = d + arc.length * multiplier(arc.slot);

@@ -16,20 +16,27 @@
 //!   with `k` chosen so the flow budget trips inside a price round and
 //!   inside rip-up (each case asserts which).
 //!
+//! Every case runs at 1, 2 and 4 jobs, and each job count's text must
+//! equal the one golden file: flow output does not depend on the
+//! worker count, budget trips included. The capped cases must also
+//! trip with the same summary and the same oracle counters at every
+//! job count.
+//!
 //! On a mismatch the suite writes what it rendered to
 //! `flow_plans.actual.txt` under Cargo's per-target temp directory and
 //! names the first differing line; copying that file over the golden
 //! one is how the table is regenerated after an intended change.
 
 use clockroute_cli::{report, scenario};
-use clockroute_core::SearchBudget;
+use clockroute_core::{MetricsRecorder, SearchBudget};
 use clockroute_elmore::GateLibrary;
 use clockroute_flow::{FlowConfig, FlowMode, FlowPlan, PlannerFlowExt};
 use clockroute_grid::GridGraph;
-use clockroute_plan::Planner;
+use clockroute_plan::{Planner, SharedTelemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 const GOLDEN: &str = include_str!("golden/flow_plans.txt");
 
@@ -100,15 +107,39 @@ fn walled(seed: u64) -> String {
     text
 }
 
-/// Plans `text` in flow mode under `budget`, as `crplan --flow` does.
-fn flow(text: &str, budget: SearchBudget) -> FlowPlan {
+/// Worker counts every case runs at.
+const JOBS: [usize; 3] = [1, 2, 4];
+
+/// Plans `text` in flow mode under `budget` on `jobs` workers, as
+/// `crplan --flow` does, with the metrics it recorded.
+fn flow_metered(text: &str, budget: SearchBudget, jobs: usize) -> (FlowPlan, MetricsRecorder) {
     let sc = scenario::parse(text).expect("golden scenario parses");
     let (gw, gh) = sc.grid;
     let graph = GridGraph::from_floorplan(&sc.floorplan, gw, gh);
-    Planner::new(graph, sc.tech, GateLibrary::paper_library())
+    let recorder = Arc::new(MetricsRecorder::new());
+    let fp = Planner::new(graph, sc.tech, GateLibrary::paper_library())
         .reserve_routes(sc.reserve)
         .budget(budget)
-        .flow(&sc.nets, &sc.capacities, FlowConfig::default())
+        .jobs(jobs)
+        .telemetry(SharedTelemetry::new(recorder.clone()))
+        .flow(&sc.nets, &sc.capacities, FlowConfig::default());
+    let recorder = Arc::try_unwrap(recorder).expect("the planner released its sink");
+    (fp, recorder)
+}
+
+/// [`flow_metered`] without the metrics.
+fn flow(text: &str, budget: SearchBudget, jobs: usize) -> FlowPlan {
+    flow_metered(text, budget, jobs).0
+}
+
+/// The priced oracle's exact work counts.
+fn oracle_counters(m: &MetricsRecorder) -> [u64; 3] {
+    [
+        "flow.oracle.calls",
+        "flow.oracle.pops",
+        "flow.oracle.expands",
+    ]
+    .map(|c| m.counter_value(c))
 }
 
 /// One case's section of the golden text.
@@ -148,26 +179,34 @@ const CAPPED: [(u64, u64, bool); 10] = [
 
 #[test]
 fn congested_flow_output_matches_golden_file() {
+    for jobs in JOBS {
+        check_golden(jobs, &render_all(jobs));
+    }
+}
+
+/// The golden text, rendered on `jobs` workers.
+fn render_all(jobs: usize) -> String {
     let mut out = String::new();
     for name in ["flow_spread.cr", "flow_bridges.cr", "flow_mesh.cr"] {
-        let fp = flow(&shipped(name), SearchBudget::unlimited());
+        let fp = flow(&shipped(name), SearchBudget::unlimited(), jobs);
         assert_eq!(fp.summary().mode, FlowMode::Priced, "{name}");
         render(&mut out, name, &fp);
     }
     for i in 0..INSTANCES {
         let seed = BASE_SEED + i;
-        let fp = flow(&walled(seed), SearchBudget::unlimited());
+        let fp = flow(&walled(seed), SearchBudget::unlimited(), jobs);
         assert_eq!(fp.summary().mode, FlowMode::Priced, "seed {seed}");
         render(&mut out, &format!("walled seed {seed}"), &fp);
     }
     for (i, k, in_rounds) in CAPPED {
         let seed = BASE_SEED + i;
-        let full_rounds = flow(&walled(seed), SearchBudget::unlimited())
+        let full_rounds = flow(&walled(seed), SearchBudget::unlimited(), jobs)
             .summary()
             .rounds;
         let fp = flow(
             &walled(seed),
             SearchBudget::unlimited().with_max_candidates(k),
+            jobs,
         );
         let s = fp.summary();
         assert!(s.budget_exhausted, "seed {seed} k {k} did not trip");
@@ -182,18 +221,44 @@ fn congested_flow_output_matches_golden_file() {
             &fp,
         );
     }
+    out
+}
 
+/// A budget trip discards a parallel round and re-runs it on the shared
+/// meter, so a capped run trips where one job trips: same summary
+/// (rounds, rip-ups, round stats), same oracle work, same metrics.
+#[test]
+fn capped_runs_trip_identically_at_every_job_count() {
+    for (i, k, _) in CAPPED {
+        let seed = BASE_SEED + i;
+        let budget = SearchBudget::unlimited().with_max_candidates(k);
+        let (one, one_metrics) = flow_metered(&walled(seed), budget, 1);
+        for jobs in &JOBS[1..] {
+            let (fp, metrics) = flow_metered(&walled(seed), budget, *jobs);
+            let ctx = format!("seed {seed} k {k} jobs {jobs}");
+            assert_eq!(fp.summary(), one.summary(), "{ctx}");
+            assert_eq!(
+                oracle_counters(&metrics),
+                oracle_counters(&one_metrics),
+                "{ctx}"
+            );
+            assert_eq!(metrics.to_json(), one_metrics.to_json(), "{ctx}");
+        }
+    }
+}
+
+fn check_golden(jobs: usize, out: &str) {
     if out != GOLDEN {
         let actual =
             std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("flow_plans.actual.txt");
-        std::fs::write(&actual, &out).expect("write actual flow plans");
+        std::fs::write(&actual, out).expect("write actual flow plans");
         let first = out
             .lines()
             .zip(GOLDEN.lines())
             .position(|(a, b)| a != b)
             .unwrap_or_else(|| out.lines().count().min(GOLDEN.lines().count()));
         panic!(
-            "flow output diverged from tests/golden/flow_plans.txt at line {}:\n  got  {:?}\n  want {:?}\nfull output: {}",
+            "flow output at {jobs} jobs diverged from tests/golden/flow_plans.txt at line {}:\n  got  {:?}\n  want {:?}\nfull output: {}",
             first + 1,
             out.lines().nth(first),
             GOLDEN.lines().nth(first),

@@ -118,6 +118,8 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+pub mod workers;
+
 /// Clocking requirement of a net.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum NetKind {
@@ -429,6 +431,16 @@ impl SharedTelemetry {
     pub fn handle(&self) -> TelemetryHandle<'_> {
         TelemetryHandle::new(self.sink())
     }
+
+    /// Replays `shard` into the shared sink and empties it — how
+    /// out-of-crate planners merge per-net shards in net order, as the
+    /// commit scheduler does.
+    pub fn replay(&self, shard: &TelemetryShard) {
+        // Replay locks the sink; nothing else may be held (see
+        // TelemetryShard::replay_into).
+        lockcheck::assert_lock_free("SharedTelemetry::replay");
+        shard.replay_into(self.sink());
+    }
 }
 
 impl fmt::Debug for SharedTelemetry {
@@ -505,9 +517,10 @@ impl Planner {
 
     /// Sets the number of worker threads for speculative parallel
     /// planning and warm starts (default 1: nets are routed inline, one
-    /// at a time). The plan is bit-identical for any job count; see the
-    /// module docs for the commit protocol. Values below 1 are clamped
-    /// to 1.
+    /// at a time). Flow mode (`clockroute-flow`) runs its price rounds
+    /// and its per-net legalization on the same workers. The plan is
+    /// bit-identical for any job count; see the module docs for the
+    /// commit protocol. Values below 1 are clamped to 1.
     pub fn jobs(mut self, n: usize) -> Planner {
         self.jobs = n.max(1);
         self
@@ -536,6 +549,11 @@ impl Planner {
     /// The planner's gate library.
     pub fn library(&self) -> &GateLibrary {
         &self.lib
+    }
+
+    /// The number of worker threads ([`Planner::jobs`]).
+    pub fn job_count(&self) -> usize {
+        self.jobs
     }
 
     /// The per-attempt search budget ([`Planner::budget`]).
@@ -727,55 +745,23 @@ impl Planner {
 
     /// Routes `todo` (indices into `nets`) against the current grid, in
     /// order: inline without `inherited` failpoints, otherwise on worker
-    /// threads that pull indices from a shared cursor. The assignment of
-    /// nets to threads is scheduling-dependent, but every net is routed
-    /// against the same immutable grid by the deterministic per-net
-    /// ladder, so the outcome vector is not.
+    /// threads ([`workers::map_indexed`]). The assignment of nets to
+    /// threads is scheduling-dependent, but every net is routed against
+    /// the same immutable grid by the deterministic per-net ladder, so
+    /// the outcome vector is not.
     fn route(
         &self,
         nets: &[NetSpec],
         todo: &[usize],
         inherited: Option<&failpoint::ArmedSet>,
     ) -> Vec<(Outcome, TelemetryShard)> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let Some(inherited) = inherited else {
-            return todo.iter().map(|&i| self.plan_net(&nets[i])).collect();
-        };
-        let cursor = AtomicUsize::new(0);
-        let mut routed: Vec<(usize, (Outcome, TelemetryShard))> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..self.jobs.min(todo.len()))
-                .map(|_| {
-                    s.spawn(|| {
-                        // A checked lock held across a solve would
-                        // serialize the whole round (and a rank below
-                        // Telemetry would trip when the shard recorder
-                        // locks); pin "workers start lock-free".
-                        lockcheck::assert_lock_free("plan.route worker");
-                        let mut mine = Vec::new();
-                        loop {
-                            let k = cursor.fetch_add(1, Ordering::Relaxed);
-                            if k >= todo.len() {
-                                break;
-                            }
-                            // Re-install before every net: hit counting
-                            // restarts per net regardless of which worker
-                            // picked it up (per-net semantics, see the
-                            // failpoint module docs).
-                            failpoint::install(inherited);
-                            mine.push((k, self.plan_net(&nets[todo[k]])));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // crlint-allow: CR002 workers catch solve panics onto the ladder; a panic crossing join is a harness bug
-                .flat_map(|h| h.join().expect("planner worker panicked"))
-                .collect()
-        });
-        routed.sort_unstable_by_key(|(k, _)| *k);
-        routed.into_iter().map(|(_, outcome)| outcome).collect()
+        workers::map_indexed(
+            self.jobs,
+            todo.len(),
+            inherited,
+            || (),
+            |_, k| self.plan_net(&nets[todo[k]]),
+        )
     }
 
     /// Applies one net's outcome to the grid (reservation) and turns it
@@ -796,8 +782,8 @@ impl Planner {
         // before locking the sink — see TelemetryShard::replay_into).
         lockcheck::assert_lock_free("plan.commit");
         if let Some(t) = &self.telemetry {
+            t.replay(&shard);
             let sink = t.sink();
-            shard.replay_into(sink);
             let (degraded, label) = match &outcome {
                 Ok((_, Degradation::None)) => (None, "none"),
                 Ok((_, Degradation::CoarseGrid)) => (Some("plan.nets.degraded.coarse"), "coarse"),

@@ -16,10 +16,10 @@
 //! *less* after being told no one more time. (An earlier version
 //! jittered by up to a quarter of the step unconditionally, which let
 //! attempt 1's delay land below attempt 0's when the server hint
-//! flattened the early steps; `BENCH_serve.json` pins the corrected
+//! flattened the early steps; a unit test pins the corrected
 //! schedule.)
 //!
-//! Used by `servebench`'s request loop and intended for any future
+//! Used by perfbench's benchmark clients and intended for any future
 //! client; the server side never sleeps — it answers `busy`
 //! immediately and lets clients pace themselves.
 
@@ -173,12 +173,12 @@ mod tests {
     }
 
     #[test]
-    fn pinned_servebench_schedule_under_the_busy_hint() {
-        // Exactly the walk servebench records: seed 0xC10C, hint 50 ms
-        // (a saturated 1-slot gate with a 50 ms budget), three busy
-        // rejections. Steps are 50, 50, 100: attempt 0 has zero
-        // headroom (the next step is equal), attempt 1 jitters within
-        // the 50→100 gap, attempt 2 within a quarter of 100.
+    fn pinned_schedule_under_the_busy_hint() {
+        // Seed 0xC10C against hint 50 ms (a saturated 1-slot gate with
+        // a 50 ms budget), three busy rejections. Steps are 50, 50,
+        // 100: attempt 0 has zero headroom (the next step is equal),
+        // attempt 1 jitters within the 50→100 gap, attempt 2 within a
+        // quarter of 100.
         let p = RetryPolicy::new(0xC10C);
         let delays: Vec<u64> = (0..3).map(|a| p.backoff_ms(a, Some(50)).unwrap()).collect();
         assert_eq!(delays, [50, 52, 110]);

@@ -742,6 +742,7 @@ mod tests {
         let first = Service::new(config.clone());
         let cold = first.handle_line(&route_line("r", SCENARIO));
         assert!(cold.contains("\"cache\":\"cold\""), "{cold}");
+        assert!(first.metrics().counter_value("plan.nets.routed") > 0);
         // No snapshot() call: the per-insert append alone must carry
         // the entry across the "crash".
         drop(first);
@@ -757,6 +758,11 @@ mod tests {
             cold.replace("\"cache\":\"cold\"", ""),
             hit.replace("\"cache\":\"hit\"", ""),
             "recovered entry answers byte-identically"
+        );
+        assert_eq!(
+            second.metrics().counter_value("plan.nets.routed"),
+            0,
+            "a recovered entry answers without planning"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

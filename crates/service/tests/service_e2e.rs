@@ -175,8 +175,23 @@ fn stats_counters_track_the_three_paths() {
     let service = Service::new(ServiceConfig::default());
     let a = scenario_text(3, 3);
     let b = scenario_text(9, 3);
+    // Every planner and search counter, as the metrics export lists it.
+    let solver_counters = |service: &Service| -> Vec<(String, u64)> {
+        let mut counters = service.metrics().counters();
+        counters.retain(|(name, _)| name.starts_with("plan.") || name.starts_with("search."));
+        counters
+    };
     service.handle_line(&route_line("1", &a)); // cold
+    let after_cold = solver_counters(&service);
+    for layer in ["plan.", "search."] {
+        assert!(
+            after_cold.iter().any(|(name, _)| name.starts_with(layer)),
+            "the cold solve emits {layer}* counters: {after_cold:?}"
+        );
+    }
     service.handle_line(&route_line("2", &a)); // hit
+    // A hit replays stored bytes: it neither plans nor searches.
+    assert_eq!(solver_counters(&service), after_cold, "a hit ran the solver");
     service.handle_line(&route_line("3", &b)); // warm
     let m = service.metrics();
     assert_eq!(m.counter_value("service.requests"), 3);

@@ -218,9 +218,7 @@ fn parse_rows(contents: &str) -> Result<Vec<Baseline>, String> {
 /// Most recent recorded row of this substrate for (grid, search), if
 /// any.
 fn baseline_row<'a>(rows: &'a [Baseline], grid: u32, search: &str) -> Option<&'a Baseline> {
-    let is = |row: &Baseline, key: &str, want: &str| {
-        matches!(row.get(key), Some(Value::Str(s)) if s == want)
-    };
+    let is = |row: &Baseline, key: &str, want: &str| matches!(row.get(key), Some(Value::Str(s)) if s == want);
     rows.iter().rfind(|row| {
         is(row, "engine", ENGINE)
             && is(row, "search", search)

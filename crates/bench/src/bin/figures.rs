@@ -82,11 +82,14 @@ fn main() {
     let labels = gate_labels(sol.path(), &lib, s, t);
     println!(
         "{}",
-        render_grid(&g, Some(&sol.path().grid_path()), &labels, &RenderOptions::default())
+        render_grid(
+            &g,
+            Some(&sol.path().grid_path()),
+            &labels,
+            &RenderOptions::default()
+        )
     );
-    println!(
-        "S = source, T = sink, R = register, B = buffer, █ = blocked node, ┆ = wire blockage"
-    );
+    println!("S = source, T = sink, R = register, B = buffer, █ = blocked node, ┆ = wire blockage");
     println!(
         "registers = {}, buffers = {}, latency = {} ps\n",
         sol.register_count(),
@@ -116,9 +119,7 @@ fn main() {
         "{}",
         render_grid(&g, None, &labels, &RenderOptions::default())
     );
-    println!(
-        "digits mark the wave in which RBP first registered each node (T = sink, S = source)"
-    );
+    println!("digits mark the wave in which RBP first registered each node (T = sink, S = source)");
     println!(
         "solution: {} registers, {} waves\n",
         sol.register_count(),
@@ -142,7 +143,12 @@ fn main() {
     let labels = gate_labels(sol.path(), &lib, s, t);
     println!(
         "{}",
-        render_grid(&g, Some(&sol.path().grid_path()), &labels, &RenderOptions::default())
+        render_grid(
+            &g,
+            Some(&sol.path().grid_path()),
+            &labels,
+            &RenderOptions::default()
+        )
     );
     println!("F = MCFIFO; T_s = 300 ps on the source side, T_t = 400 ps on the sink side");
     println!(

@@ -108,7 +108,11 @@ fn score(
         nets: plan.results().len(),
         overflow,
         max_overflow,
-        latency_ps: plan.routed().filter_map(|r| r.latency).map(|t| t.ps()).sum(),
+        latency_ps: plan
+            .routed()
+            .filter_map(|r| r.latency)
+            .map(|t| t.ps())
+            .sum(),
         wire_mm: plan
             .routed()
             .filter_map(|r| r.path.as_ref())
@@ -121,10 +125,7 @@ fn score(
 
 /// Plans one scenario both ways and returns its two rows.
 fn run_scenario(name: &'static str) -> Result<[Row; 2], String> {
-    let path = format!(
-        "{}/../../scenarios/{name}.cr",
-        env!("CARGO_MANIFEST_DIR")
-    );
+    let path = format!("{}/../../scenarios/{name}.cr", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
     let s = scenario::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let (gw, gh) = s.grid;
@@ -147,7 +148,15 @@ fn run_scenario(name: &'static str) -> Result<[Row; 2], String> {
     let flow_seconds = start.elapsed().as_secs_f64();
 
     Ok([
-        score(name, "sequential", &sequential, &graph, &s.capacities, None, seq_seconds),
+        score(
+            name,
+            "sequential",
+            &sequential,
+            &graph,
+            &s.capacities,
+            None,
+            seq_seconds,
+        ),
         score(
             name,
             "flow",
@@ -183,9 +192,7 @@ fn check(rows: &[Row]) -> i32 {
     let mut failures = 0;
     for pair in rows.chunks(2) {
         let [seq, flow] = pair else { continue };
-        let ok = flow.routed == flow.nets
-            && seq.overflow > 0
-            && flow.overflow < seq.overflow;
+        let ok = flow.routed == flow.nets && seq.overflow > 0 && flow.overflow < seq.overflow;
         if !ok {
             failures += 1;
         }

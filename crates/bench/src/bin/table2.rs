@@ -70,7 +70,10 @@ fn main() {
     // Obs. 4: at periods above ~84 ps the latency stays within one period
     // of the optimal fast-path delay (finest grid).
     if let Some((_, rows)) = all.last() {
-        let fast = rows.iter().find(|r| r.period.is_none()).and_then(|r| r.latency);
+        let fast = rows
+            .iter()
+            .find(|r| r.period.is_none())
+            .and_then(|r| r.latency);
         let ok = match fast {
             Some(d0) => rows
                 .iter()

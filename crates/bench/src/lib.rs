@@ -138,7 +138,13 @@ pub fn paper_setup(grid: u32) -> (GridGraph, Technology, GateLibrary, Point, Poi
     let off = (grid - 1 - dx) / 2;
     let s = Point::new(off, off);
     let t = Point::new(off + dx, off + dx);
-    (graph, Technology::paper_070nm(), GateLibrary::paper_library(), s, t)
+    (
+        graph,
+        Technology::paper_070nm(),
+        GateLibrary::paper_library(),
+        s,
+        t,
+    )
 }
 
 /// One measured row of Table I / Table II.
@@ -385,13 +391,11 @@ pub fn format_regpath_table(
     );
     out.push_str("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n");
     for row in rows {
-        let paper = reference
-            .iter()
-            .find(|(p, ..)| match (p, row.period) {
-                (None, None) => true,
-                (Some(a), Some(b)) => (a - b).abs() < 1e-9,
-                _ => false,
-            });
+        let paper = reference.iter().find(|(p, ..)| match (p, row.period) {
+            (None, None) => true,
+            (Some(a), Some(b)) => (a - b).abs() < 1e-9,
+            _ => false,
+        });
         let fmt_opt = |v: Option<usize>| v.map_or("-".to_owned(), |x| x.to_string());
         let fmt_lat = |v: Option<f64>| v.map_or("infeas.".to_owned(), |x| format!("{x:.0}"));
         out.push_str(&format!(
@@ -521,7 +525,10 @@ mod tests {
 
     #[test]
     fn trends_on_miniature_sweep() {
-        let rows = table1(25, &[None, Some(1371.0), Some(686.0), Some(343.0), Some(120.0)]);
+        let rows = table1(
+            25,
+            &[None, Some(1371.0), Some(686.0), Some(343.0), Some(120.0)],
+        );
         let v = trends(&rows);
         assert!(v.registers_monotone);
         assert!(v.reg_sep_monotone);

@@ -194,7 +194,13 @@ mod tests {
     fn net_cap_rejects_deterministically() {
         let gate = Admission::new(4, 10, None);
         let err = gate.try_admit(11).unwrap_err();
-        assert_eq!(err, Rejection::TooLarge { nets: 11, limit: 10 });
+        assert_eq!(
+            err,
+            Rejection::TooLarge {
+                nets: 11,
+                limit: 10
+            }
+        );
         assert!(err.reason().contains("11 nets"));
         assert_eq!(gate.inflight(), 0, "no slot consumed on rejection");
     }

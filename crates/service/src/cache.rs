@@ -263,7 +263,12 @@ mod tests {
         }
         // Touch s1 so s2 becomes the eviction victim.
         assert_eq!(report_of(&mut cache, &s1).as_deref(), Some("one"));
-        cache.insert(scenario_key(&s3), base_key(&s3), s3.clone(), solved("three"));
+        cache.insert(
+            scenario_key(&s3),
+            base_key(&s3),
+            s3.clone(),
+            solved("three"),
+        );
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
         assert!(report_of(&mut cache, &s2).is_none(), "s2 evicted");
@@ -289,7 +294,10 @@ mod tests {
         let s2 = scenario(5);
         let warm = cache.find_warm(base_key(&s2), &s2, 1024).unwrap();
         assert!(!warm.dirty.is_empty());
-        assert!(cache.find_warm(base_key(&s2), &s2, 1).is_none(), "delta cap");
+        assert!(
+            cache.find_warm(base_key(&s2), &s2, 1).is_none(),
+            "delta cap"
+        );
         // Different nets: no candidate despite sharing the die.
         let s3 = parse(
             "die 10mm 10mm\ngrid 20 20\nblock hard 2 2 4 4\nnet comb name=zz src=0,0 dst=19,19\n",
@@ -326,7 +334,12 @@ mod tests {
         assert_ne!(scenario_key(&open), scenario_key(&capped));
 
         let mut cache = ResultCache::new(4);
-        cache.insert(scenario_key(&open), base_key(&open), open.clone(), solved("open"));
+        cache.insert(
+            scenario_key(&open),
+            base_key(&open),
+            open.clone(),
+            solved("open"),
+        );
         cache.insert(
             scenario_key(&capped),
             base_key(&capped),

@@ -133,7 +133,12 @@ impl<R: Read> FrameReader<R> {
                     return Ok(Frame::Eof { partial });
                 }
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
                     return Ok(Frame::Idle);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {
@@ -277,10 +282,7 @@ mod tests {
         input.push(b'\n');
         assert_eq!(
             frames(&input, 16),
-            [
-                Frame::Line("a".repeat(16)),
-                Frame::Eof { partial: None }
-            ]
+            [Frame::Line("a".repeat(16)), Frame::Eof { partial: None }]
         );
     }
 
@@ -355,7 +357,10 @@ mod tests {
             write_line(&mut out, line).unwrap();
             assert_eq!(out.writes, i + 1, "frame {i} must be a single write");
         }
-        assert_eq!(out.bytes, format!("{{\"pong\":true}}\n\n{report}\n").as_bytes());
+        assert_eq!(
+            out.bytes,
+            format!("{{\"pong\":true}}\n\n{report}\n").as_bytes()
+        );
     }
 
     #[test]

@@ -311,7 +311,10 @@ mod tests {
         assert_eq!(delta.len(), 12);
         assert!(delta.contains(&Point::new(2, 2)));
         assert!(delta.contains(&Point::new(4, 5)));
-        assert!(!delta.contains(&Point::new(10, 10)), "shared block is clean");
+        assert!(
+            !delta.contains(&Point::new(10, 10)),
+            "shared block is clean"
+        );
         // Identical scenarios have an empty delta.
         assert!(block_delta(&a, &a).is_empty());
     }

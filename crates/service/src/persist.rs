@@ -703,10 +703,7 @@ impl SnapshotLog {
     pub fn open(dir: &Path) -> io::Result<SnapshotLog> {
         fs::create_dir_all(dir)?;
         let path = snapshot_file(dir);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
+        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
         let mut len = file.metadata()?.len();
         if len == 0 {
             persist_fault("serve::persist")?;
@@ -878,8 +875,8 @@ pub fn load(dir: &Path) -> io::Result<(Vec<RecoveredEntry>, LoadStats)> {
             stats.dropped += 1; // torn tail inside the prefix
             break;
         };
-        let len = u32::from_le_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]])
-            as usize;
+        let len =
+            u32::from_le_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]]) as usize;
         if len > MAX_RECORD || bytes.len() - (pos + 4) < len + 8 {
             // Implausible or past-EOF length: a torn tail or a flipped
             // prefix bit. Framing is lost; stop here.
@@ -935,8 +932,8 @@ mod tests {
     fn solve(s: &Scenario) -> Solved {
         let (gw, gh) = s.grid;
         let graph = GridGraph::from_floorplan(&s.floorplan, gw, gh);
-        let planner = Planner::new(graph, s.tech, GateLibrary::paper_library())
-            .reserve_routes(s.reserve);
+        let planner =
+            Planner::new(graph, s.tech, GateLibrary::paper_library()).reserve_routes(s.reserve);
         let traced = planner.plan_traced(&s.nets);
         let plan = traced.plan();
         Solved {
@@ -949,10 +946,7 @@ mod tests {
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "crsnap-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("crsnap-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -1002,7 +996,13 @@ mod tests {
         log.append(&payload).unwrap();
         log.append(&payload).unwrap();
         let (entries, stats) = load(&dir).unwrap();
-        assert_eq!(stats, LoadStats { recovered: 2, dropped: 0 });
+        assert_eq!(
+            stats,
+            LoadStats {
+                recovered: 2,
+                dropped: 0
+            }
+        );
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].solved.report, solved.report);
         fs::remove_dir_all(&dir).unwrap();
@@ -1023,7 +1023,13 @@ mod tests {
         bytes.extend_from_slice(&framed[..framed.len() / 2]);
         fs::write(snapshot_file(&dir), &bytes).unwrap();
         let (entries, stats) = load(&dir).unwrap();
-        assert_eq!(stats, LoadStats { recovered: 1, dropped: 1 });
+        assert_eq!(
+            stats,
+            LoadStats {
+                recovered: 1,
+                dropped: 1
+            }
+        );
         assert_eq!(entries.len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1044,7 +1050,13 @@ mod tests {
         // a clean boundary and everything replays.
         log.append(&payload).unwrap();
         let (entries, stats) = load(&dir).unwrap();
-        assert_eq!(stats, LoadStats { recovered: 2, dropped: 0 });
+        assert_eq!(
+            stats,
+            LoadStats {
+                recovered: 2,
+                dropped: 0
+            }
+        );
         assert_eq!(entries.len(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1062,7 +1074,13 @@ mod tests {
         failpoint::disarm_all();
         // The failed rewrite never touched the live snapshot.
         let (entries, stats) = load(&dir).unwrap();
-        assert_eq!(stats, LoadStats { recovered: 1, dropped: 0 });
+        assert_eq!(
+            stats,
+            LoadStats {
+                recovered: 1,
+                dropped: 0
+            }
+        );
         assert_eq!(entries.len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }

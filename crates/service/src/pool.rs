@@ -183,7 +183,10 @@ mod tests {
                 }
             },
         );
-        assert!(peak.load(Ordering::SeqCst) <= 3, "pool is the parallelism cap");
+        assert!(
+            peak.load(Ordering::SeqCst) <= 3,
+            "pool is the parallelism cap"
+        );
     }
 
     #[test]

@@ -97,7 +97,10 @@ pub fn parse_flat(line: &str) -> Result<BTreeMap<String, JsonValue>, String> {
     let JsonValue::Obj(fields) = json::parse(line)? else {
         return Err(not_object());
     };
-    match fields.iter().find(|(_, v)| matches!(v, JsonValue::Arr(_) | JsonValue::Obj(_))) {
+    match fields
+        .iter()
+        .find(|(_, v)| matches!(v, JsonValue::Arr(_) | JsonValue::Obj(_)))
+    {
         Some((key, _)) => Err(format!("nested values are not allowed (field `{key}`)")),
         None => Ok(fields),
     }
@@ -168,7 +171,10 @@ pub fn malformed(message: &str) -> String {
 
 /// Ping response.
 pub fn pong(id: Option<&str>) -> String {
-    format!("{{\"id\":{},\"status\":\"ok\",\"pong\":true}}", id_field(id))
+    format!(
+        "{{\"id\":{},\"status\":\"ok\",\"pong\":true}}",
+        id_field(id)
+    )
 }
 
 /// Stats response: one nested object of counters and gauges, compact
@@ -224,7 +230,9 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_request(r#"{ "id" : "s" , "op" : "stats" }"#).unwrap().op,
+            parse_request(r#"{ "id" : "s" , "op" : "stats" }"#)
+                .unwrap()
+                .op,
             Op::Stats
         );
         assert_eq!(
@@ -276,7 +284,11 @@ mod tests {
     fn responses_are_valid_single_line_json() {
         let all = [
             route_ok(Some("r1"), "cold", 3, 0, 1, "a: 1 cycles\nb: FAILED\n"),
-            busy(Some("r2"), "too many requests in flight (limit 4)", Some(25)),
+            busy(
+                Some("r2"),
+                "too many requests in flight (limit 4)",
+                Some(25),
+            ),
             busy(Some("r3"), "scenario has 9 nets, limit 4", None),
             error(None, "line 3: unknown directive `blok`"),
             malformed("expected '{' at byte 0"),
@@ -304,8 +316,15 @@ mod tests {
 
     #[test]
     fn busy_carries_the_hint_only_for_transient_rejections() {
-        let transient = busy(Some("t"), "too many requests in flight (limit 2)", Some(300));
-        assert!(transient.ends_with("\"retry_after_ms\":300}"), "{transient}");
+        let transient = busy(
+            Some("t"),
+            "too many requests in flight (limit 2)",
+            Some(300),
+        );
+        assert!(
+            transient.ends_with("\"retry_after_ms\":300}"),
+            "{transient}"
+        );
         let permanent = busy(Some("p"), "scenario has 9 nets, limit 4", None);
         assert!(!permanent.contains("retry_after_ms"), "{permanent}");
     }

@@ -64,8 +64,14 @@ impl RetryPolicy {
             return None;
         }
         let step = |a: u32| {
-            let exponential = self.base_ms.checked_shl(a).unwrap_or(u64::MAX).max(self.base_ms);
-            exponential.max(server_hint_ms.unwrap_or(0)).min(self.cap_ms)
+            let exponential = self
+                .base_ms
+                .checked_shl(a)
+                .unwrap_or(u64::MAX)
+                .max(self.base_ms);
+            exponential
+                .max(server_hint_ms.unwrap_or(0))
+                .min(self.cap_ms)
         };
         let this = step(attempt);
         let headroom = if attempt + 1 < self.max_attempts {

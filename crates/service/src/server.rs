@@ -188,7 +188,9 @@ impl Service {
         // process runs one service outside of tests.
         lockcheck::install_sink(Some(metrics.clone()));
         let shards = if config.shards == 0 {
-            thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
         } else {
             config.shards
         };
@@ -217,11 +219,7 @@ impl Service {
     /// and reopens the log for appending. Any persistence failure
     /// degrades to running without persistence (counted, never fatal):
     /// a service that promises to stay up must not die over its cache.
-    fn recover(
-        dir: &Path,
-        cache: &ShardedCache,
-        metrics: &MetricsRecorder,
-    ) -> Option<SnapshotLog> {
+    fn recover(dir: &Path, cache: &ShardedCache, metrics: &MetricsRecorder) -> Option<SnapshotLog> {
         match persist::load(dir) {
             Ok((entries, stats)) => {
                 metrics.counter("service.persist.recovered", stats.recovered as u64);
@@ -291,7 +289,9 @@ impl Service {
             .cache
             .export()
             .into_iter()
-            .map(|(key, base, scenario, solved)| persist::encode_entry(key, base, &scenario, &solved))
+            .map(|(key, base, scenario, solved)| {
+                persist::encode_entry(key, base, &scenario, &solved)
+            })
             .collect();
         persist::rewrite(dir, &payloads)?;
         // The old handle points at the renamed-over inode; reopen so
@@ -397,10 +397,8 @@ impl Service {
                     // accounting must cover the fsync window, or a
                     // burst could stack unbounded threads inside
                     // persistence while the gate reads 0.
-                    self.metrics.gauge_max(
-                        "service.persist.inflight",
-                        self.admission.inflight() as u64,
-                    );
+                    self.metrics
+                        .gauge_max("service.persist.inflight", self.admission.inflight() as u64);
                 }
                 // Entry inserted and durable: dropping the slot now
                 // releases every coalesced waiter.
@@ -574,9 +572,8 @@ impl Service {
                 // Best-effort: a connection without a timeout still
                 // serves, it just cannot notice a drain until its next
                 // complete frame.
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(
-                    self.config.poll_ms.max(1),
-                )));
+                let _ = stream
+                    .set_read_timeout(Some(Duration::from_millis(self.config.poll_ms.max(1))));
                 // Best-effort too: every response leaves in one write,
                 // but a large report spans several segments, and Nagle
                 // would hold its last one until the client's (delayed)
@@ -664,9 +661,15 @@ mod tests {
     #[test]
     fn deep_nesting_is_malformed_not_a_stack_overflow() {
         let service = Service::new(ServiceConfig::default());
-        for line in ["[".repeat(1 << 20), format!("{{\"op\":{}", "[".repeat(1 << 20))] {
+        for line in [
+            "[".repeat(1 << 20),
+            format!("{{\"op\":{}", "[".repeat(1 << 20)),
+        ] {
             let r = service.handle_line(&line);
-            assert!(r.starts_with("{\"id\":null,\"status\":\"malformed\""), "{r}");
+            assert!(
+                r.starts_with("{\"id\":null,\"status\":\"malformed\""),
+                "{r}"
+            );
         }
         assert_eq!(service.metrics().counter_value("service.malformed"), 2);
     }
@@ -674,7 +677,10 @@ mod tests {
     #[test]
     fn surrogate_pair_ids_are_echoed() {
         let service = Service::new(ServiceConfig::default());
-        for line in [r#"{"id":"\ud83d\ude00","op":"ping"}"#, r#"{"id":"😀","op":"ping"}"#] {
+        for line in [
+            r#"{"id":"\ud83d\ude00","op":"ping"}"#,
+            r#"{"id":"😀","op":"ping"}"#,
+        ] {
             let r = service.handle_line(line);
             assert_eq!(r, "{\"id\":\"😀\",\"status\":\"ok\",\"pong\":true}");
         }
@@ -696,7 +702,9 @@ mod tests {
     #[test]
     fn control_requests_work() {
         let service = Service::new(ServiceConfig::default());
-        assert!(service.handle_line("{\"id\":\"p\",\"op\":\"ping\"}").contains("\"pong\":true"));
+        assert!(service
+            .handle_line("{\"id\":\"p\",\"op\":\"ping\"}")
+            .contains("\"pong\":true"));
         let stats = service.handle_line("{\"op\":\"stats\"}");
         assert!(stats.contains("service.requests"), "{stats}");
         validate_json(&stats).unwrap();
@@ -725,15 +733,16 @@ mod tests {
         assert!(lines[0].contains("\"status\":\"malformed\""), "{text}");
         assert!(lines[0].contains("exceeds 64 bytes"), "{text}");
         assert!(lines[1].contains("pong"), "{text}");
-        assert!(lines[2].contains("pong"), "half-written tail answered: {text}");
+        assert!(
+            lines[2].contains("pong"),
+            "half-written tail answered: {text}"
+        );
     }
 
     #[test]
     fn state_dir_round_trips_the_cache_across_restarts() {
-        let dir = std::env::temp_dir().join(format!(
-            "clockroute-server-restart-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("clockroute-server-restart-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = ServiceConfig {
             state: Some(dir.clone()),
@@ -769,10 +778,8 @@ mod tests {
 
     #[test]
     fn snapshot_compacts_and_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!(
-            "clockroute-server-snapshot-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("clockroute-server-snapshot-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = ServiceConfig {
             state: Some(dir.clone()),

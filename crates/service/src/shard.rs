@@ -204,14 +204,20 @@ impl ShardedCache {
             }
         }
         let (i, key, _) = best?;
-        self.shards[i].cache.lock().warm_prior_for(key, scenario, max_dirty)
+        self.shards[i]
+            .cache
+            .lock()
+            .warm_prior_for(key, scenario, max_dirty)
     }
 
     /// Direct insert, used by snapshot recovery (single-threaded, no
     /// coalescing needed). Routes to the owning shard, so replay lands
     /// entries exactly where live traffic would have put them.
     pub fn insert(&self, key: u64, base: u64, scenario: Scenario, solved: Arc<Solved>) {
-        self.shard(key).cache.lock().insert(key, base, scenario, solved);
+        self.shard(key)
+            .cache
+            .lock()
+            .insert(key, base, scenario, solved);
     }
 
     /// Total entries across shards.
@@ -320,7 +326,10 @@ mod tests {
         let (led, _) = get_or_solve(&cache, &s, "x");
         let (hit, path) = get_or_solve(&cache, &s, "never");
         assert_eq!(path, "hit");
-        assert!(Arc::ptr_eq(&led, &hit), "a hit shares the entry, never copies it");
+        assert!(
+            Arc::ptr_eq(&led, &hit),
+            "a hit shares the entry, never copies it"
+        );
         let rows = cache.export();
         assert!(Arc::ptr_eq(&rows[0].3, &led), "export shares it too");
     }
@@ -441,6 +450,9 @@ mod tests {
         // regardless of which shards they landed in.
         let warm = cache.find_warm(base_key(&s3), &s3, 1 << 20).unwrap();
         assert!(!warm.dirty.is_empty());
-        assert!(cache.find_warm(base_key(&s3), &s3, 1).is_none(), "delta cap");
+        assert!(
+            cache.find_warm(base_key(&s3), &s3, 1).is_none(),
+            "delta cap"
+        );
     }
 }

@@ -195,7 +195,10 @@ fn recovered_cache_hits_still_beat_cold() {
     drop(first);
 
     let reborn = Service::new(config);
-    assert_eq!(reborn.metrics().counter_value("service.persist.recovered"), 1);
+    assert_eq!(
+        reborn.metrics().counter_value("service.persist.recovered"),
+        1
+    );
     let started = Instant::now();
     let hit = reborn.handle_line(&route_line("x", &text));
     let warm = started.elapsed();
@@ -271,13 +274,14 @@ fn sigkill_mid_burst_loses_no_answered_entry() {
             got.contains("\"cache\":\"hit\""),
             "answered entry lost across SIGKILL: {got}"
         );
-        assert_eq!(normalize(&got), normalize(before), "bytes changed across crash");
+        assert_eq!(
+            normalize(&got),
+            normalize(before),
+            "bytes changed across crash"
+        );
     }
     let stats = ask(&addr, "{\"op\":\"stats\"}");
-    assert!(
-        stats.contains("\"service.persist.recovered\":5"),
-        "{stats}"
-    );
+    assert!(stats.contains("\"service.persist.recovered\":5"), "{stats}");
     let bye = ask(&addr, "{\"op\":\"shutdown\"}");
     assert!(bye.contains("\"bye\":true"), "{bye}");
     assert!(reborn.wait().expect("exit").success());
@@ -301,14 +305,14 @@ fn sigterm_drains_gracefully_and_preserves_the_cache() {
     assert!(status.success(), "kill -TERM failed");
     let exit = wait_with_deadline(&mut child, Duration::from_secs(20));
     assert_eq!(exit.code(), Some(0), "graceful drain exits 0");
-    assert!(
-        dir.join("cache.snap").exists(),
-        "snapshot written on drain"
-    );
+    assert!(dir.join("cache.snap").exists(), "snapshot written on drain");
 
     let (mut reborn, addr) = spawn_tcp(&dir);
     let hit = ask(&addr, &route_line("t", &text));
-    assert!(hit.contains("\"cache\":\"hit\""), "cache survived drain: {hit}");
+    assert!(
+        hit.contains("\"cache\":\"hit\""),
+        "cache survived drain: {hit}"
+    );
     assert_eq!(normalize(&hit), normalize(&cold));
     let bye = ask(&addr, "{\"op\":\"shutdown\"}");
     assert!(bye.contains("\"bye\":true"), "{bye}");
@@ -330,10 +334,7 @@ fn sigterm_drain_mid_concurrent_burst_loses_no_answered_response() {
     // asked twice, so the drain also crosses coalesced/hit paths).
     const CLIENTS: usize = 8;
     let texts: Vec<String> = (0..4).map(|i| scenario_text(2 + i * 3, 7)).collect();
-    let expected: Vec<String> = texts
-        .iter()
-        .map(|t| cold_reference("x", t))
-        .collect();
+    let expected: Vec<String> = texts.iter().map(|t| cold_reference("x", t)).collect();
 
     let outcomes: Vec<Option<usize>> = std::thread::scope(|scope| {
         let (addr, texts, expected) = (addr.as_str(), &texts, &expected);
@@ -456,8 +457,16 @@ fn truncated_snapshot_from_a_crash_is_recovered_not_served() {
 
     let reborn = Service::new(config);
     let m = reborn.metrics();
-    assert_eq!(m.counter_value("service.persist.recovered"), 1, "first record survives");
-    assert_eq!(m.counter_value("service.persist.dropped"), 1, "torn tail dropped");
+    assert_eq!(
+        m.counter_value("service.persist.recovered"),
+        1,
+        "first record survives"
+    );
+    assert_eq!(
+        m.counter_value("service.persist.dropped"),
+        1,
+        "torn tail dropped"
+    );
     let again = reborn.handle_line(&route_line("a", &a));
     assert!(again.contains("\"cache\":\"hit\""), "{again}");
     assert_eq!(normalize(&again), normalize(&cold_reference("a", &a)));

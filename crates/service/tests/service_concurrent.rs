@@ -70,8 +70,7 @@ fn concurrent_clients_match_serial_replay_for_every_shard_count() {
             ..ServiceConfig::default()
         });
         let barrier = Barrier::new(THREADS as usize);
-        let (service, barrier, distinct, references) =
-            (&service, &barrier, &distinct, &references);
+        let (service, barrier, distinct, references) = (&service, &barrier, &distinct, &references);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|t| {
@@ -80,9 +79,8 @@ fn concurrent_clients_match_serial_replay_for_every_shard_count() {
                         for r in 0..PER_THREAD {
                             // Seeded mix: duplicates across threads are
                             // the norm (4 scenarios, 48 requests).
-                            let idx =
-                                (mix64(0xFEED ^ (t * 131) ^ (r * 17)) % distinct.len() as u64)
-                                    as usize;
+                            let idx = (mix64(0xFEED ^ (t * 131) ^ (r * 17)) % distinct.len() as u64)
+                                as usize;
                             let got = service.handle_line(&route_line("x", &distinct[idx]));
                             assert_eq!(
                                 normalize(&got),
@@ -103,7 +101,11 @@ fn concurrent_clients_match_serial_replay_for_every_shard_count() {
         let hits = m.counter_value("service.hits");
         let coalesced = m.counter_value("service.coalesced");
         let misses = m.counter_value("service.misses");
-        assert_eq!(m.counter_value("service.requests"), total, "shards {shards}");
+        assert_eq!(
+            m.counter_value("service.requests"),
+            total,
+            "shards {shards}"
+        );
         assert_eq!(m.counter_value("service.rejects"), 0, "shards {shards}");
         assert_eq!(
             hits + coalesced + misses,
@@ -353,11 +355,22 @@ fn duplicate_key_records_replay_last_wins() {
     };
     let service = Service::new(config.clone());
     let m = service.metrics();
-    assert_eq!(m.counter_value("service.persist.recovered"), 3, "all records verify");
+    assert_eq!(
+        m.counter_value("service.persist.recovered"),
+        3,
+        "all records verify"
+    );
     assert_eq!(m.counter_value("service.persist.dropped"), 0);
-    assert_eq!(m.counter_value("service.evictions"), 0, "dup replaces, never evicts");
+    assert_eq!(
+        m.counter_value("service.evictions"),
+        0,
+        "dup replaces, never evicts"
+    );
     let stats = service.handle_line("{\"id\":\"s\",\"op\":\"stats\"}");
-    assert!(stats.contains("\"service.cache.len\":2"), "last-wins len: {stats}");
+    assert!(
+        stats.contains("\"service.cache.len\":2"),
+        "last-wins len: {stats}"
+    );
     for text in [&text_a, &text_b] {
         let got = service.handle_line(&route_line("x", text));
         assert!(got.contains("\"cache\":\"hit\""), "recovered hit: {got}");

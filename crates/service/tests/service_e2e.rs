@@ -190,15 +190,23 @@ fn stats_counters_track_the_three_paths() {
         );
     }
     service.handle_line(&route_line("2", &a)); // hit
-    // A hit replays stored bytes: it neither plans nor searches.
-    assert_eq!(solver_counters(&service), after_cold, "a hit ran the solver");
+                                               // A hit replays stored bytes: it neither plans nor searches.
+    assert_eq!(
+        solver_counters(&service),
+        after_cold,
+        "a hit ran the solver"
+    );
     service.handle_line(&route_line("3", &b)); // warm
     let m = service.metrics();
     assert_eq!(m.counter_value("service.requests"), 3);
     assert_eq!(m.counter_value("service.hits"), 1);
     assert_eq!(m.counter_value("service.misses"), 2);
     assert_eq!(m.counter_value("service.warm_reuse"), 1);
-    assert_eq!(m.counter_value("service.coalesced"), 0, "serial traffic never coalesces");
+    assert_eq!(
+        m.counter_value("service.coalesced"),
+        0,
+        "serial traffic never coalesces"
+    );
     assert_eq!(m.counter_value("service.rejects"), 0);
     assert_eq!(m.gauge_value("service.cache.len"), 2);
     assert_eq!(m.gauge_value("service.cache.len.max"), 2);
@@ -239,12 +247,12 @@ fn recovery_replay_lands_entries_in_the_right_shards() {
     // under any other: the shard is derived from the fingerprint at
     // insert time, so replay re-routes each record wherever the new
     // layout wants it.
-    let dir = std::env::temp_dir().join(format!(
-        "crserve-shard-recovery-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("crserve-shard-recovery-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let texts: Vec<String> = [2u32, 5, 8, 11].iter().map(|&bx| scenario_text(bx, 6)).collect();
+    let texts: Vec<String> = [2u32, 5, 8, 11]
+        .iter()
+        .map(|&bx| scenario_text(bx, 6))
+        .collect();
     let mut colds = Vec::new();
     {
         let service = Service::new(ServiceConfig {
@@ -343,7 +351,11 @@ fn crserve_stdio_session_hits_every_path_and_exits_cleanly() {
     assert!(lines[3].contains("\"status\":\"malformed\""));
     assert!(lines[4].contains("\"status\":\"error\""));
     assert!(lines[4].contains("scenario: line 2"));
-    assert!(lines[5].contains("\"cache\":\"hit\""), "r4 repeats r1: {}", lines[5]);
+    assert!(
+        lines[5].contains("\"cache\":\"hit\""),
+        "r4 repeats r1: {}",
+        lines[5]
+    );
     assert!(lines[6].contains("\"service.hits\":2"), "{}", lines[6]);
     assert!(lines[6].contains("\"service.malformed\":1"), "{}", lines[6]);
     assert!(lines[7].contains("\"bye\":true"));
@@ -413,7 +425,11 @@ fn crserve_survives_armed_failpoint_and_keeps_serving() {
         "{}",
         lines[0]
     );
-    assert!(lines[1].contains("\"pong\":true"), "still alive: {}", lines[1]);
+    assert!(
+        lines[1].contains("\"pong\":true"),
+        "still alive: {}",
+        lines[1]
+    );
     assert!(lines[2].contains("\"status\":\"ok\""), "{}", lines[2]);
     assert!(lines[3].contains("\"bye\":true"));
 }
@@ -429,7 +445,11 @@ fn crserve_pins_malformed_input_behaviour() {
     assert!(ok, "oversized line must not kill the service");
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines.len(), 3, "{stdout}");
-    assert!(lines[0].contains("\"status\":\"malformed\""), "{}", lines[0]);
+    assert!(
+        lines[0].contains("\"status\":\"malformed\""),
+        "{}",
+        lines[0]
+    );
     assert!(lines[0].contains("exceeds 256 bytes"), "{}", lines[0]);
     assert!(lines[1].contains("\"pong\":true"), "{}", lines[1]);
     assert!(lines[2].contains("\"bye\":true"), "{}", lines[2]);
@@ -448,7 +468,11 @@ fn crserve_pins_malformed_input_behaviour() {
     assert!(ok, "EOF mid-escape is a clean close");
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines.len(), 1, "{stdout}");
-    assert!(lines[0].contains("\"status\":\"malformed\""), "{}", lines[0]);
+    assert!(
+        lines[0].contains("\"status\":\"malformed\""),
+        "{}",
+        lines[0]
+    );
     validate_jsonl(&stdout).expect("error response is valid JSON");
 }
 
@@ -484,7 +508,10 @@ fn crserve_state_dir_recovers_across_restarts() {
     let (stdout, ok) = run_session(&["--state", &state], &[], &session);
     assert!(ok, "corrupt snapshot must not kill the service");
     let third = stdout.lines().next().expect("one response").to_owned();
-    assert!(third.contains("\"cache\":\"cold\""), "dropped, re-solved: {third}");
+    assert!(
+        third.contains("\"cache\":\"cold\""),
+        "dropped, re-solved: {third}"
+    );
     assert_eq!(normalize(&first), normalize(&third));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -537,7 +564,10 @@ fn busy_responses_hint_and_the_retry_policy_converges() {
             if !got.contains("\"status\":\"busy\"") {
                 return got;
             }
-            assert!(got.contains("\"retry_after_ms\":"), "busy without hint: {got}");
+            assert!(
+                got.contains("\"retry_after_ms\":"),
+                "busy without hint: {got}"
+            );
             let delay = policy
                 .backoff_ms(attempt, Some(1))
                 .expect("retry budget exhausted while the server stayed busy");
@@ -647,7 +677,10 @@ fn crserve_tcp_answers_sequential_pings_without_a_nagle_stall() {
             let mut response = String::new();
             reader.read_line(&mut response).expect("receive pong");
             let rtt = started.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(response, format!("{{\"id\":\"p{i}\",\"status\":\"ok\",\"pong\":true}}\n"));
+            assert_eq!(
+                response,
+                format!("{{\"id\":\"p{i}\",\"status\":\"ok\",\"pong\":true}}\n")
+            );
             rtt
         })
         .collect();
@@ -660,5 +693,8 @@ fn crserve_tcp_answers_sequential_pings_without_a_nagle_stall() {
 
     rtts_ms.sort_by(f64::total_cmp);
     let median = rtts_ms[rtts_ms.len() / 2];
-    assert!(median < 10.0, "median ping RTT {median:.2} ms; all: {rtts_ms:?}");
+    assert!(
+        median < 10.0,
+        "median ping RTT {median:.2} ms; all: {rtts_ms:?}"
+    );
 }

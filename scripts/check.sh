@@ -6,7 +6,8 @@ set -eu
 
 # Format gate, scoped to the crates already formatted; it widens crate by
 # crate until `cargo fmt --all --check` passes.
-cargo fmt --check -p clockroute-core -p clockroute-plan -p clockroute-flow -p clockroute-grid
+cargo fmt --check -p clockroute-core -p clockroute-plan -p clockroute-flow -p clockroute-grid \
+    -p clockroute-bench -p clockroute-service
 cargo build --release
 # crlint first: the invariant gate (NaN-safe orderings, cancellable
 # search loops, deterministic reports — see DESIGN.md §11) is cheaper

@@ -107,12 +107,6 @@ impl<T: Telemetry + Send + ?Sized> Telemetry for Arc<T> {
     }
 }
 
-/// The no-op sink (what an unattached handle behaves like).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Noop;
-
-impl Telemetry for Noop {}
-
 /// A `Copy` handle the specs carry: either nothing (the default — every
 /// call is a single untaken branch) or a borrowed sink.
 #[derive(Clone, Copy, Default)]

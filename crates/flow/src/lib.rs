@@ -23,9 +23,11 @@
 //!    one-net corridor (every off-path edge blocked) handed to the
 //!    exact per-net searches via an inner [`Planner`], so timing,
 //!    buffering and synchronizer insertion stay bit-exact with the
-//!    sequential engine's cost model. A net that cannot be legalized
-//!    in its corridor retries on the full grid, reusing the
-//!    degradation ladder end to end.
+//!    sequential engine's cost model. The inner planner walks the outer
+//!    planner's degradation ladder inside the corridor, so a net too
+//!    tight for the timing searches ships its corridor's coarse-grid or
+//!    unbuffered route. Only a net without a geometry, or one that
+//!    fails every rung in its corridor, is planned on the full grid.
 //!
 //! Phases 1 and 3 are per-net independent work, and run on the
 //! planner's [`Planner::jobs`] workers; rip-up stays on the calling
@@ -78,18 +80,11 @@ pub struct FlowConfig {
     pub iters: u32,
     /// Rounding seed; same seed ⇒ same plan.
     pub seed: u64,
-    /// Multiplicative price-update step: an overloaded edge's price is
-    /// scaled by `1 + epsilon · usage/cap` each round.
-    pub epsilon: f64,
 }
 
 impl Default for FlowConfig {
     fn default() -> FlowConfig {
-        FlowConfig {
-            iters: 12,
-            seed: 0,
-            epsilon: 0.25,
-        }
+        FlowConfig { iters: 12, seed: 0 }
     }
 }
 
@@ -148,6 +143,9 @@ impl PlannerFlowExt for Planner {
     }
 }
 
+/// Multiplicative price-update step: an overloaded edge's price is
+/// scaled by `1 + EPSILON · usage/cap` each round.
+const EPSILON: f64 = 0.25;
 /// Price multiplier ceiling — keeps repeated multiplicative updates
 /// finite without ever changing which edge is cheapest in practice.
 const PRICE_CEILING: f64 = 1e9;
@@ -321,10 +319,11 @@ fn price_round<'n>(
     Ok(round_paths)
 }
 
-/// Legalizes one net: the exact searches along its chosen geometry
-/// `points`, or — without a geometry, or when the corridor is too
-/// tight for the timing searches — on the full grid with the complete
-/// degradation ladder.
+/// Legalizes one net: the outer planner's degradation ladder inside
+/// the corridor of its chosen geometry `points`, so a corridor too
+/// tight for the timing searches yields that ladder's coarse-grid or
+/// unbuffered route there. Only without a geometry, or when every rung
+/// fails in the corridor, is the net planned on the full grid.
 fn legalize(
     outer: &Planner,
     graph: &GridGraph,
@@ -440,7 +439,7 @@ fn flow_priced(
         for ((p, &u), &c) in prices.iter_mut().zip(&usage).zip(&cap) {
             if let Some(c) = c {
                 if u > c {
-                    *p = (*p * (1.0 + config.epsilon * f64::from(u) / f64::from(c.max(1))))
+                    *p = (*p * (1.0 + EPSILON * f64::from(u) / f64::from(c.max(1))))
                         .min(PRICE_CEILING);
                     price_updates += 1;
                 }
@@ -638,6 +637,7 @@ mod tests {
     use clockroute_core::SearchBudget;
     use clockroute_elmore::{GateLibrary, Technology};
     use clockroute_geom::units::Length;
+    use clockroute_plan::Degradation;
     use std::time::Duration;
 
     fn p(x: u32, y: u32) -> Point {
@@ -761,6 +761,35 @@ mod tests {
             .flow(&nets, &caps, FlowConfig::default());
         let b = planner(g).jobs(8).flow(&nets, &caps, FlowConfig::default());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_failing_corridor_ships_its_own_unbuffered_route() {
+        // A deliberate detour on an open grid: the full-grid shortest
+        // path is the straight bottom row, the corridor goes over the
+        // top. With every timing search failing, the inner ladder's
+        // unbuffered rung answers inside the corridor, and that
+        // degraded route is accepted: the full grid is never tried.
+        let g = GridGraph::open(5, 3, Length::from_um(125.0));
+        let net = NetSpec::combinational("n", p(0, 0), p(4, 0));
+        let detour = vec![
+            p(0, 0),
+            p(0, 1),
+            p(0, 2),
+            p(1, 2),
+            p(2, 2),
+            p(3, 2),
+            p(4, 2),
+            p(4, 1),
+            p(4, 0),
+        ];
+        failpoint::disarm_all();
+        failpoint::arm_sticky("plan::net", failpoint::FailAction::NoRoute, 1);
+        let r = legalize(&planner(g.clone()), &g, &net, Some(&detour), &None);
+        failpoint::disarm_all();
+        assert_eq!(r.degradation, Degradation::Unbuffered);
+        let shipped = r.path.as_ref().map(|path| path.points().to_vec());
+        assert_eq!(shipped, Some(detour));
     }
 
     #[test]

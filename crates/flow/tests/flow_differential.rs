@@ -87,7 +87,6 @@ fn uncongested_flow_is_byte_identical_to_sequential_across_seeds() {
         let cfg = FlowConfig {
             seed,
             iters: 1 + (i % 7) as u32,
-            ..FlowConfig::default()
         };
         let flow = planner(inst.graph).flow(&inst.nets, &EdgeCapacities::new(), cfg);
         assert_eq!(flow.summary().mode, FlowMode::Delegated, "seed {seed}");

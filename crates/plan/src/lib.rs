@@ -561,12 +561,6 @@ impl Planner {
         self.budget
     }
 
-    /// Whether routed nets reserve their resources
-    /// ([`Planner::reserve_routes`]).
-    pub fn reserves_routes(&self) -> bool {
-        self.reserve_routes
-    }
-
     /// Whether the degradation ladder is enabled ([`Planner::degrade`]).
     pub fn degrades(&self) -> bool {
         self.degrade

@@ -3,8 +3,7 @@
 //! ```text
 //! usage: crserve [--tcp <addr>] [--state <dir>] [--cache-cap <n>] [--shards <n>]
 //!                [--jobs <n>] [--budget-ms <n>] [--max-nets <n>] [--max-inflight <n>]
-//!                [--warm-max-dirty <n>] [--max-line <bytes>] [--no-warm]
-//!                [--metrics <file>] [--quiet]
+//!                [--max-line <bytes>] [--metrics <file>] [--quiet] [--validate-jsonl]
 //! ```
 //!
 //! Without `--tcp`, the service reads JSONL requests from stdin and
@@ -48,8 +47,8 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: crserve [--tcp <addr>] [--state <dir>] [--cache-cap <n>] \
                      [--shards <n>] [--jobs <n>] [--budget-ms <n>] [--max-nets <n>] \
-                     [--max-inflight <n>] [--warm-max-dirty <n>] [--max-line <bytes>] \
-                     [--no-warm] [--metrics <file>] [--quiet] [--validate-jsonl]";
+                     [--max-inflight <n>] [--max-line <bytes>] [--metrics <file>] \
+                     [--quiet] [--validate-jsonl]";
 
 struct Options {
     tcp: Option<String>,
@@ -91,7 +90,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--metrics" => opts.metrics = Some(value("--metrics")?),
             "--quiet" => opts.quiet = true,
             "--validate-jsonl" => opts.validate = true,
-            "--no-warm" => opts.config.warm = false,
             "--cache-cap" => {
                 opts.config.cache_cap = value("--cache-cap")?
                     .parse()
@@ -129,11 +127,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 if opts.config.max_inflight == 0 {
                     return Err("--max-inflight must be at least 1".to_owned());
                 }
-            }
-            "--warm-max-dirty" => {
-                opts.config.warm_max_dirty = value("--warm-max-dirty")?
-                    .parse()
-                    .map_err(|_| "--warm-max-dirty needs an integer")?;
             }
             "--max-line" => {
                 opts.config.max_line = value("--max-line")?

@@ -8,9 +8,10 @@
 //!
 //! * **hit** — the scenario's canonical hash ([`keys`]) matches a
 //!   cached solve byte-for-byte; no planning happens.
-//! * **warm** — same die/grid/tech/nets as a cached solve but a small
-//!   blockage delta; only nets whose search footprints intersect the
-//!   delta are re-routed ([`clockroute_plan::Planner::plan_warm`]).
+//! * **warm** — same die/grid/tech/nets as a cached solve but a
+//!   blockage delta of at most 4096 grid points; only nets whose search
+//!   footprints intersect the delta are re-routed
+//!   ([`clockroute_plan::Planner::plan_warm`]).
 //! * **cold** — a full solve under the service's admission budget.
 //! * **coalesced** — a concurrent request for a scenario already being
 //!   solved; single-flight ([`shard`]) blocks it on the leader's solve

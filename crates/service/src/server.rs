@@ -57,11 +57,6 @@ pub struct ServiceConfig {
     pub max_nets: usize,
     /// Concurrent solve limit; excess requests get `busy`.
     pub max_inflight: usize,
-    /// Whether near-miss warm-starting is enabled.
-    pub warm: bool,
-    /// Largest blockage delta (in grid points) eligible for
-    /// warm-starting; larger deltas solve cold.
-    pub warm_max_dirty: usize,
     /// Largest accepted request line in bytes; longer lines get one
     /// `malformed` response and are discarded unbuffered.
     pub max_line: usize,
@@ -72,10 +67,15 @@ pub struct ServiceConfig {
     /// State directory for crash-consistent cache snapshots (`None`
     /// disables persistence).
     pub state: Option<PathBuf>,
-    /// Shutdown-poll granularity: TCP reads time out this often so
-    /// idle connections notice a drain within one interval.
-    pub poll_ms: u64,
 }
+
+/// Largest blockage delta (in grid points) eligible for warm-starting;
+/// larger deltas solve cold.
+const WARM_MAX_DIRTY: usize = 4096;
+
+/// Shutdown-poll granularity: TCP reads time out this often so idle
+/// connections notice a drain within one interval.
+const POLL: Duration = Duration::from_millis(50);
 
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
@@ -85,12 +85,9 @@ impl Default for ServiceConfig {
             budget_ms: None,
             max_nets: 512,
             max_inflight: 4,
-            warm: true,
-            warm_max_dirty: 4096,
             max_line: 1 << 20,
             shards: 0,
             state: None,
-            poll_ms: 50,
         }
     }
 }
@@ -356,12 +353,7 @@ impl Service {
             // so echoing it keeps "answered ⟹ durable".
             Lookup::Coalesced(solved) => (solved, CachePath::Coalesced),
             Lookup::Lead(slot) => {
-                let prior = if self.config.warm {
-                    self.cache
-                        .find_warm(base, &parsed, self.config.warm_max_dirty)
-                } else {
-                    None
-                };
+                let prior = self.cache.find_warm(base, &parsed, WARM_MAX_DIRTY);
                 let path = if prior.is_some() {
                     CachePath::Warm
                 } else {
@@ -499,9 +491,9 @@ impl Service {
     /// crate (crlint CR007). Blank lines are ignored; every request
     /// line gets exactly one response line, flushed immediately.
     /// Oversized lines get one `malformed` response and are discarded
-    /// without buffering. A timed-out read (see
-    /// [`ServiceConfig::poll_ms`]) just re-checks the shutdown flag,
-    /// which is how idle connections notice a drain.
+    /// without buffering. A timed-out read (TCP reads time out every
+    /// 50 ms) just re-checks the shutdown flag, which is how idle
+    /// connections notice a drain.
     ///
     /// # Errors
     ///
@@ -554,8 +546,8 @@ impl Service {
     /// rejections flowing; connections beyond that wait first in the
     /// queue, then in the OS accept backlog. Non-blocking accept so a
     /// `shutdown` request on any connection stops the listener
-    /// promptly; connections read with a [`ServiceConfig::poll_ms`]
-    /// timeout so idle ones observe the drain too. Returns once
+    /// promptly; connections read with a 50 ms timeout so idle ones
+    /// observe the drain too. Returns once
     /// shutdown is observed and all pooled connections finish.
     ///
     /// # Errors
@@ -572,8 +564,7 @@ impl Service {
                 // Best-effort: a connection without a timeout still
                 // serves, it just cannot notice a drain until its next
                 // complete frame.
-                let _ = stream
-                    .set_read_timeout(Some(Duration::from_millis(self.config.poll_ms.max(1))));
+                let _ = stream.set_read_timeout(Some(POLL));
                 // Best-effort too: every response leaves in one write,
                 // but a large report spans several segments, and Nagle
                 // would hold its last one until the client's (delayed)

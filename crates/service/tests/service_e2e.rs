@@ -588,14 +588,22 @@ fn busy_responses_hint_and_the_retry_policy_converges() {
 
 #[test]
 fn crserve_rejects_unknown_flags_with_exit_two() {
-    let status = crserve()
-        .arg("--frobnicate")
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .status()
-        .expect("spawn crserve");
-    assert_eq!(status.code(), Some(2));
+    // `--no-warm` and `--warm-max-dirty` were removed flags: warm starts
+    // are always on, with a fixed delta cap.
+    for args in [
+        &["--frobnicate"][..],
+        &["--no-warm"],
+        &["--warm-max-dirty", "8"],
+    ] {
+        let status = crserve()
+            .args(args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .expect("spawn crserve");
+        assert_eq!(status.code(), Some(2), "{args:?}");
+    }
 }
 
 #[test]

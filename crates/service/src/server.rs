@@ -75,7 +75,7 @@ const WARM_MAX_DIRTY: usize = 4096;
 
 /// Shutdown-poll granularity: TCP reads time out this often so idle
 /// connections notice a drain within one interval.
-const POLL: Duration = Duration::from_millis(50);
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
@@ -547,8 +547,8 @@ impl Service {
     /// queue, then in the OS accept backlog. Non-blocking accept so a
     /// `shutdown` request on any connection stops the listener
     /// promptly; connections read with a 50 ms timeout so idle ones
-    /// observe the drain too. Returns once
-    /// shutdown is observed and all pooled connections finish.
+    /// observe the drain too. Returns once shutdown is observed and all
+    /// pooled connections finish.
     ///
     /// # Errors
     ///
@@ -564,7 +564,7 @@ impl Service {
                 // Best-effort: a connection without a timeout still
                 // serves, it just cannot notice a drain until its next
                 // complete frame.
-                let _ = stream.set_read_timeout(Some(POLL));
+                let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
                 // Best-effort too: every response leaves in one write,
                 // but a large report spans several segments, and Nagle
                 // would hold its last one until the client's (delayed)

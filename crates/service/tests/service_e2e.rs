@@ -588,8 +588,8 @@ fn busy_responses_hint_and_the_retry_policy_converges() {
 
 #[test]
 fn crserve_rejects_unknown_flags_with_exit_two() {
-    // `--no-warm` and `--warm-max-dirty` were removed flags: warm starts
-    // are always on, with a fixed delta cap.
+    // Warm starts are always on, with a fixed delta cap: no flag tunes
+    // them.
     for args in [
         &["--frobnicate"][..],
         &["--no-warm"],

@@ -246,7 +246,10 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            let tee = Arc::new(Tee(recorder.clone(), TraceWriter::new(BufWriter::new(file))));
+            let tee = Arc::new(Tee(
+                recorder.clone(),
+                TraceWriter::new(BufWriter::new(file)),
+            ));
             trace_tee = Some(tee.clone());
             tee
         }

@@ -50,7 +50,12 @@ mod tests {
         let g = GridGraph::open(10, 10, Length::from_um(500.0));
         let nets = vec![
             NetSpec::combinational("a", Point::new(0, 0), Point::new(9, 0)),
-            NetSpec::registered("b", Point::new(0, 5), Point::new(9, 5), Time::from_ps(400.0)),
+            NetSpec::registered(
+                "b",
+                Point::new(0, 5),
+                Point::new(9, 5),
+                Time::from_ps(400.0),
+            ),
         ];
         Planner::new(g, Technology::paper_070nm(), GateLibrary::paper_library()).plan(&nets)
     }

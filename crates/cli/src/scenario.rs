@@ -112,8 +112,12 @@ fn kv<'a>(tokens: &[&'a str], key: &str, line: usize) -> Result<&'a str, ParseSc
 }
 
 fn parse_cap(tok: &str, line: usize) -> Result<u32, ParseScenarioError> {
-    tok.parse::<u32>()
-        .map_err(|_| err(line, format!("bad capacity `{tok}` (expected a non-negative integer)")))
+    tok.parse::<u32>().map_err(|_| {
+        err(
+            line,
+            format!("bad capacity `{tok}` (expected a non-negative integer)"),
+        )
+    })
 }
 
 /// One `capacity` directive, held until the grid bounds are known.
@@ -329,7 +333,10 @@ pub fn parse(text: &str) -> Result<Scenario, ParseScenarioError> {
     let mut floorplan = Floorplan::new(dw, dh);
     for (rect, kind, line) in blocks {
         if rect.hi().x >= gw || rect.hi().y >= gh {
-            return Err(err(line, format!("block {rect} exceeds the {gw}×{gh} grid")));
+            return Err(err(
+                line,
+                format!("block {rect} exceeds the {gw}×{gh} grid"),
+            ));
         }
         floorplan.add_block(rect, kind);
     }
@@ -462,8 +469,9 @@ net gals name=c src=50,5 dst=50,95 ts=300 tt=400
 
     #[test]
     fn rejects_off_grid_references() {
-        let e = parse("die 1mm 1mm\ngrid 4 4\nblock hard 0 0 9 9\nnet comb name=x src=0,0 dst=3,3\n")
-            .unwrap_err();
+        let e =
+            parse("die 1mm 1mm\ngrid 4 4\nblock hard 0 0 9 9\nnet comb name=x src=0,0 dst=3,3\n")
+                .unwrap_err();
         assert!(e.message.contains("exceeds"));
         let e = parse("die 1mm 1mm\ngrid 4 4\nnet comb name=x src=0,0 dst=9,9\n").unwrap_err();
         assert!(e.message.contains("off-grid"));
@@ -471,24 +479,30 @@ net gals name=c src=50,5 dst=50,95 ts=300 tt=400
 
     #[test]
     fn rejects_bad_values() {
-        assert!(parse("die 25 25\ngrid 4 4\nnet comb name=x src=0,0 dst=3,3\n")
-            .unwrap_err()
-            .message
-            .contains("suffix"));
-        assert!(parse("die 1mm 1mm\ngrid 4 4\nnet reg name=x src=0,0 dst=3,3\n")
-            .unwrap_err()
-            .message
-            .contains("period"));
+        assert!(
+            parse("die 25 25\ngrid 4 4\nnet comb name=x src=0,0 dst=3,3\n")
+                .unwrap_err()
+                .message
+                .contains("suffix")
+        );
+        assert!(
+            parse("die 1mm 1mm\ngrid 4 4\nnet reg name=x src=0,0 dst=3,3\n")
+                .unwrap_err()
+                .message
+                .contains("period")
+        );
         assert!(
             parse("die 1mm 1mm\ngrid 4 4\nnet comb name=x src=zero dst=3,3\n")
                 .unwrap_err()
                 .message
                 .contains("point")
         );
-        assert!(parse("die 1mm 1mm\ngrid 4 4\ntech r=-1 c=0.1\nnet comb name=x src=0,0 dst=3,3\n")
-            .unwrap_err()
-            .message
-            .contains("positive"));
+        assert!(
+            parse("die 1mm 1mm\ngrid 4 4\ntech r=-1 c=0.1\nnet comb name=x src=0,0 dst=3,3\n")
+                .unwrap_err()
+                .message
+                .contains("positive")
+        );
     }
 
     #[test]
@@ -538,8 +552,9 @@ net gals name=c src=50,5 dst=50,95 ts=300 tt=400
 
     #[test]
     fn late_validations_carry_line_numbers() {
-        let e = parse("die 1mm 1mm\ngrid 4 4\nblock hard 0 0 9 9\nnet comb name=x src=0,0 dst=3,3\n")
-            .unwrap_err();
+        let e =
+            parse("die 1mm 1mm\ngrid 4 4\nblock hard 0 0 9 9\nnet comb name=x src=0,0 dst=3,3\n")
+                .unwrap_err();
         assert_eq!(e.line, 3);
         let e = parse("die 1mm 1mm\ngrid 4 4\nnet comb name=x src=0,0 dst=9,9\n").unwrap_err();
         assert_eq!(e.line, 3);
@@ -563,7 +578,8 @@ net gals name=c src=50,5 dst=50,95 ts=300 tt=400
 
     #[test]
     fn accepts_trailing_whitespace() {
-        let text = "die 1mm 1mm  \t\ngrid 4 4   \nnet comb name=x src=0,0 dst=3,3\t\t\nreserve off  \n";
+        let text =
+            "die 1mm 1mm  \t\ngrid 4 4   \nnet comb name=x src=0,0 dst=3,3\t\t\nreserve off  \n";
         let s = parse(text).unwrap();
         assert_eq!(s.nets.len(), 1);
         assert_eq!(s.nets[0].name, "x");
@@ -592,12 +608,24 @@ net gals name=c src=50,5 dst=50,95 ts=300 tt=400
         let s = parse(&text).unwrap();
         assert!(!s.capacities.is_unconstrained());
         assert_eq!(s.capacities.default_cap(), Some(2));
-        assert_eq!(s.capacities.cap(Point::new(0, 0), Point::new(1, 0)), Some(5));
+        assert_eq!(
+            s.capacities.cap(Point::new(0, 0), Point::new(1, 0)),
+            Some(5)
+        );
         // Rect covers the 4 interior edges of the 2×2 square.
-        assert_eq!(s.capacities.cap(Point::new(1, 1), Point::new(2, 1)), Some(1));
-        assert_eq!(s.capacities.cap(Point::new(2, 1), Point::new(2, 2)), Some(1));
+        assert_eq!(
+            s.capacities.cap(Point::new(1, 1), Point::new(2, 1)),
+            Some(1)
+        );
+        assert_eq!(
+            s.capacities.cap(Point::new(2, 1), Point::new(2, 2)),
+            Some(1)
+        );
         // Edges outside any directive fall back to the default.
-        assert_eq!(s.capacities.cap(Point::new(2, 3), Point::new(3, 3)), Some(2));
+        assert_eq!(
+            s.capacities.cap(Point::new(2, 3), Point::new(3, 3)),
+            Some(2)
+        );
         assert_eq!(s.capacities.override_count(), 5);
     }
 
@@ -618,8 +646,10 @@ net gals name=c src=50,5 dst=50,95 ts=300 tt=400
         }
         // Off-grid edge endpoints are caught at post-validation with the
         // declaring line, even when the grid is declared later.
-        let e = parse("die 1mm 1mm\ncapacity edge 5,0 6,0 1\ngrid 4 4\nnet comb name=x src=0,0 dst=3,3\n")
-            .unwrap_err();
+        let e = parse(
+            "die 1mm 1mm\ncapacity edge 5,0 6,0 1\ngrid 4 4\nnet comb name=x src=0,0 dst=3,3\n",
+        )
+        .unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("off-grid"), "{e}");
     }
@@ -629,6 +659,9 @@ net gals name=c src=50,5 dst=50,95 ts=300 tt=400
         let text = format!("{CAP_BASE}capacity default 3\ncapacity default 1\ncapacity edge 0,0 1,0 9\ncapacity edge 1,0 0,0 4\n");
         let s = parse(&text).unwrap();
         assert_eq!(s.capacities.default_cap(), Some(1));
-        assert_eq!(s.capacities.cap(Point::new(0, 0), Point::new(1, 0)), Some(4));
+        assert_eq!(
+            s.capacities.cap(Point::new(0, 0), Point::new(1, 0)),
+            Some(4)
+        );
     }
 }

@@ -28,7 +28,12 @@ fn scenario_plans_and_passes_drc() {
     let graph = GridGraph::from_floorplan(&s.floorplan, gw, gh);
     let lib = GateLibrary::paper_library();
     let plan = Planner::new(graph.clone(), s.tech, lib.clone()).plan(&s.nets);
-    assert_eq!(plan.routed().count(), 3, "{:?}", plan.failed().collect::<Vec<_>>());
+    assert_eq!(
+        plan.routed().count(),
+        3,
+        "{:?}",
+        plan.failed().collect::<Vec<_>>()
+    );
 
     // Every routed net passes the full design-rule check for its kind.
     // (Check against the *pre-reservation* grid: reservation mutates the
@@ -41,12 +46,7 @@ fn scenario_plans_and_passes_drc() {
             NetKind::Gals { t_s, t_t } => drc::ClockRule::TwoDomain { t_s, t_t },
         };
         let violations = drc::check(path, &graph, &s.tech, &lib, rule);
-        assert!(
-            violations.is_empty(),
-            "net {}: {:?}",
-            net.name,
-            violations
-        );
+        assert!(violations.is_empty(), "net {}: {:?}", net.name, violations);
     }
 }
 
@@ -149,7 +149,10 @@ net reg  name=b src=0,4 dst=15,4 period=400
 
     #[test]
     fn parse_error_exits_two_with_line_number() {
-        let path = scenario_file("badparse", "die 8mm 8mm\ngrid 0 0\nnet comb name=a src=0,0 dst=1,1\n");
+        let path = scenario_file(
+            "badparse",
+            "die 8mm 8mm\ngrid 0 0\nnet comb name=a src=0,0 dst=1,1\n",
+        );
         let out = crplan().arg(&path).output().expect("run crplan");
         assert_eq!(out.status.code(), Some(2));
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -240,7 +243,10 @@ net comb name=d0 src=0,0 dst=19,19
                 .output()
                 .expect("run crplan");
             assert!(out.status.code().is_some(), "killed by signal");
-            (out.status.code(), String::from_utf8_lossy(&out.stdout).into_owned())
+            (
+                out.status.code(),
+                String::from_utf8_lossy(&out.stdout).into_owned(),
+            )
         };
         let sequential = run("1");
         assert!(sequential.1.contains("h0:"), "{}", sequential.1);
@@ -252,8 +258,7 @@ net comb name=d0 src=0,0 dst=19,19
     /// GALS crossing — exercises every search stage and the degradation
     /// ladder at once.
     fn stress_scenario() -> std::path::PathBuf {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../scenarios/stress.cr")
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/stress.cr")
     }
 
     /// Unique temp-file path for a run artifact, removed on drop.
@@ -363,7 +368,11 @@ net comb name=d0 src=0,0 dst=19,19
             assert!(out.status.success());
             out.stdout
         };
-        assert_eq!(run(&lf_path), run(&crlf_path), "CRLF must not change the plan");
+        assert_eq!(
+            run(&lf_path),
+            run(&crlf_path),
+            "CRLF must not change the plan"
+        );
     }
 
     /// The link `crserve` relies on for its byte-identity contract:
@@ -380,7 +389,11 @@ net comb name=d0 src=0,0 dst=19,19
         use clockroute_plan::Planner;
 
         let path = scenario_file("libreport", SMALL);
-        let out = crplan().arg(&path).arg("--quiet").output().expect("run crplan");
+        let out = crplan()
+            .arg(&path)
+            .arg("--quiet")
+            .output()
+            .expect("run crplan");
         assert!(out.status.success());
 
         let s = scenario::parse(SMALL).expect("parse");
@@ -432,7 +445,11 @@ net comb name=d0 src=0,0 dst=19,19
             assert_eq!(out.status.code(), Some(2), "--jobs {bad}");
             assert!(String::from_utf8_lossy(&out.stderr).contains("--jobs"));
         }
-        let out = crplan().arg(&path).arg("--jobs").output().expect("run crplan");
+        let out = crplan()
+            .arg(&path)
+            .arg("--jobs")
+            .output()
+            .expect("run crplan");
         assert_eq!(out.status.code(), Some(2), "missing value");
     }
 
@@ -460,7 +477,10 @@ net comb name=s2 src=0,2 dst=6,2
                 .expect("run crplan");
             assert_eq!(out.status.code(), Some(2), "{flag} without --flow");
             let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(stderr.contains(&format!("{flag} requires --flow")), "{stderr}");
+            assert!(
+                stderr.contains(&format!("{flag} requires --flow")),
+                "{stderr}"
+            );
         }
     }
 
@@ -491,7 +511,10 @@ net comb name=s2 src=0,2 dst=6,2
             .output()
             .expect("run");
         assert!(seq.status.success() && flow.status.success());
-        assert_eq!(seq.stdout, flow.stdout, "--flow changed an uncongested plan");
+        assert_eq!(
+            seq.stdout, flow.stdout,
+            "--flow changed an uncongested plan"
+        );
     }
 
     /// Flow plans are a pure function of scenario + seed + iters: the
@@ -510,7 +533,11 @@ net comb name=s2 src=0,2 dst=6,2
                 .args(extra)
                 .output()
                 .expect("run crplan");
-            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+            assert!(
+                out.status.success(),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
             let json = std::fs::read_to_string(&metrics).expect("metrics file written");
             (out.stdout, json)
         };

@@ -47,9 +47,10 @@ pub struct FlowSummary {
     /// `true` when a `SearchBudget` deadline cut a phase short (the
     /// plan still completes via the degradation ladder).
     pub budget_exhausted: bool,
-    /// Best (lowest) total overflow seen across fractional rounds — the
-    /// duality-style lower-bound tracker: the integral solution cannot
-    /// beat the best fractional round by more than the rounding gap.
+    /// Best (lowest) total overflow seen across fractional rounds. Every
+    /// round routes each net on one path, so a round's overflow belongs
+    /// to a feasible routing: this is an *upper* bound on the optimum,
+    /// not a lower bound.
     pub best_fractional_overflow: Option<u64>,
     /// Per-round fractional congestion.
     pub round_stats: Vec<RoundStats>,

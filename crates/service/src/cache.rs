@@ -12,6 +12,14 @@
 //! The map is a `BTreeMap`, not a hash map, so iteration order — and
 //! therefore which base-key candidate wins when several match — is
 //! deterministic across runs and platforms.
+//!
+//! Each entry also keeps a few exact request texts that parsed to its
+//! scenario (its *aliases*), so an exact repeat can be answered without
+//! parsing: an alias matches only on equal length and equal bytes,
+//! never on a hash. Aliases live and die with their entry — eviction
+//! and same-key replacement drop them, a zero-capacity cache never
+//! holds one — and they are never exported, so snapshots do not carry
+//! them.
 
 use crate::keys::{block_delta, same_base, same_blocks};
 use clockroute_cli::scenario::Scenario;
@@ -38,6 +46,12 @@ pub struct Solved {
     pub degraded: usize,
 }
 
+/// Request texts kept per entry. Four is the number of textual forms
+/// the `serve_hit` benchmark sends per scenario (`STYLES` in
+/// `perfbench/src/gen.rs`: plain, comments, CRLF, reordered blocks);
+/// later forms of a full entry take the parse path.
+const MAX_ALIASES: usize = 4;
+
 /// One cached scenario.
 #[derive(Debug, Clone)]
 struct Entry {
@@ -45,6 +59,17 @@ struct Entry {
     scenario: Scenario,
     solved: Arc<Solved>,
     last_used: u64,
+    /// Exact request texts that parsed to `scenario` (at most
+    /// [`MAX_ALIASES`], no spare capacity per text).
+    aliases: Vec<Box<str>>,
+}
+
+impl Entry {
+    fn has_alias(&self, text: &str) -> bool {
+        self.aliases
+            .iter()
+            .any(|a| a.len() == text.len() && a.as_bytes() == text.as_bytes())
+    }
 }
 
 /// A warm-start candidate pulled from the cache.
@@ -124,6 +149,41 @@ impl ResultCache {
         Some(Arc::clone(&entry.solved))
     }
 
+    /// Records `text` as an alias of entry `key`, unless the entry is
+    /// gone, already holds it, or is full. The caller must hold the
+    /// lock under which it verified that `text` parses to the entry's
+    /// scenario (a [`lookup`](Self::lookup) hit or the insert itself).
+    pub fn remember(&mut self, key: u64, text: &str) {
+        if let Some(entry) = self.entries.get_mut(&key) {
+            if entry.aliases.len() < MAX_ALIASES && !entry.has_alias(text) {
+                entry.aliases.push(text.into());
+            }
+        }
+    }
+
+    /// Memo scan: the key and net count of the entry holding exactly
+    /// `text` as an alias. Read-only — recency is bumped only by
+    /// [`lookup_alias`](Self::lookup_alias).
+    pub fn find_alias(&self, text: &str) -> Option<(u64, usize)> {
+        self.entries
+            .iter()
+            .find(|(_, e)| e.has_alias(text))
+            .map(|(k, e)| (*k, e.scenario.nets.len()))
+    }
+
+    /// Memo hit: the stored solve of entry `key` if it still holds
+    /// exactly `text` as an alias (it may have been evicted or
+    /// replaced since [`find_alias`](Self::find_alias)). Bumps recency.
+    pub fn lookup_alias(&mut self, key: u64, text: &str) -> Option<Arc<Solved>> {
+        let tick = self.next_tick();
+        let entry = self.entries.get_mut(&key)?;
+        if !entry.has_alias(text) {
+            return None;
+        }
+        entry.last_used = tick;
+        Some(Arc::clone(&entry.solved))
+    }
+
     /// Near-miss lookup: the most recently used entry sharing
     /// `scenario`'s base (same die, grid, tech, nets, reservation) with
     /// a blockage delta of at most `max_dirty` grid points. Bumps the
@@ -197,7 +257,8 @@ impl ResultCache {
     }
 
     /// Stores a solve, evicting the least recently used entry if the
-    /// cache is full. A no-op when the capacity is zero.
+    /// cache is full. A no-op when the capacity is zero. Replacing an
+    /// entry under the same key drops the old entry's aliases.
     pub fn insert(&mut self, key: u64, base: u64, scenario: Scenario, solved: Arc<Solved>) {
         if self.cap == 0 {
             return;
@@ -210,6 +271,7 @@ impl ResultCache {
                 scenario,
                 solved,
                 last_used: tick,
+                aliases: Vec::new(),
             },
         );
         while self.entries.len() > self.cap {
@@ -235,12 +297,15 @@ mod tests {
     use crate::keys::{base_key, scenario_key};
     use clockroute_cli::scenario::parse;
 
-    fn scenario(block_x: u32) -> Scenario {
-        parse(&format!(
+    fn text(block_x: u32) -> String {
+        format!(
             "die 10mm 10mm\ngrid 20 20\nblock hard {block_x} 2 {} 4\nnet comb name=a src=0,0 dst=19,19\n",
             block_x + 2
-        ))
-        .unwrap()
+        )
+    }
+
+    fn scenario(block_x: u32) -> Scenario {
+        parse(&text(block_x)).unwrap()
     }
 
     fn solved(tag: &str) -> Arc<Solved> {
@@ -363,11 +428,44 @@ mod tests {
         let mut cache = ResultCache::new(4);
         let s1 = scenario(2);
         let s2 = scenario(5);
-        // Deliberately file s1's solve under s2's key.
-        cache.insert(scenario_key(&s2), base_key(&s1), s1, solved("wrong"));
+        // Deliberately file s1's solve under s2's key, with s1's text
+        // as an alias.
+        let key = scenario_key(&s2);
+        cache.insert(key, base_key(&s1), s1, solved("wrong"));
+        cache.remember(key, &text(2));
         assert!(
             report_of(&mut cache, &s2).is_none(),
             "structural verification rejects the colliding entry"
         );
+        // The cold solve's insert replaces the slot: no alias of the
+        // old entry may serve its answer any more.
+        cache.insert(key, base_key(&s2), s2.clone(), solved("right"));
+        assert!(cache.find_alias(&text(2)).is_none());
+        assert!(cache.lookup_alias(key, &text(2)).is_none());
+        assert_eq!(report_of(&mut cache, &s2).as_deref(), Some("right"));
+    }
+
+    #[test]
+    fn aliases_are_exact_bytes_and_bounded() {
+        let mut cache = ResultCache::new(4);
+        let s = scenario(2);
+        let key = scenario_key(&s);
+        cache.insert(key, base_key(&s), s, solved("two"));
+        let forms: Vec<String> = (0..MAX_ALIASES + 2)
+            .map(|i| format!("{}{}", "# pad\n".repeat(i), text(2)))
+            .collect();
+        for form in &forms {
+            cache.remember(key, form);
+            cache.remember(key, form); // a repeat is not stored twice
+        }
+        for (i, form) in forms.iter().enumerate() {
+            let held = cache.find_alias(form).is_some();
+            assert_eq!(held, i < MAX_ALIASES, "alias {i}");
+            assert_eq!(cache.lookup_alias(key, form).is_some(), held);
+        }
+        // One byte off, same length: no hit.
+        let mutant = text(2).replacen("die", "dIe", 1);
+        assert!(cache.find_alias(&mutant).is_none());
+        assert!(cache.lookup_alias(key, &mutant).is_none());
     }
 }

@@ -15,11 +15,12 @@
 //!
 //! The response contract (asserted by the crate's property tests): for
 //! a given scenario, the `route` response is byte-identical whether it
-//! was computed cold, answered from the exact-match cache, or
+//! was computed cold, answered from the exact-match cache (through the
+//! parser or the exact-bytes text memo in front of it), or
 //! warm-started from a near-miss entry — and identical to what a
 //! freshly spawned `crplan --quiet` prints for the same file.
 
-use crate::admission::{Admission, RequestTimer};
+use crate::admission::{Admission, Permit, RequestTimer};
 use crate::cache::{Solved, WarmPrior};
 use crate::frame::{self, Frame, FrameReader};
 use crate::keys::{base_key, scenario_key};
@@ -329,6 +330,22 @@ impl Service {
 
     fn route(&self, id: Option<&str>, text: &str) -> String {
         let timer = RequestTimer::start();
+        // Memo path: an exact repeat of a text some entry already
+        // answered skips the parser and both fingerprints. Admission
+        // sees the entry's net count, exactly as the parse path would;
+        // the bytes are re-verified under the shard lock, and a miss
+        // there (evicted or replaced since the scan) falls through.
+        if let Some((key, nets)) = self.cache.find_alias(text) {
+            let permit = match self.admit(id, nets) {
+                Ok(p) => p,
+                Err(busy) => return busy,
+            };
+            if let Some(solved) = self.cache.lookup_alias(key, text) {
+                return self.answer(id, &timer, permit, &solved, CachePath::Hit);
+            }
+            drop(permit);
+        }
+
         let parsed = match scenario::parse(text) {
             Ok(s) => s,
             Err(e) => {
@@ -336,17 +353,14 @@ impl Service {
                 return protocol::error(id, &format!("scenario: {e}"));
             }
         };
-        let permit = match self.admission.try_admit(parsed.nets.len()) {
+        let permit = match self.admit(id, parsed.nets.len()) {
             Ok(p) => p,
-            Err(rejection) => {
-                self.metrics.counter("service.rejects", 1);
-                return protocol::busy(id, &rejection.reason(), rejection.retry_after_ms());
-            }
+            Err(busy) => return busy,
         };
 
         let key = scenario_key(&parsed);
         let base = base_key(&parsed);
-        let (solved, path) = match self.cache.lookup_or_claim(key, &parsed) {
+        let (solved, path) = match self.cache.lookup_or_claim(key, &parsed, text) {
             Lookup::Hit(solved) => (solved, CachePath::Hit),
             // A concurrent leader solved this key while we waited; its
             // entry was inserted and persisted before the slot dropped,
@@ -376,7 +390,7 @@ impl Service {
                 let record = self
                     .persists()
                     .then(|| persist::encode_entry(key, base, &parsed, &solved));
-                let (evicted, _) = slot.insert(base, parsed, Arc::clone(&solved));
+                let (evicted, _) = slot.insert(base, parsed, Arc::clone(&solved), text);
                 if evicted > 0 {
                     self.metrics.counter("service.evictions", evicted);
                 }
@@ -398,7 +412,29 @@ impl Service {
                 (solved, path)
             }
         };
+        self.answer(id, &timer, permit, &solved, path)
+    }
 
+    /// Takes an in-flight permit for a `nets`-net request, or counts the
+    /// rejection and returns its `busy` response.
+    fn admit(&self, id: Option<&str>, nets: usize) -> Result<Permit<'_>, String> {
+        self.admission.try_admit(nets).map_err(|rejection| {
+            self.metrics.counter("service.rejects", 1);
+            protocol::busy(id, &rejection.reason(), rejection.retry_after_ms())
+        })
+    }
+
+    /// The `ok` response for an answered `route`, on every path: the
+    /// path's counters, the request span, the permit release, and the
+    /// response bytes.
+    fn answer(
+        &self,
+        id: Option<&str>,
+        timer: &RequestTimer,
+        permit: Permit<'_>,
+        solved: &Solved,
+        path: CachePath,
+    ) -> String {
         match path {
             CachePath::Hit => self.metrics.counter("service.hits", 1),
             CachePath::Coalesced => self.metrics.counter("service.coalesced", 1),
@@ -602,12 +638,120 @@ impl Service {
 mod tests {
     use super::*;
     use clockroute_core::json::validate_json;
+    use std::collections::BTreeMap;
 
     const SCENARIO: &str =
         "die 10mm 10mm\\ngrid 20 20\\nblock hard 8 8 11 11\\nnet comb name=a src=0,0 dst=19,19\\nnet reg name=b src=0,10 dst=19,10 period=2000\\n";
 
     fn route_line(id: &str, scenario: &str) -> String {
         format!("{{\"id\":\"{id}\",\"op\":\"route\",\"scenario\":\"{scenario}\"}}")
+    }
+
+    /// A `route` line for raw scenario text (JSON-escaped).
+    fn route_text(id: &str, text: &str) -> String {
+        format!(
+            "{{\"id\":\"{id}\",\"op\":\"route\",\"scenario\":{}}}",
+            clockroute_core::json::json_string(text)
+        )
+    }
+
+    /// `SCENARIO` as the text the service receives.
+    fn scenario_text() -> String {
+        SCENARIO.replace("\\n", "\n")
+    }
+
+    /// The response with its cache label erased, for comparing paths.
+    fn unlabelled(response: &str) -> String {
+        ["hit", "coalesced", "warm"]
+            .iter()
+            .fold(response.to_owned(), |r, label| {
+                r.replace(&format!("\"cache\":\"{label}\""), "\"cache\":\"cold\"")
+            })
+    }
+
+    /// Named telemetry values.
+    type Readings = Vec<(String, u64)>;
+
+    /// Sends one line; returns the response and what it did to the
+    /// telemetry: every counter's increment and every gauge that moved.
+    fn send(service: &Service, line: &str) -> (String, Readings, Readings) {
+        let counters: BTreeMap<String, u64> = service.metrics().counters().into_iter().collect();
+        let gauges = service.metrics().gauges();
+        let response = service.handle_line(line);
+        let counted = service
+            .metrics()
+            .counters()
+            .into_iter()
+            .map(|(name, v)| {
+                let d = v - counters.get(&name).copied().unwrap_or(0);
+                (name, d)
+            })
+            .filter(|&(_, d)| d > 0)
+            .collect();
+        let moved = service
+            .metrics()
+            .gauges()
+            .into_iter()
+            .filter(|g| !gauges.contains(g))
+            .collect();
+        (response, counted, moved)
+    }
+
+    /// Every shipped `scenarios/*.cr`, as `(file name, text)`.
+    fn shipped_scenarios() -> Vec<(String, String)> {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+        let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "cr"))
+            .collect();
+        files.sort();
+        assert!(!files.is_empty(), "no scenarios in {}", dir.display());
+        files
+            .into_iter()
+            .map(|p| {
+                let name = p.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read_to_string(&p).unwrap())
+            })
+            .collect()
+    }
+
+    /// The other three textual forms the canonical fingerprint maps to
+    /// the plain text's entry: with comments, with CRLF line ends, and
+    /// with the `block` lines in reverse order.
+    fn variant_forms(text: &str) -> [String; 3] {
+        let comments = text.replace('\n', "   # memo\n");
+        let crlf = text.replace('\n', "\r\n");
+        let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
+        let blocks: Vec<usize> = (0..lines.len())
+            .filter(|&i| lines[i].starts_with("block"))
+            .collect();
+        let reversed: Vec<&str> = blocks.iter().rev().map(|&i| lines[i]).collect();
+        for (&i, line) in blocks.iter().zip(reversed) {
+            lines[i] = line;
+        }
+        [comments, crlf, lines.concat()]
+    }
+
+    /// `count` seeded one-byte mutants of `text`: an ASCII byte swapped
+    /// for one of `#`, `x`, `q`, so no mutant grows the grid or a net.
+    fn one_byte_mutants(text: &str, seed: u64, count: usize) -> Vec<String> {
+        let mut state = seed;
+        let mut mutants = Vec::new();
+        while mutants.len() < count {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let at = (state >> 33) as usize % text.len();
+            let old = text.as_bytes()[at];
+            let new = b"#xq"[(state >> 17) as usize % 3];
+            if old.is_ascii() && old != new {
+                let mut bytes = text.as_bytes().to_vec();
+                bytes[at] = new;
+                mutants.push(String::from_utf8(bytes).unwrap());
+            }
+        }
+        mutants
     }
 
     #[test]
@@ -624,6 +768,139 @@ mod tests {
         );
         assert_eq!(service.metrics().counter_value("service.hits"), 1);
         assert_eq!(service.metrics().counter_value("service.misses"), 1);
+
+        // Every shipped scenario in four textual forms: the first send
+        // of a form takes the parse path, its repeat the memo path, and
+        // both answer with the cold bytes and the same telemetry delta.
+        for (i, (name, plain)) in shipped_scenarios().into_iter().enumerate() {
+            let cold = Service::new(ServiceConfig::default()).handle_line(&route_text("s", &plain));
+            assert!(cold.contains("\"status\":\"ok\""), "{name}: {cold}");
+            let mutants: Vec<(String, String)> = one_byte_mutants(&plain, 7 + i as u64, 3)
+                .into_iter()
+                .map(|m| {
+                    let alone = Service::new(ServiceConfig::default());
+                    let reference = alone.handle_line(&route_text("s", &m));
+                    (m, reference)
+                })
+                .collect();
+            for shards in [1, 4] {
+                let service = Service::new(ServiceConfig {
+                    shards,
+                    ..ServiceConfig::default()
+                });
+                assert_eq!(service.handle_line(&route_text("s", &plain)), cold);
+                let (repeat, hit_delta, moved) = send(&service, &route_text("s", &plain));
+                assert_eq!(unlabelled(&repeat), cold, "{name}, {shards} shards");
+                assert!(moved.is_empty(), "{name}: a hit moved {moved:?}");
+                // Without two `block` lines the reordered form is the
+                // plain text itself, already covered above.
+                for form in variant_forms(&plain).into_iter().filter(|f| *f != plain) {
+                    assert!(service.cache.find_alias(&form).is_none(), "{name}");
+                    let parse_path = send(&service, &route_text("s", &form));
+                    assert!(service.cache.find_alias(&form).is_some(), "{name}");
+                    let memo_path = send(&service, &route_text("s", &form));
+                    assert!(parse_path.0.contains("\"cache\":\"hit\""), "{name}");
+                    assert_eq!(unlabelled(&parse_path.0), cold, "{name}, {shards} shards");
+                    assert_eq!(memo_path, parse_path, "{name}, {shards} shards");
+                    assert_eq!(memo_path.1, hit_delta, "{name}, {shards} shards");
+                }
+                // One byte off a memoized text is never a memo answer;
+                // a mutant's first and repeated sends answer like a
+                // fresh service would.
+                for (mutant, reference) in &mutants {
+                    let first = service.handle_line(&route_text("s", mutant));
+                    let again = service.handle_line(&route_text("s", mutant));
+                    assert_eq!(unlabelled(&first), unlabelled(reference), "{name}");
+                    assert_eq!(unlabelled(&again), unlabelled(reference), "{name}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn eviction_takes_the_memo_with_it() {
+        // Cache cap 1: A, B, A ends in a miss, not a memo answer from
+        // A's evicted entry.
+        let service = Service::new(ServiceConfig {
+            cache_cap: 1,
+            shards: 1,
+            ..ServiceConfig::default()
+        });
+        let a = scenario_text();
+        let b = a.replace("8 8 11 11", "3 3 6 6");
+        let first = service.handle_line(&route_text("a", &a));
+        service.handle_line(&route_text("b", &b));
+        assert!(service.cache.find_alias(&a).is_none());
+        let again = service.handle_line(&route_text("a", &a));
+        assert!(!again.contains("\"cache\":\"hit\""), "{again}");
+        assert_eq!(unlabelled(&again), first);
+        assert_eq!(service.metrics().counter_value("service.misses"), 3);
+        assert_eq!(service.metrics().counter_value("service.hits"), 0);
+    }
+
+    #[test]
+    fn busy_bytes_match_on_the_memo_and_parse_paths() {
+        let service = Service::new(ServiceConfig {
+            max_inflight: 1,
+            ..ServiceConfig::default()
+        });
+        let text = scenario_text();
+        service.handle_line(&route_text("b", &text));
+        let crlf = text.replace('\n', "\r\n");
+        let held = service.admission.try_admit(0).unwrap();
+        assert!(service.cache.find_alias(&crlf).is_none());
+        let parse_path = send(&service, &route_text("b", &crlf));
+        assert!(service.cache.find_alias(&text).is_some());
+        let memo_path = send(&service, &route_text("b", &text));
+        assert!(
+            parse_path.0.contains("\"status\":\"busy\""),
+            "{parse_path:?}"
+        );
+        assert_eq!(memo_path, parse_path);
+        drop(held);
+        let hit = service.handle_line(&route_text("b", &text));
+        assert!(hit.contains("\"cache\":\"hit\""), "{hit}");
+    }
+
+    #[test]
+    fn memo_traffic_leaves_the_snapshot_bytes_unchanged() {
+        let a = scenario_text();
+        let b = a.replace("8 8 11 11", "3 3 6 6");
+        let noisy = |t: &str| t.replace('\n', " # n\n");
+        // The same hits in the same order, once as exact repeats (memo
+        // path) and once as distinct texts (parse path only).
+        let memo = [a.clone(), b.clone(), a.clone(), b.clone(), a.clone()];
+        let parse = [
+            a.clone(),
+            b.clone(),
+            noisy(&a),
+            noisy(&b),
+            a.replace('\n', "\r\n"),
+        ];
+        for shards in [1, 4] {
+            let mut snapshots = Vec::new();
+            for (tag, texts) in [("memo", &memo), ("parse", &parse)] {
+                let dir = std::env::temp_dir().join(format!(
+                    "clockroute-server-memo-{tag}-{shards}-{}",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                let service = Service::new(ServiceConfig {
+                    shards,
+                    state: Some(dir.clone()),
+                    ..ServiceConfig::default()
+                });
+                for text in texts {
+                    service.handle_line(&route_text("m", text));
+                }
+                assert_eq!(service.metrics().counter_value("service.hits"), 3);
+                service.snapshot().unwrap();
+                snapshots.push(std::fs::read(persist::snapshot_file(&dir)).unwrap());
+                drop(service);
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+            assert_eq!(snapshots[0], snapshots[1], "{shards} shards");
+        }
     }
 
     #[test]

@@ -18,13 +18,21 @@
 //! coalesced response is never sent before the bytes it echoes are
 //! durable ("answered ⟹ durable" holds on every path).
 //!
+//! **Memo.** An exact repeat of a request text is found without
+//! parsing: [`find_alias`](ShardedCache::find_alias) scans the shards
+//! for an entry holding those bytes as an alias (recorded on a `Hit`
+//! and on the leader's insert), and
+//! [`lookup_alias`](ShardedCache::lookup_alias) re-verifies them under
+//! the owning shard's lock before answering. Either step may come up
+//! empty; the caller then takes the parse path.
+//!
 //! **Lock order.** Each shard has two locks: `cache` and `pending`.
 //! The only place both are held is the miss path, which acquires
 //! `pending` first and then re-checks `cache` under it (closing the
 //! race where a leader completes between a thread's miss and its
 //! claim). Nothing acquires `pending` while holding `cache`, and no
-//! path touches two shards' locks at once except the warm scan, which
-//! takes them strictly one at a time — so the order is acyclic and
+//! path touches two shards' locks at once except the warm and memo
+//! scans, which take them one at a time — so the order is acyclic and
 //! deadlock-free. Since PR 9 this is machine-checked, not just
 //! documented: both locks are [`OrderedMutex`]es
 //! (`LockRank::Pending < LockRank::Cache`, all shards sharing the two
@@ -64,6 +72,27 @@ struct Shard {
     done: OrderedCondvar,
 }
 
+impl Shard {
+    /// The cached answer for `key`, if any: `Coalesced` after a wait,
+    /// else a `Hit` that records `text` as an alias under the same lock
+    /// that verified the match.
+    fn lookup(
+        &self,
+        key: u64,
+        scenario: &Scenario,
+        text: &str,
+        waited: bool,
+    ) -> Option<Lookup<'_>> {
+        let mut cache = self.cache.lock();
+        let solved = cache.lookup(key, scenario)?;
+        if waited {
+            return Some(Lookup::Coalesced(solved));
+        }
+        cache.remember(key, text);
+        Some(Lookup::Hit(solved))
+    }
+}
+
 /// What a request learns about its key (see module docs).
 #[derive(Debug)]
 pub enum Lookup<'a> {
@@ -87,12 +116,20 @@ pub struct SolveSlot<'a> {
 }
 
 impl SolveSlot<'_> {
-    /// Stores the leader's solve, returning
+    /// Stores the leader's solve, with `text` (the request that parsed
+    /// to `scenario`) as its first alias, returning
     /// `(evictions caused, shard len after)`.
-    pub fn insert(&self, base: u64, scenario: Scenario, solved: Arc<Solved>) -> (u64, usize) {
+    pub fn insert(
+        &self,
+        base: u64,
+        scenario: Scenario,
+        solved: Arc<Solved>,
+        text: &str,
+    ) -> (u64, usize) {
         let mut cache = self.shard.cache.lock();
         let before = cache.evictions();
         cache.insert(self.key, base, scenario, solved);
+        cache.remember(self.key, text);
         (cache.evictions() - before, cache.len())
     }
 }
@@ -148,19 +185,15 @@ impl ShardedCache {
 
     /// Resolves `key`: a cached answer, a coalesced answer after
     /// waiting out a concurrent leader, or leadership of the solve.
-    pub fn lookup_or_claim(&self, key: u64, scenario: &Scenario) -> Lookup<'_> {
+    /// On a [`Lookup::Hit`], `text` (the request that parsed to
+    /// `scenario`) is recorded as an alias of the entry under the same
+    /// shard lock that verified the match.
+    pub fn lookup_or_claim(&self, key: u64, scenario: &Scenario, text: &str) -> Lookup<'_> {
         let shard = self.shard(key);
         let mut waited = false;
-        let answer = |s: Arc<Solved>, waited: bool| {
-            if waited {
-                Lookup::Coalesced(s)
-            } else {
-                Lookup::Hit(s)
-            }
-        };
         loop {
-            if let Some(s) = shard.cache.lock().lookup(key, scenario) {
-                return answer(s, waited);
+            if let Some(answer) = shard.lookup(key, scenario, text, waited) {
+                return answer;
             }
             let mut pending = shard.pending.lock();
             if !pending.contains(&key) {
@@ -171,8 +204,8 @@ impl ShardedCache {
                 // (Pending → Cache is the one nested acquire; the rank
                 // order exists so exactly this is legal and the
                 // reverse is not.)
-                if let Some(s) = shard.cache.lock().lookup(key, scenario) {
-                    return answer(s, waited);
+                if let Some(answer) = shard.lookup(key, scenario, text, waited) {
+                    return answer;
                 }
                 pending.insert(key);
                 return Lookup::Lead(SolveSlot { shard, key });
@@ -186,6 +219,23 @@ impl ShardedCache {
             // hit; if it was evicted already — tiny caps — or the
             // leader failed, this thread claims leadership itself.
         }
+    }
+
+    /// Memo scan: the key and net count of the entry holding exactly
+    /// `text` as an alias, reading the shards one lock at a time like
+    /// the warm scan.
+    pub fn find_alias(&self, text: &str) -> Option<(u64, usize)> {
+        self.shards
+            .iter()
+            .find_map(|shard| shard.cache.lock().find_alias(text))
+    }
+
+    /// Memo hit: re-verifies `text` against entry `key` under its shard
+    /// lock and bumps recency. `None` when the entry was evicted or
+    /// replaced since [`find_alias`](Self::find_alias) — the caller
+    /// then takes the parse path, which is always a safe answer.
+    pub fn lookup_alias(&self, key: u64, text: &str) -> Option<Arc<Solved>> {
+        self.shard(key).cache.lock().lookup_alias(key, text)
     }
 
     /// Cross-shard warm scan: the globally most recent entry sharing
@@ -269,12 +319,15 @@ mod tests {
     use clockroute_cli::scenario::parse;
     use std::sync::mpsc;
 
-    fn scenario(block_x: u32) -> Scenario {
-        parse(&format!(
+    fn text(block_x: u32) -> String {
+        format!(
             "die 10mm 10mm\ngrid 20 20\nblock hard {block_x} 2 {} 4\nnet comb name=a src=0,0 dst=19,19\n",
             block_x + 2
-        ))
-        .unwrap()
+        )
+    }
+
+    fn scenario(block_x: u32) -> Scenario {
+        parse(&text(block_x)).unwrap()
     }
 
     fn solved(tag: &str) -> Arc<Solved> {
@@ -284,14 +337,16 @@ mod tests {
         })
     }
 
-    /// Resolve to a solved answer, solving with `make` when leading.
-    fn get_or_solve(cache: &ShardedCache, s: &Scenario, tag: &str) -> (Arc<Solved>, &'static str) {
-        match cache.lookup_or_claim(scenario_key(s), s) {
+    /// Resolve the scenario with block at `block_x` to a solved answer,
+    /// solving with `tag` as its report when leading.
+    fn get_or_solve(cache: &ShardedCache, block_x: u32, tag: &str) -> (Arc<Solved>, &'static str) {
+        let (text, s) = (text(block_x), scenario(block_x));
+        match cache.lookup_or_claim(scenario_key(&s), &s, &text) {
             Lookup::Hit(v) => (v, "hit"),
             Lookup::Coalesced(v) => (v, "coalesced"),
             Lookup::Lead(slot) => {
                 let v = solved(tag);
-                slot.insert(base_key(s), s.clone(), Arc::clone(&v));
+                slot.insert(base_key(&s), s.clone(), Arc::clone(&v), &text);
                 (v, "lead")
             }
         }
@@ -301,18 +356,17 @@ mod tests {
     fn keys_route_to_their_shard_and_totals_aggregate() {
         let cache = ShardedCache::new(4, 16);
         assert_eq!(cache.shard_count(), 4);
-        let scenarios: Vec<Scenario> = (0..6).map(|i| scenario(2 + i)).collect();
-        for (i, s) in scenarios.iter().enumerate() {
-            let (_, path) = get_or_solve(&cache, s, &format!("v{i}"));
+        for i in 0..6 {
+            let (_, path) = get_or_solve(&cache, 2 + i, &format!("v{i}"));
             assert_eq!(path, "lead");
         }
         assert_eq!(cache.len(), 6);
         assert_eq!(cache.shard_lens().iter().sum::<usize>(), 6);
-        for s in &scenarios {
-            let key = scenario_key(s);
+        for i in 0..6 {
+            let key = scenario_key(&scenario(2 + i));
             let lens = cache.shard_lens();
             // The entry is findable, and in exactly the mod shard.
-            let (_, path) = get_or_solve(&cache, s, "never");
+            let (_, path) = get_or_solve(&cache, 2 + i, "never");
             assert_eq!(path, "hit");
             assert!(lens[(key % 4) as usize] > 0);
         }
@@ -322,9 +376,8 @@ mod tests {
     #[test]
     fn hits_and_export_share_the_leaders_solve() {
         let cache = ShardedCache::new(2, 8);
-        let s = scenario(3);
-        let (led, _) = get_or_solve(&cache, &s, "x");
-        let (hit, path) = get_or_solve(&cache, &s, "never");
+        let (led, _) = get_or_solve(&cache, 3, "x");
+        let (hit, path) = get_or_solve(&cache, 3, "never");
         assert_eq!(path, "hit");
         assert!(
             Arc::ptr_eq(&led, &hit),
@@ -340,10 +393,9 @@ mod tests {
         // capacity; the floor of 1 keeps single-flight meaningful.
         let cache = ShardedCache::new(8, 1);
         for i in 0..8 {
-            let s = scenario(2 + i);
-            let (_, path) = get_or_solve(&cache, &s, "x");
+            let (_, path) = get_or_solve(&cache, 2 + i, "x");
             assert_eq!(path, "lead");
-            let (_, again) = get_or_solve(&cache, &s, "never");
+            let (_, again) = get_or_solve(&cache, 2 + i, "never");
             assert_eq!(again, "hit", "every shard retains its last solve");
         }
         assert!(cache.len() <= 8, "overshoot bounded by shard count");
@@ -352,12 +404,13 @@ mod tests {
     #[test]
     fn zero_capacity_disables_all_shards() {
         let cache = ShardedCache::new(4, 0);
-        let s = scenario(2);
-        let (_, path) = get_or_solve(&cache, &s, "x");
+        let (_, path) = get_or_solve(&cache, 2, "x");
         assert_eq!(path, "lead");
         assert!(cache.is_empty());
-        // No entry was kept, so the next request leads again.
-        let (_, again) = get_or_solve(&cache, &s, "y");
+        // No entry (and so no alias) was kept: the next request leads
+        // again.
+        assert!(cache.find_alias(&text(2)).is_none());
+        let (_, again) = get_or_solve(&cache, 2, "y");
         assert_eq!(again, "lead");
     }
 
@@ -365,12 +418,11 @@ mod tests {
     fn export_merges_shards_in_global_lru_order() {
         for shards in [1usize, 2, 8] {
             let cache = ShardedCache::new(shards, 64);
-            let scenarios: Vec<Scenario> = (0..5).map(|i| scenario(2 + i)).collect();
-            for (i, s) in scenarios.iter().enumerate() {
-                get_or_solve(&cache, s, &format!("v{i}"));
+            for i in 0..5 {
+                get_or_solve(&cache, 2 + i, &format!("v{i}"));
             }
             // Touch v1 so it becomes globally most recent.
-            get_or_solve(&cache, &scenarios[1], "never");
+            get_or_solve(&cache, 3, "never");
             let order: Vec<String> = cache
                 .export()
                 .into_iter()
@@ -392,7 +444,7 @@ mod tests {
 
         // Deterministic interleaving: claim leadership on this thread,
         // then start a follower that must block until the slot drops.
-        let slot = match cache.lookup_or_claim(key, &s) {
+        let slot = match cache.lookup_or_claim(key, &s, &text(3)) {
             Lookup::Lead(slot) => slot,
             other => panic!("fresh key must lead, got {other:?}"),
         };
@@ -402,7 +454,7 @@ mod tests {
             let s = s.clone();
             std::thread::spawn(move || {
                 tx.send(()).unwrap(); // follower is about to block
-                let outcome = cache.lookup_or_claim(key, &s);
+                let outcome = cache.lookup_or_claim(key, &s, &text(3));
                 match outcome {
                     Lookup::Coalesced(v) => v.report.clone(),
                     other => panic!("follower must coalesce, got {other:?}"),
@@ -414,12 +466,12 @@ mod tests {
         // not, it observes `pending` and waits — the assertion below
         // does not depend on this sleep.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        slot.insert(base_key(&s), s.clone(), solved("the-answer"));
+        slot.insert(base_key(&s), s.clone(), solved("the-answer"), &text(3));
         drop(slot); // release the follower only now
         assert_eq!(follower.join().unwrap(), "the-answer");
 
         // And the entry is a plain hit afterwards.
-        let (v, path) = get_or_solve(&cache, &s, "never");
+        let (v, path) = get_or_solve(&cache, 3, "never");
         assert_eq!((v.report.as_str(), path), ("the-answer", "hit"));
     }
 
@@ -428,12 +480,13 @@ mod tests {
         let cache = ShardedCache::new(1, 8);
         let s = scenario(3);
         let key = scenario_key(&s);
-        let slot = match cache.lookup_or_claim(key, &s) {
+        let slot = match cache.lookup_or_claim(key, &s, &text(3)) {
             Lookup::Lead(slot) => slot,
             other => panic!("fresh key must lead, got {other:?}"),
         };
         drop(slot); // leader gave up without inserting (solve error)
-        let second = cache.lookup_or_claim(key, &s);
+        assert!(cache.find_alias(&text(3)).is_none(), "no entry, no alias");
+        let second = cache.lookup_or_claim(key, &s, &text(3));
         assert!(
             matches!(second, Lookup::Lead(_)),
             "next request must lead again, got {second:?}"
@@ -443,9 +496,9 @@ mod tests {
     #[test]
     fn cross_shard_warm_scan_finds_the_most_recent_base_match() {
         let cache = ShardedCache::new(4, 16);
-        let (s1, s2, s3) = (scenario(2), scenario(5), scenario(8));
-        get_or_solve(&cache, &s1, "one");
-        get_or_solve(&cache, &s2, "two");
+        let s3 = scenario(8);
+        get_or_solve(&cache, 2, "one");
+        get_or_solve(&cache, 5, "two");
         // s3 shares the base; the most recent of s1/s2 must win
         // regardless of which shards they landed in.
         let warm = cache.find_warm(base_key(&s3), &s3, 1 << 20).unwrap();

@@ -71,6 +71,26 @@ fn library_report(text: &str) -> String {
     report::plan_report(&plan)
 }
 
+/// Sends one line; returns the response and every counter it moved,
+/// with its increment.
+fn send(service: &Service, line: &str) -> (String, Vec<(String, u64)>) {
+    let before = service.metrics().counters();
+    let response = service.handle_line(line);
+    let moved = service
+        .metrics()
+        .counters()
+        .into_iter()
+        .filter_map(|(name, v)| {
+            let old = before
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map_or(0, |(_, v)| *v);
+            (v > old).then(|| (name, v - old))
+        })
+        .collect();
+    (response, moved)
+}
+
 fn report_field(response: &str) -> String {
     match protocol::parse_flat(response)
         .expect("route response is flat JSON")
@@ -103,13 +123,20 @@ proptest! {
             prop_assert!(cold_a.contains("\"cache\":\"cold\""), "{}", cold_a);
 
             // Exact repeat, plus a comment/CRLF-noised variant: both hits.
+            // The exact repeat is answered from the text memo the cold
+            // solve left; the variant's first send takes the parse path
+            // and its repeat the memo path, with the same bytes and the
+            // same counter increments.
             let hit = service.handle_line(&route_line("x", &a));
             prop_assert!(hit.contains("\"cache\":\"hit\""), "{}", hit);
             prop_assert_eq!(normalize(&cold_a), normalize(&hit));
             let noisy = a.replace('\n', "  # c\r\n");
-            let noisy_hit = service.handle_line(&route_line("x", &noisy));
+            let (noisy_hit, parse_delta) = send(&service, &route_line("x", &noisy));
             prop_assert!(noisy_hit.contains("\"cache\":\"hit\""), "{}", noisy_hit);
             prop_assert_eq!(normalize(&cold_a), normalize(&noisy_hit));
+            let (memo_hit, memo_delta) = send(&service, &route_line("x", &noisy));
+            prop_assert_eq!(&memo_hit, &noisy_hit);
+            prop_assert_eq!(memo_delta, parse_delta);
 
             // Near miss: warm-started (the cross-shard scan must find
             // A's entry whichever shard holds it), yet byte-identical

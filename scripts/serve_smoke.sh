@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Smoke test for crserve: drives one stdio session through every answer
-# path (cold miss, exact-match cache hit, malformed line, budget
-# rejection), checks the exit-code contract, and validates every
+# path (cold miss, exact-match cache hit, a textual variant's parse-path
+# hit and its repeat's memo hit, malformed line, budget rejection),
+# checks the exit-code contract, and validates every
 # response line through the same JSON grammar the telemetry export
 # uses (`crserve --validate-jsonl`). Run from the repo root; the
 # in-depth byte-identity assertions live in
@@ -22,11 +23,15 @@ fail() {
 # Two-net scenario; literal \n stay escaped so they land inside the
 # JSON string for the parser to decode.
 SCEN='die 25mm 25mm\ngrid 12 12\nblock hard 4 4 6 6\nnet comb name=a src=0,0 dst=11,11\nnet reg name=b src=0,6 dst=11,6 period=2000\n'
+# The same scenario with CRLF line ends: a different text, the same entry.
+SCEN_CRLF=$(printf '%s' "$SCEN" | sed 's/\\n/\\r\\n/g')
 
 {
     printf '%s\n' '{"id":"p","op":"ping"}'
     printf '{"id":"r1","op":"route","scenario":"%s"}\n' "$SCEN"
     printf '{"id":"r2","op":"route","scenario":"%s"}\n' "$SCEN"
+    printf '{"id":"r3","op":"route","scenario":"%s"}\n' "$SCEN_CRLF"
+    printf '{"id":"r4","op":"route","scenario":"%s"}\n' "$SCEN_CRLF"
     printf '%s\n' 'this is not json'
     printf '%s\n' '{"id":"s","op":"stats"}'
     printf '%s\n' '{"id":"q","op":"shutdown"}'
@@ -36,7 +41,7 @@ SCEN='die 25mm 25mm\ngrid 12 12\nblock hard 4 4 6 6\nnet comb name=a src=0,0 dst
     < "$tmp/session.jsonl" > "$tmp/out.jsonl" \
     || fail "clean session exited non-zero"
 
-[ "$(wc -l < "$tmp/out.jsonl")" -eq 6 ] || fail "expected 6 response lines"
+[ "$(wc -l < "$tmp/out.jsonl")" -eq 8 ] || fail "expected 8 response lines"
 "$BIN" --validate-jsonl < "$tmp/out.jsonl" || fail "responses are not valid JSONL"
 # The metrics export is one pretty-printed object; joined onto a
 # single line it is a one-line JSONL document.
@@ -47,7 +52,16 @@ grep -q '"pong"' "$tmp/out.jsonl" || fail "missing pong response"
 grep -q '"cache":"cold"' "$tmp/out.jsonl" || fail "missing cold-path response"
 grep -q '"cache":"hit"' "$tmp/out.jsonl" || fail "replay did not hit the cache"
 grep -q '"status":"malformed"' "$tmp/out.jsonl" || fail "malformed line not reported"
-grep -q '"service.hits":1' "$tmp/out.jsonl" || fail "stats did not count the hit"
+# r3 (first CRLF send, parse path) and r4 (its exact repeat, memo path)
+# are hits whose bytes equal r1's cold answer apart from id and label.
+for n in 4 5; do
+    sed -n "${n}p" "$tmp/out.jsonl" | grep -q '"cache":"hit"' \
+        || fail "CRLF variant line $n was not a cache hit"
+done
+sed -n '2,5p' "$tmp/out.jsonl" | sed 's/"id":"r[0-9]"//; s/"cache":"[a-z]*"//' \
+    | sort -u > "$tmp/answers.txt"
+[ "$(wc -l < "$tmp/answers.txt")" -eq 1 ] || fail "hit bytes differ from the cold answer"
+grep -q '"service.hits":3' "$tmp/out.jsonl" || fail "stats did not count the three hits"
 grep -q '"bye":true' "$tmp/out.jsonl" || fail "missing shutdown acknowledgement"
 
 # Budget rejection: a 2-net scenario against --max-nets 1 must answer

@@ -187,7 +187,10 @@ mod tests {
     #[test]
     fn hard_block_blocks_nodes_and_edges() {
         let mut fp = die();
-        fp.add_block(Rect::new(Point::new(5, 5), Point::new(8, 8)), BlockKind::Hard);
+        fp.add_block(
+            Rect::new(Point::new(5, 5), Point::new(8, 8)),
+            BlockKind::Hard,
+        );
         let map = fp.rasterize(20, 20);
         assert!(map.is_node_blocked(Point::new(6, 6)));
         assert!(map.is_edge_blocked(Point::new(6, 6), Point::new(7, 6)));
@@ -235,11 +238,14 @@ mod tests {
     #[test]
     fn covered_by_and_area() {
         let mut fp = die();
-        fp.add_block(Rect::new(Point::new(0, 0), Point::new(1, 1)), BlockKind::Hard)
-            .add_block(
-                Rect::new(Point::new(3, 3), Point::new(3, 3)),
-                BlockKind::Obstacle,
-            );
+        fp.add_block(
+            Rect::new(Point::new(0, 0), Point::new(1, 1)),
+            BlockKind::Hard,
+        )
+        .add_block(
+            Rect::new(Point::new(3, 3), Point::new(3, 3)),
+            BlockKind::Obstacle,
+        );
         assert_eq!(fp.blocks().len(), 2);
         assert_eq!(fp.blocked_area(), 5);
         assert!(fp.covered_by(Point::new(0, 1), BlockKind::Hard));

@@ -7,8 +7,8 @@
 //! with a guaranteed-clear corridor so that a source→sink connection always
 //! exists (see `DESIGN.md`, substitution table).
 
-use crate::{BlockKind, Floorplan, Point, Rect};
 use crate::units::Length;
+use crate::{BlockKind, Floorplan, Point, Rect};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -143,8 +143,12 @@ impl FloorplanGenerator {
         let mut attempts = 0;
         while placed.len() < self.blocks && attempts < max_attempts {
             attempts += 1;
-            let w = rng.gen_range(self.min_size..=self.max_size).min(self.grid_w);
-            let h = rng.gen_range(self.min_size..=self.max_size).min(self.grid_h);
+            let w = rng
+                .gen_range(self.min_size..=self.max_size)
+                .min(self.grid_w);
+            let h = rng
+                .gen_range(self.min_size..=self.max_size)
+                .min(self.grid_h);
             let x0 = rng.gen_range(0..=self.grid_w - w);
             let y0 = rng.gen_range(0..=self.grid_h - h);
             let rect = Rect::new(Point::new(x0, y0), Point::new(x0 + w - 1, y0 + h - 1));

@@ -45,4 +45,4 @@ pub use blockage::{BlockageMap, EdgeDir};
 pub use floorplan::{BlockKind, Floorplan, PlacedBlock};
 pub use point::Point;
 pub use rect::Rect;
-pub use units::{Capacitance, CapPerLength, Length, ResPerLength, Resistance, Time};
+pub use units::{CapPerLength, Capacitance, Length, ResPerLength, Resistance, Time};

@@ -162,7 +162,10 @@ mod tests {
         assert!(p125.ps() <= 49.0, "0.125 mm min period {p125}");
         // 0.25 mm pitch: feasible at 53 ps but not 49 ps (Table II).
         let p250 = min_feasible_period(&tech, &reg, Length::from_um(250.0));
-        assert!(p250.ps() <= 53.0 && p250.ps() > 49.0, "0.25 mm min period {p250}");
+        assert!(
+            p250.ps() <= 53.0 && p250.ps() > 49.0,
+            "0.25 mm min period {p250}"
+        );
         // 0.5 mm pitch: infeasible at 53 ps (Table II shows no solution).
         let p500 = min_feasible_period(&tech, &reg, Length::from_um(500.0));
         assert!(p500.ps() > 53.0, "0.5 mm min period {p500}");

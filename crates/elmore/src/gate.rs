@@ -74,9 +74,15 @@ impl Gate {
         intrinsic: Time,
         setup: Time,
     ) -> Gate {
-        assert!(driver_res.ohms() > 0.0, "driver resistance must be positive");
+        assert!(
+            driver_res.ohms() > 0.0,
+            "driver resistance must be positive"
+        );
         assert!(input_cap.ff() > 0.0, "input capacitance must be positive");
-        assert!(intrinsic.ps() >= 0.0, "intrinsic delay must be non-negative");
+        assert!(
+            intrinsic.ps() >= 0.0,
+            "intrinsic delay must be non-negative"
+        );
         assert!(setup.ps() >= 0.0, "setup time must be non-negative");
         assert!(
             kind.is_sequential() || setup == Time::ZERO,
@@ -487,7 +493,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "register model is required")]
     fn missing_register_rejected() {
-        let _ = GateLibrary::builder().buffer("b", buf(1.0, 1.0, 0.0)).build();
+        let _ = GateLibrary::builder()
+            .buffer("b", buf(1.0, 1.0, 0.0))
+            .build();
     }
 
     #[test]

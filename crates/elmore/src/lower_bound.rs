@@ -104,8 +104,7 @@ pub fn edge_rate(
     let a = edge.res_ohms * edge.cap_ff * 1.0e-3 / 2.0;
     let mut best = f64::INFINITY;
     for d in drivers {
-        let driver_ok =
-            positive(d.res_ohms) && d.intrinsic_ps.is_finite() && d.intrinsic_ps >= 0.0;
+        let driver_ok = positive(d.res_ohms) && d.intrinsic_ps.is_finite() && d.intrinsic_ps >= 0.0;
         if !driver_ok {
             return 0.0;
         }
@@ -193,10 +192,7 @@ mod tests {
             res_ohms: -1.0,
             intrinsic_ps: 0.0,
         };
-        assert_eq!(
-            edge_rate(&[bad_driver], paper_edge(250.0), 23.4, 1.0),
-            0.0
-        );
+        assert_eq!(edge_rate(&[bad_driver], paper_edge(250.0), 23.4, 1.0), 0.0);
     }
 
     #[test]

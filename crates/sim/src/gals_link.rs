@@ -66,7 +66,10 @@ impl GalsLink {
         fifo_capacity: usize,
     ) -> GalsLink {
         for t in [t_s, t_t] {
-            assert!(t.ps() > 0.0 && t.is_finite(), "period must be positive and finite");
+            assert!(
+                t.ps() > 0.0 && t.is_finite(),
+                "period must be positive and finite"
+            );
         }
         assert!(fifo_capacity > 0, "fifo capacity must be non-zero");
         GalsLink {

@@ -109,8 +109,7 @@ impl WavePipe {
 
     /// Number of waves simultaneously in flight at the analytic rate.
     pub fn waves_in_flight(&self) -> u32 {
-        (self.d_min.ps() / self.min_launch_interval().ps().max(self.period.ps())).floor() as u32
-            + 1
+        (self.d_min.ps() / self.min_launch_interval().ps().max(self.period.ps())).floor() as u32 + 1
     }
 
     /// Launches `tokens` waves every `interval`, each with an independent

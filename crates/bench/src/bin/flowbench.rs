@@ -20,7 +20,7 @@
 
 use clockroute_cli::scenario;
 use clockroute_elmore::GateLibrary;
-use clockroute_flow::{FlowConfig, FlowSummary, PlannerFlowExt};
+use clockroute_flow::{FlowConfig, PlannerFlowExt};
 use clockroute_grid::{EdgeCapacities, GridGraph};
 use clockroute_plan::{Plan, Planner};
 use std::collections::BTreeMap;
@@ -40,14 +40,13 @@ struct Row {
     max_overflow: u32,
     latency_ps: f64,
     wire_mm: f64,
-    rounds: u32,
     seconds: f64,
 }
 
 impl Row {
     fn to_json(&self) -> String {
         format!(
-            "{{\"bench\":\"flow.quality\",\"scenario\":\"{}\",\"mode\":\"{}\",\"routed\":{},\"nets\":{},\"overflow\":{},\"max_overflow\":{},\"latency_ps\":{:.1},\"wire_mm\":{:.1},\"rounds\":{},\"seconds\":{:.6}}}",
+            "{{\"bench\":\"flow.quality\",\"scenario\":\"{}\",\"mode\":\"{}\",\"routed\":{},\"nets\":{},\"overflow\":{},\"max_overflow\":{},\"latency_ps\":{:.1},\"wire_mm\":{:.1},\"seconds\":{:.6}}}",
             self.scenario,
             self.mode,
             self.routed,
@@ -56,7 +55,6 @@ impl Row {
             self.max_overflow,
             self.latency_ps,
             self.wire_mm,
-            self.rounds,
             self.seconds,
         )
     }
@@ -97,7 +95,6 @@ fn score(
     plan: &Plan,
     graph: &GridGraph,
     caps: &EdgeCapacities,
-    summary: Option<&FlowSummary>,
     seconds: f64,
 ) -> Row {
     let (overflow, max_overflow) = overflow_of(plan, graph, caps);
@@ -118,7 +115,6 @@ fn score(
             .filter_map(|r| r.path.as_ref())
             .map(|p| p.wirelength(graph).mm())
             .sum(),
-        rounds: summary.map_or(0, |s| s.rounds),
         seconds,
     }
 }
@@ -154,7 +150,6 @@ fn run_scenario(name: &'static str) -> Result<[Row; 2], String> {
             &sequential,
             &graph,
             &s.capacities,
-            None,
             seq_seconds,
         ),
         score(
@@ -163,7 +158,6 @@ fn run_scenario(name: &'static str) -> Result<[Row; 2], String> {
             flow.plan(),
             &graph,
             &s.capacities,
-            Some(flow.summary()),
             flow_seconds,
         ),
     ])

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! usage: crplan <scenario.cr> [--render] [--quiet] [--budget-ms <n>] [--strict] [--jobs <n>]
-//!               [--metrics <file>] [--trace <file>]
-//!               [--flow [--flow-iters <n>] [--flow-seed <n>]]
+//!               [--metrics <file>] [--trace <file>] [--flow]
 //! ```
 //!
 //! Reads a scenario file (see [`clockroute_cli::scenario`] for the
@@ -19,18 +18,17 @@
 //!
 //! `--jobs <n>` sets the number of routing worker threads (default: the
 //! machine's available parallelism). Under `--flow` the same workers run
-//! the price rounds and the per-net legalization. The plan — and
+//! the per-net legalization. The plan — and
 //! therefore the entire report — is bit-identical for every job count;
 //! parallelism only changes wall-clock time.
 //!
-//! `--flow` routes the whole batch with the congestion-aware
-//! multicommodity-flow mode (`clockroute-flow`) against the scenario's
-//! `capacity` directives. `--flow-iters <n>` sets the fractional price
-//! rounds and `--flow-seed <n>` the rounding seed; both require
-//! `--flow` (exit 2 otherwise). Under `--flow` the plan is a pure
-//! function of scenario + seed + iters, byte-identical for every
-//! `--jobs` value like any other plan, and a non-quiet run appends a
-//! congestion/overflow section to the report.
+//! `--flow` routes the whole batch with the congestion-aware flow mode
+//! (`clockroute-flow`: shortest paths, rip-up-and-reroute of overflow
+//! offenders, per-net corridor legalization) against the scenario's
+//! `capacity` directives. Under `--flow` the plan is a pure function of
+//! the scenario, byte-identical for every `--jobs` value like any other
+//! plan, and a non-quiet run appends a congestion/overflow section to
+//! the report.
 //!
 //! `--metrics <file>` writes the aggregated telemetry counters/gauges as
 //! a JSON object; the file is byte-identical for every `--jobs` value.
@@ -56,8 +54,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "usage: crplan <scenario.cr> [--render] [--quiet] [--budget-ms <n>] \
-                     [--strict] [--jobs <n>] [--metrics <file>] [--trace <file>] \
-                     [--flow [--flow-iters <n>] [--flow-seed <n>]]";
+                     [--strict] [--jobs <n>] [--metrics <file>] [--trace <file>] [--flow]";
 
 struct Options {
     path: String,
@@ -69,8 +66,6 @@ struct Options {
     metrics: Option<String>,
     trace: Option<String>,
     flow: bool,
-    flow_iters: Option<u32>,
-    flow_seed: Option<u64>,
 }
 
 fn default_jobs() -> usize {
@@ -89,8 +84,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut metrics = None;
     let mut trace = None;
     let mut flow = false;
-    let mut flow_iters = None;
-    let mut flow_seed = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -122,25 +115,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 trace = Some(it.next().ok_or("--trace needs a file path")?.clone());
             }
             "--flow" => flow = true,
-            "--flow-iters" => {
-                let n: u32 = it
-                    .next()
-                    .ok_or("--flow-iters needs a value")?
-                    .parse()
-                    .map_err(|_| "--flow-iters needs a positive integer")?;
-                if n == 0 {
-                    return Err("--flow-iters needs a positive integer".to_owned());
-                }
-                flow_iters = Some(n);
-            }
-            "--flow-seed" => {
-                flow_seed = Some(
-                    it.next()
-                        .ok_or("--flow-seed needs a value")?
-                        .parse()
-                        .map_err(|_| "--flow-seed needs an unsigned integer")?,
-                );
-            }
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag `{other}`"));
             }
@@ -150,12 +124,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 }
             }
         }
-    }
-    if !flow && flow_iters.is_some() {
-        return Err("--flow-iters requires --flow".to_owned());
-    }
-    if !flow && flow_seed.is_some() {
-        return Err("--flow-seed requires --flow".to_owned());
     }
     Ok(Options {
         path: path.ok_or("missing scenario file")?,
@@ -167,8 +135,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         metrics,
         trace,
         flow,
-        flow_iters,
-        flow_seed,
     })
 }
 
@@ -262,15 +228,8 @@ fn main() -> ExitCode {
         .jobs(opts.jobs)
         .telemetry(SharedTelemetry::new(sink));
     let (plan, flow_summary) = if opts.flow {
-        let mut cfg = FlowConfig::default();
-        if let Some(n) = opts.flow_iters {
-            cfg.iters = n;
-        }
-        if let Some(s) = opts.flow_seed {
-            cfg.seed = s;
-        }
         let (plan, summary) = planner
-            .flow(&scenario.nets, &scenario.capacities, cfg)
+            .flow(&scenario.nets, &scenario.capacities, FlowConfig::default())
             .into_parts();
         (plan, Some(summary))
     } else {

@@ -465,36 +465,21 @@ net comb name=s1 src=0,2 dst=6,2
 net comb name=s2 src=0,2 dst=6,2
 ";
 
+    /// Flow mode has no knob: `--flow-iters` and `--flow-seed` are
+    /// unknown arguments, with or without `--flow`.
     #[test]
-    fn flow_only_flags_without_flow_exit_two() {
+    fn removed_flow_flags_exit_two() {
         let path = scenario_file("flowflags", SMALL);
         for flag in ["--flow-iters", "--flow-seed"] {
-            let out = crplan()
-                .arg(&path)
-                .arg(flag)
-                .arg("3")
-                .output()
-                .expect("run crplan");
-            assert_eq!(out.status.code(), Some(2), "{flag} without --flow");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(
-                stderr.contains(&format!("{flag} requires --flow")),
-                "{stderr}"
-            );
-        }
-    }
-
-    #[test]
-    fn bad_flow_values_exit_two() {
-        let path = scenario_file("badflow", SMALL);
-        for args in [
-            &["--flow", "--flow-iters", "0"][..],
-            &["--flow", "--flow-iters", "many"][..],
-            &["--flow", "--flow-seed", "-1"][..],
-            &["--flow", "--flow-iters"][..],
-        ] {
-            let out = crplan().arg(&path).args(args).output().expect("run crplan");
-            assert_eq!(out.status.code(), Some(2), "{args:?}");
+            for args in [&[flag, "3"][..], &["--flow", flag, "3"][..]] {
+                let out = crplan().arg(&path).args(args).output().expect("run crplan");
+                assert_eq!(out.status.code(), Some(2), "{args:?}");
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert!(
+                    stderr.contains(&format!("unknown flag `{flag}`")),
+                    "{args:?}: {stderr}"
+                );
+            }
         }
     }
 
@@ -517,10 +502,10 @@ net comb name=s2 src=0,2 dst=6,2
         );
     }
 
-    /// Flow plans are a pure function of scenario + seed + iters: the
-    /// full report and the `--metrics` file, the oracle's exact work
-    /// counts included, are byte-identical across repeat runs and
-    /// across `--jobs` values.
+    /// Flow plans are a pure function of the scenario: the full report
+    /// and the `--metrics` file, the oracle's exact work counts
+    /// included, are byte-identical across repeat runs and across
+    /// `--jobs` values.
     #[test]
     fn flow_report_is_byte_identical_across_runs_and_jobs() {
         let path = scenario_file("flowdet", FLOW_CONGESTED);
@@ -528,7 +513,7 @@ net comb name=s2 src=0,2 dst=6,2
             let metrics = artifact(&format!("flowdet-{tag}.json"));
             let out = crplan()
                 .arg(&path)
-                .args(["--flow", "--flow-seed", "7", "--metrics"])
+                .args(["--flow", "--metrics"])
                 .arg(&metrics)
                 .args(extra)
                 .output()
@@ -634,7 +619,7 @@ net comb name=c1 src=0,1 dst=6,3
         assert!(traced.status.success());
         let jsonl = std::fs::read_to_string(&trace).expect("trace written");
         let json = std::fs::read_to_string(&traced_metrics).expect("metrics written");
-        for span in ["flow.fractional_ns", "flow.ripup_ns", "flow.legalize_ns"] {
+        for span in ["flow.oracle_ns", "flow.ripup_ns", "flow.legalize_ns"] {
             let record = format!("{{\"kind\":\"span\",\"name\":\"{span}\"");
             assert!(jsonl.contains(&record), "{span} not traced: {jsonl}");
             assert!(!json.contains(span), "{span} reached --metrics: {json}");

@@ -1,24 +1,20 @@
-//! The priced geometry oracle: a budget-charged Dijkstra whose edge
-//! weight is physical length times a caller-supplied congestion
-//! multiplier.
+//! The flow-mode geometry oracle: a budget-charged Dijkstra whose edge
+//! weight is physical length times a caller-supplied multiplier.
 //!
-//! This is the min-cost oracle of the fractional multicommodity phase
-//! (Albrecht et al., PAPERS.md): the fractional iteration and the
-//! rip-up pass both pick *geometry* with it, then hand the chosen
-//! corridor to the exact per-net searches for timing legalization —
-//! prices steer where a net goes, the Elmore searches decide what gets
-//! inserted along the way.
+//! Flow mode picks every net's *geometry* with it — the initial pass
+//! with a unit multiplier, rip-up with saturation weights — then hands
+//! the chosen corridor to the exact per-net searches for timing
+//! legalization: the weights steer where a net goes, the Elmore
+//! searches decide what gets inserted along the way.
 //!
 //! The grid's adjacency is built once per flow run, as `(neighbour,
-//! edge slot, length)` arcs in [`GridGraph::neighbors`] order, and
-//! shared read-only by every [`PricedOracle`] searching it: the run's
-//! own, and one fork per worker of a parallel price round. Each oracle
-//! reuses its own distance, predecessor and heap buffers across calls;
-//! the multiplier is a function of the dense edge slot
+//! edge slot, length)` arcs in [`GridGraph::neighbors`] order, and the
+//! oracle reuses its distance, predecessor and heap buffers across
+//! calls; the multiplier is a function of the dense edge slot
 //! ([`GridGraph::edge_slot`]), so a relaxation is an array read, not a
 //! map lookup.
 //!
-//! Every pop and every relaxation charges the shared flow-phase
+//! Every pop and every relaxation charges the flow-phase
 //! [`BudgetMeter`], so a blown deadline surfaces as
 //! [`RouteError::BudgetExceeded`] from inside the loop (crlint CR005)
 //! and the caller degrades instead of hanging.
@@ -28,7 +24,6 @@ use clockroute_geom::Point;
 use clockroute_grid::{GridGraph, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 #[derive(PartialEq)]
 struct HeapEntry {
@@ -65,8 +60,7 @@ struct OutEdge {
     length: f64,
 }
 
-/// The grid's arcs, built once per flow run and shared, read-only, by
-/// every oracle searching it.
+/// The grid's arcs, built once per flow run.
 struct Adjacency<'g> {
     graph: &'g GridGraph,
     /// Arcs of node `u` are `arcs[first[u]..first[u + 1]]`.
@@ -101,12 +95,10 @@ impl<'g> Adjacency<'g> {
     }
 }
 
-/// The priced Dijkstra over one grid: a shared [`Adjacency`] plus this
-/// oracle's own search buffers and work counts. A flow run holds one,
-/// and [`fork`](PricedOracle::fork)s one more per worker of a parallel
-/// price round.
+/// The priced Dijkstra over one grid: its [`Adjacency`], search
+/// buffers and work counts. A flow run holds one.
 pub(crate) struct PricedOracle<'g> {
-    adjacency: Arc<Adjacency<'g>>,
+    adjacency: Adjacency<'g>,
     dist: Vec<f64>,
     prev: Vec<Option<NodeId>>,
     heap: BinaryHeap<HeapEntry>,
@@ -121,13 +113,9 @@ pub(crate) struct PricedOracle<'g> {
 impl<'g> PricedOracle<'g> {
     /// Builds the adjacency of `graph` and sizes the buffers.
     pub(crate) fn new(graph: &'g GridGraph) -> PricedOracle<'g> {
-        PricedOracle::on(Arc::new(Adjacency::new(graph)))
-    }
-
-    fn on(adjacency: Arc<Adjacency<'g>>) -> PricedOracle<'g> {
-        let n = adjacency.graph.node_count();
+        let n = graph.node_count();
         PricedOracle {
-            adjacency,
+            adjacency: Adjacency::new(graph),
             dist: vec![f64::INFINITY; n],
             prev: vec![None; n],
             heap: BinaryHeap::new(),
@@ -137,13 +125,6 @@ impl<'g> PricedOracle<'g> {
         }
     }
 
-    /// An oracle on the same adjacency with its own buffers and zero
-    /// counts. Its paths and per-call counts equal this oracle's on the
-    /// same inputs: a call reads only the adjacency and its arguments.
-    pub(crate) fn fork(&self) -> PricedOracle<'g> {
-        PricedOracle::on(Arc::clone(&self.adjacency))
-    }
-
     /// Cheapest source→sink geometry when the edge in slot `s` costs its
     /// length times `multiplier(s)` (a factor ≥ 1). Returns:
     ///
@@ -151,7 +132,7 @@ impl<'g> PricedOracle<'g> {
     /// * `Ok(None)` — no route exists (terminals off-grid or
     ///   disconnected); the caller falls back to the full per-net
     ///   planner, whose ladder produces the canonical failure result;
-    /// * `Err(BudgetExceeded)` — the shared flow budget tripped
+    /// * `Err(BudgetExceeded)` — the flow budget tripped
     ///   mid-search.
     ///
     /// Deterministic: ties are broken by node id, and the multiplier is
@@ -164,7 +145,7 @@ impl<'g> PricedOracle<'g> {
         meter: &mut BudgetMeter,
     ) -> Result<Option<Vec<Point>>, RouteError> {
         self.calls += 1;
-        let Adjacency { graph, first, arcs } = &*self.adjacency;
+        let Adjacency { graph, first, arcs } = &self.adjacency;
         let graph = *graph;
         if !graph.contains(source) || !graph.contains(sink) {
             return Ok(None);

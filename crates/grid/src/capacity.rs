@@ -1,5 +1,5 @@
 //! Per-edge channel capacities — the capacitated grid model behind the
-//! flow-mode (multicommodity) batch router.
+//! flow-mode batch router.
 //!
 //! A capacity is the number of nets a grid edge's routing channel can
 //! carry. The map is *sparse with a default*: every edge is unbounded

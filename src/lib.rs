@@ -29,7 +29,7 @@
 //! | algorithms | [`core`] | fast path, RBP, GALS, latch extension, oracles |
 //! | protocol | [`sim`] | discrete-event simulation of the synthesized routes |
 //! | planning | [`plan`] | sequential multi-net planning with resource reservation |
-//! | batch routing | [`flow`] | congestion-aware multicommodity-flow batch mode |
+//! | batch routing | [`flow`] | congestion-aware capacitated batch mode |
 //! | trees | [`tree`] | Cocchini-style register/repeater insertion on routing trees |
 //!
 //! # Quick start

@@ -18,9 +18,9 @@
 //!
 //! `--jobs <n>` sets the number of routing worker threads (default: the
 //! machine's available parallelism). Under `--flow` the same workers run
-//! the per-net legalization. The plan — and
-//! therefore the entire report — is bit-identical for every job count;
-//! parallelism only changes wall-clock time.
+//! the per-net legalization. The plan — and therefore the entire report
+//! — is bit-identical for every job count; parallelism only changes
+//! wall-clock time.
 //!
 //! `--flow` routes the whole batch with the congestion-aware flow mode
 //! (`clockroute-flow`: shortest paths, rip-up-and-reroute of overflow

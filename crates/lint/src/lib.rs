@@ -184,8 +184,8 @@ pub fn run_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     files.sort();
     let mut findings = Vec::new();
     for rel in &files {
-        let src = std::fs::read_to_string(root.join(rel))
-            .map_err(|e| format!("reading {rel}: {e}"))?;
+        let src =
+            std::fs::read_to_string(root.join(rel)).map_err(|e| format!("reading {rel}: {e}"))?;
         findings.extend(lint_source(rel, &src));
     }
     sort_findings(&mut findings);
@@ -224,8 +224,7 @@ pub fn check_allowlists(root: &Path) -> Vec<String> {
 }
 
 fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("reading {}: {e}", dir.display()))?;
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("reading {}: {e}", dir.display()))?;
     for entry in entries {
         let entry = entry.map_err(|e| format!("reading {}: {e}", dir.display()))?;
         let path = entry.path();

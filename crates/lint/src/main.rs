@@ -40,7 +40,9 @@ fn run(args: Vec<String>) -> Result<bool, String> {
                 root = Some(PathBuf::from(dir));
             }
             "--explain" => {
-                let rule = it.next().ok_or("--explain requires a rule ID (e.g. CR008)")?;
+                let rule = it
+                    .next()
+                    .ok_or("--explain requires a rule ID (e.g. CR008)")?;
                 let text = clockroute_lint::rules::explain(&rule)
                     .ok_or_else(|| format!("unknown rule `{rule}`; known rules: CR000..CR010"))?;
                 println!("{text}");

@@ -457,8 +457,7 @@ fn cr006_unordered_collections(ctx: &FileCtx, out: &mut Vec<Finding>) {
 /// enforces the configured line bound and surfaces read timeouts as
 /// idle polls.
 fn cr007_unbounded_reads(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    if !ctx.rel.starts_with("crates/service/src/")
-        || CR007_EXEMPT_FILES.contains(&ctx.rel.as_str())
+    if !ctx.rel.starts_with("crates/service/src/") || CR007_EXEMPT_FILES.contains(&ctx.rel.as_str())
     {
         return;
     }
@@ -580,9 +579,7 @@ fn cr009_lock_construction_and_guards(ctx: &FileCtx, out: &mut Vec<Finding>) {
                     }
                 } else if ctx.sym(j, ';') && depth == 0 {
                     break;
-                } else if ctx.sym(j, '.')
-                    && ctx.ident(j + 1) == Some("lock")
-                    && ctx.sym(j + 2, '(')
+                } else if ctx.sym(j, '.') && ctx.ident(j + 1) == Some("lock") && ctx.sym(j + 2, '(')
                 {
                     out.push(finding(
                         ctx,
@@ -674,10 +671,7 @@ fn cr010_wait_with_extra_guards(ctx: &FileCtx, out: &mut Vec<Finding>) {
                     }
                 }
             }
-        } else if ctx.ident(i) == Some("drop")
-            && ctx.sym(i + 1, '(')
-            && ctx.sym(i + 3, ')')
-        {
+        } else if ctx.ident(i) == Some("drop") && ctx.sym(i + 1, '(') && ctx.sym(i + 3, ')') {
             if let Some(name) = ctx.ident(i + 2) {
                 live.retain(|(_, n)| n != name);
             }

@@ -354,7 +354,10 @@ fn deleting_a_lock_rank_argument_fails_cr009() {
     assert!(lint_source(rel, &src).is_empty());
     // Drop the rank argument entirely, as if OrderedMutex had a
     // one-argument constructor.
-    let broken = src.replace("OrderedMutex::new(LockRank::Telemetry, ", "OrderedMutex::new(");
+    let broken = src.replace(
+        "OrderedMutex::new(LockRank::Telemetry, ",
+        "OrderedMutex::new(",
+    );
     assert_ne!(src, broken, "{rel} lost its rank-argument anchor");
     let findings = lint_source(rel, &broken);
     assert!(

@@ -63,7 +63,10 @@ fn binary_exits_one_and_emits_valid_deterministic_json_on_findings() {
     let json = String::from_utf8(out.stdout).expect("utf8");
     clockroute_core::json::validate_json(&json).expect("valid JSON with findings");
     assert!(json.contains("\"rule\":\"CR002\""), "{json}");
-    assert!(json.contains("\"path\":\"crates/core/src/bad.rs\""), "{json}");
+    assert!(
+        json.contains("\"path\":\"crates/core/src/bad.rs\""),
+        "{json}"
+    );
     assert!(json.contains("\"line\":2"), "{json}");
     // Deterministic: byte-identical across runs.
     let again = String::from_utf8(run().stdout).expect("utf8");
@@ -102,7 +105,11 @@ fn binary_exits_two_naming_the_dead_allowlist_entry() {
         .arg(&dir)
         .output()
         .expect("spawn crlint");
-    assert_eq!(out.status.code(), Some(2), "stale allowlist must exit 2: {out:?}");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "stale allowlist must exit 2: {out:?}"
+    );
     let stderr = String::from_utf8(out.stderr).expect("utf8");
     assert!(
         stderr.contains("CR007: crates/service/src/frame.rs"),

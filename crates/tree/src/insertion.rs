@@ -26,8 +26,15 @@ struct State {
 
 enum Trace {
     Nil,
-    Insert { node: usize, gate: GateId, rest: u32 },
-    Join { a: u32, b: u32 },
+    Insert {
+        node: usize,
+        gate: GateId,
+        rest: u32,
+    },
+    Join {
+        a: u32,
+        b: u32,
+    },
 }
 
 const NIL: u32 = 0;
@@ -82,10 +89,7 @@ impl TraceArena {
 }
 
 fn pareto_push(bucket: &mut Vec<State>, s: State) {
-    if bucket
-        .iter()
-        .any(|e| e.cap <= s.cap && e.delay <= s.delay)
-    {
+    if bucket.iter().any(|e| e.cap <= s.cap && e.delay <= s.delay) {
         return;
     }
     bucket.retain(|e| !(s.cap <= e.cap && s.delay <= e.delay));
@@ -193,9 +197,10 @@ impl<'a> TreeInsertionSpec<'a> {
             for &c in tree.children(i) {
                 let child_table = tables[c].take().expect("children processed first");
                 // Wire from child to i.
-                let len = self
-                    .graph
-                    .edge_length(self.graph.node(tree.point(c)), self.graph.node(tree.point(i)));
+                let len = self.graph.edge_length(
+                    self.graph.node(tree.point(c)),
+                    self.graph.node(tree.point(i)),
+                );
                 let (rw, cw) = {
                     let r = (self.tech.unit_res() * len).ohms() * 1.0e-3;
                     let c = (self.tech.unit_cap() * len).ff();
@@ -218,8 +223,7 @@ impl<'a> TreeInsertionSpec<'a> {
                     merged = wired;
                     first = false;
                 } else {
-                    let mut combined: Buckets =
-                        vec![Vec::new(); merged.len() + wired.len() - 1];
+                    let mut combined: Buckets = vec![Vec::new(); merged.len() + wired.len() - 1];
                     for (ra, ba) in merged.iter().enumerate() {
                         for (rb, bb) in wired.iter().enumerate() {
                             for sa in ba {
@@ -271,9 +275,9 @@ impl<'a> TreeInsertionSpec<'a> {
                         // (b) buffers
                         for b in lib.buffers() {
                             let g = lib.gate(b);
-                            let delay =
-                                st.delay + g.driver_res().ohms() * st.cap * 1.0e-3
-                                    + g.intrinsic().ps();
+                            let delay = st.delay
+                                + g.driver_res().ohms() * st.cap * 1.0e-3
+                                + g.intrinsic().ps();
                             if delay <= t - reg_k {
                                 let trace = arena.insert(i, b, st.trace);
                                 pareto_push(
@@ -538,8 +542,7 @@ mod tests {
     #[test]
     fn multi_sink_tree_verifies() {
         let (g, tech, lib) = setup(40, 500.0);
-        let tree =
-            RoutingTree::rectilinear(&g, p(0, 0), &[p(35, 5), p(30, 30), p(5, 35)]).unwrap();
+        let tree = RoutingTree::rectilinear(&g, p(0, 0), &[p(35, 5), p(30, 30), p(5, 35)]).unwrap();
         let sol = TreeInsertionSpec::new(&tree, &g, &tech, &lib)
             .period(Time::from_ps(300.0))
             .solve()

@@ -291,17 +291,11 @@ fn l_shape(a: Point, b: Point) -> Vec<Point> {
     let mut pts = vec![a];
     let mut cur = a;
     while cur.x != b.x {
-        cur = Point::new(
-            if cur.x < b.x { cur.x + 1 } else { cur.x - 1 },
-            cur.y,
-        );
+        cur = Point::new(if cur.x < b.x { cur.x + 1 } else { cur.x - 1 }, cur.y);
         pts.push(cur);
     }
     while cur.y != b.y {
-        cur = Point::new(
-            cur.x,
-            if cur.y < b.y { cur.y + 1 } else { cur.y - 1 },
-        );
+        cur = Point::new(cur.x, if cur.y < b.y { cur.y + 1 } else { cur.y - 1 });
         pts.push(cur);
     }
     pts

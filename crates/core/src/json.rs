@@ -6,7 +6,16 @@
 //! The workspace deliberately ships no JSON dependency. With a single
 //! parser, a line the service accepts is exactly a line the validator
 //! accepts.
+//!
+//! Both string kernels, the escaper and the parser's unescaper, copy
+//! runs of plain bytes whole and find where a run ends eight bytes at a
+//! time ([`crate::bytes::plain_run_end`]). Their output is pinned byte
+//! for byte: the grammar table below fixes every error offset, and the
+//! property tests hold the escaper to a char-by-char reference and the
+//! parser to a round trip, with the specials shifted to every offset
+//! mod 8.
 
+use crate::bytes::plain_run_end;
 use std::collections::BTreeMap;
 
 /// Deepest array/object nesting [`parse`] accepts. `crserve` hands
@@ -36,17 +45,19 @@ pub enum Value {
 /// producer in the workspace (trace lines, metrics, `crserve` responses)
 /// goes through this, so all of them escape identically.
 pub fn json_string(s: &str) -> String {
+    let bytes = s.as_bytes();
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b >= 0x20 && b != b'"' && b != b'\\' {
-            continue;
-        }
-        // Copy the run before this byte whole: every escaped byte is
-        // ASCII, so runs start and end on char boundaries.
-        out.push_str(&s[run..i]);
-        run = i + 1;
+    loop {
+        // Copy the run before the next special byte whole: every escaped
+        // byte is ASCII, so runs start and end on char boundaries.
+        let end = plain_run_end(bytes, run);
+        out.push_str(&s[run..end]);
+        let Some(&b) = bytes.get(end) else {
+            break;
+        };
+        run = end + 1;
         match b {
             b'"' => out.push_str("\\\""),
             b'\\' => out.push_str("\\\\"),
@@ -56,7 +67,6 @@ pub fn json_string(s: &str) -> String {
             _ => out.push_str(&format!("\\u{b:04x}")),
         }
     }
-    out.push_str(&s[run..]);
     out.push('"');
     out
 }
@@ -235,9 +245,7 @@ impl Parser<'_> {
             // byte whole: those are ASCII, so the run ends on a char
             // boundary.
             let start = self.pos;
-            while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
-                self.pos += 1;
-            }
+            self.pos = plain_run_end(self.text.as_bytes(), start);
             out.push_str(&self.text[start..self.pos]);
             let at = self.pos;
             match self.next() {
@@ -434,7 +442,12 @@ mod tests {
                 .iter()
                 .map(|&c| char::from_u32(c).unwrap_or('\u{fffd}'))
                 .collect();
-            prop_assert_eq!(json_string(&s), json_string_by_char(&s));
+            // Shifted by 0–7 plain bytes, each special lands at every
+            // offset mod 8 of the word-at-a-time scan.
+            for pad in 0..8 {
+                let s = format!("{}{s}", "p".repeat(pad));
+                prop_assert_eq!(json_string(&s), json_string_by_char(&s));
+            }
         }
 
         #[test]
@@ -445,7 +458,10 @@ mod tests {
                 .iter()
                 .map(|&c| char::from_u32(c).unwrap_or('\u{fffd}'))
                 .collect();
-            prop_assert_eq!(parse(&json_string(&s)), Ok(Value::Str(s.clone())));
+            for pad in 0..8 {
+                let s = format!("{}{s}", "p".repeat(pad));
+                prop_assert_eq!(parse(&json_string(&s)), Ok(Value::Str(s.clone())));
+            }
         }
     }
 }

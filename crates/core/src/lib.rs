@@ -49,6 +49,7 @@
 //! ```
 
 mod budget;
+pub mod bytes;
 pub mod canon;
 mod ctx;
 pub mod drc;

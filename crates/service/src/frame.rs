@@ -24,6 +24,7 @@
 //! sites, so chaos tests can inject short reads, short writes, and
 //! `io::Error`s on the exact syscall boundary production traffic uses.
 
+use clockroute_core::bytes::find_newline;
 use clockroute_core::failpoint::{self, FailAction};
 use std::io::{self, Read, Write};
 
@@ -56,10 +57,17 @@ pub enum Frame {
 }
 
 /// Bounded line reader over any byte stream (see the module docs).
+///
+/// Each buffered byte is searched for `\n` once, however many reads a
+/// line takes: `scanned` marks how far the search has got. A complete
+/// line leaves by splitting the buffer, so its bytes are not copied
+/// again on the way out.
 #[derive(Debug)]
 pub struct FrameReader<R> {
     inner: R,
     buf: Vec<u8>,
+    /// `buf[..scanned]` holds no `\n`.
+    scanned: usize,
     max_line: usize,
     /// Discarding the rest of an oversized line (until `\n`).
     skipping: bool,
@@ -72,6 +80,7 @@ impl<R: Read> FrameReader<R> {
         FrameReader {
             inner,
             buf: Vec::new(),
+            scanned: 0,
             max_line: max_line.max(1),
             skipping: false,
         }
@@ -86,8 +95,12 @@ impl<R: Read> FrameReader<R> {
     pub fn next_frame(&mut self) -> io::Result<Frame> {
         loop {
             // Serve a complete buffered line first.
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=pos).collect();
+            if let Some(pos) = find_newline(&self.buf, self.scanned) {
+                // The bytes after the newline start the next buffer,
+                // not yet searched; the line keeps this one.
+                let rest = self.buf.split_off(pos + 1);
+                let mut line = std::mem::replace(&mut self.buf, rest);
+                self.scanned = 0;
                 if self.skipping {
                     // Tail of an already-reported oversized line.
                     self.skipping = false;
@@ -100,18 +113,21 @@ impl<R: Read> FrameReader<R> {
                         limit: self.max_line,
                     });
                 }
-                return Ok(Frame::Line(decode(&line[..pos])));
+                line.truncate(pos);
+                return Ok(Frame::Line(decode(line)));
             }
             if self.skipping {
                 // Drop the partial oversized line we have so far.
                 self.buf.clear();
             } else if self.buf.len() > self.max_line {
                 self.buf.clear();
+                self.scanned = 0;
                 self.skipping = true;
                 return Ok(Frame::Oversized {
                     limit: self.max_line,
                 });
             }
+            self.scanned = self.buf.len();
             let mut chunk = [0u8; CHUNK];
             let want = match failpoint::hit("serve::read") {
                 Some(FailAction::IoError) => {
@@ -128,7 +144,8 @@ impl<R: Read> FrameReader<R> {
                     let partial = if self.buf.is_empty() || self.skipping {
                         None
                     } else {
-                        Some(decode(&std::mem::take(&mut self.buf)))
+                        self.scanned = 0;
+                        Some(decode(std::mem::take(&mut self.buf)))
                     };
                     return Ok(Frame::Eof { partial });
                 }
@@ -152,13 +169,37 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
-/// Strips a trailing `\r` and decodes lossily (see [`Frame::Line`]).
-fn decode(bytes: &[u8]) -> String {
-    let bytes = match bytes {
-        [head @ .., b'\r'] => head,
-        other => other,
-    };
-    String::from_utf8_lossy(bytes).into_owned()
+/// Strips a trailing `\r` and decodes (see [`Frame::Line`]). Valid
+/// UTF-8, the usual case, keeps the buffer; invalid UTF-8 is replaced
+/// lossily, exactly as `String::from_utf8_lossy` does.
+fn decode(mut bytes: Vec<u8>) -> String {
+    if bytes.last() == Some(&b'\r') {
+        bytes.pop();
+    }
+    String::from_utf8(bytes)
+        .unwrap_or_else(|invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned())
+}
+
+/// A response [`write_line`] can frame: a `String`, whose own buffer
+/// takes the `\n`, or a borrowed line, copied once.
+pub trait ResponseLine {
+    /// The line's bytes in an owned buffer, ready for the `\n`.
+    fn into_frame(self) -> Vec<u8>;
+}
+
+impl ResponseLine for String {
+    fn into_frame(self) -> Vec<u8> {
+        self.into_bytes()
+    }
+}
+
+impl<T: AsRef<str> + ?Sized> ResponseLine for &T {
+    fn into_frame(self) -> Vec<u8> {
+        let line = self.as_ref().as_bytes();
+        let mut frame = Vec::with_capacity(line.len() + 1);
+        frame.extend_from_slice(line);
+        frame
+    }
 }
 
 /// Writes one response line plus `\n` and flushes — the single exit
@@ -167,7 +208,8 @@ fn decode(bytes: &[u8]) -> String {
 /// Line and newline leave in one `write` call. Written separately on a
 /// TCP socket, the one-byte newline would sit behind Nagle's algorithm
 /// until the client's delayed ACK of the line, about 40 ms, on every
-/// response.
+/// response. An owned response has the newline pushed onto its own
+/// buffer rather than being copied into a new one.
 ///
 /// # Errors
 ///
@@ -175,22 +217,21 @@ fn decode(bytes: &[u8]) -> String {
 /// transfers a prefix and then fails, simulating a torn frame; callers
 /// treat any error as connection-fatal (the invariant covers completed
 /// responses only).
-pub fn write_line<W: Write>(writer: &mut W, line: &str) -> io::Result<()> {
+pub fn write_line<W: Write>(writer: &mut W, line: impl ResponseLine) -> io::Result<()> {
     match failpoint::hit("serve::write") {
         Some(FailAction::IoError) => {
             return Err(io::Error::other("injected fault at serve::write"));
         }
         Some(FailAction::ShortIo) => {
-            let half = line.len() / 2;
-            writer.write_all(&line.as_bytes()[..half])?;
+            let line = line.into_frame();
+            writer.write_all(&line[..line.len() / 2])?;
             let _ = writer.flush();
             return Err(io::Error::other("injected short write at serve::write"));
         }
         Some(FailAction::Panic) => panic!("failpoint serve::write: forced panic"),
         _ => {}
     }
-    let mut frame = Vec::with_capacity(line.len() + 1);
-    frame.extend_from_slice(line.as_bytes());
+    let mut frame = line.into_frame();
     frame.push(b'\n');
     writer.write_all(&frame)?;
     writer.flush()
@@ -201,6 +242,11 @@ mod tests {
     use super::*;
 
     fn frames(input: &[u8], max_line: usize) -> Vec<Frame> {
+        frames_from(input, max_line)
+    }
+
+    /// Every frame up to and including the first `Eof`.
+    fn frames_from(input: impl Read, max_line: usize) -> Vec<Frame> {
         let mut reader = FrameReader::new(input, max_line);
         let mut out = Vec::new();
         loop {
@@ -292,6 +338,69 @@ mod tests {
         match &got[0] {
             Frame::Line(l) => assert!(l.contains('\u{fffd}') && l.contains('{')),
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// Hands out `data` in seeded random chunks of 1 to 97 bytes.
+    struct Chunked<'a> {
+        data: &'a [u8],
+        state: u64,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.state = self
+                .state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let want = 1 + (self.state >> 33) as usize % 97;
+            let n = want.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frames_do_not_depend_on_how_the_bytes_arrive() {
+        let mut input = b"alpha\nbeta\r\n\n{\"op\":\"ping\"}\n\xff\xfebad\r\n".to_vec();
+        input.extend_from_slice(&[b'x'; 200]);
+        input.extend_from_slice("\r\nafter\n\u{e9}\u{20ac}\u{1f600}\n".as_bytes());
+        input.extend_from_slice(&[b'y'; 33]);
+        input.extend_from_slice(b"\r\n\r\n");
+        input.extend_from_slice(&[b'z'; 32]);
+        input.extend_from_slice(b"\ntail\r");
+        let want = [
+            Frame::Line("alpha".into()),
+            Frame::Line("beta".into()),
+            Frame::Line(String::new()),
+            Frame::Line("{\"op\":\"ping\"}".into()),
+            Frame::Line("\u{fffd}\u{fffd}bad".into()),
+            Frame::Oversized { limit: 32 },
+            Frame::Line("after".into()),
+            Frame::Line("\u{e9}\u{20ac}\u{1f600}".into()),
+            Frame::Oversized { limit: 32 },
+            Frame::Line(String::new()),
+            Frame::Line("z".repeat(32)),
+            Frame::Eof {
+                partial: Some("tail".into()),
+            },
+        ];
+        // All at once.
+        assert_eq!(frames(&input, 32), want);
+        // One byte per read, through the serve::read short-read fault.
+        clockroute_core::failpoint::disarm_all();
+        clockroute_core::failpoint::arm_sticky("serve::read", FailAction::ShortIo, 1);
+        let got = frames(&input, 32);
+        clockroute_core::failpoint::disarm_all();
+        assert_eq!(got, want);
+        // Seeded random chunk sizes.
+        for seed in 0..64 {
+            let chunked = Chunked {
+                data: &input,
+                state: seed,
+            };
+            assert_eq!(frames_from(chunked, 32), want, "seed {seed}");
         }
     }
 

@@ -543,7 +543,7 @@ impl Service {
                     if line.trim().is_empty() {
                         continue;
                     }
-                    frame::write_line(&mut writer, &self.handle_line(&line))?;
+                    frame::write_line(&mut writer, self.handle_line(&line))?;
                     if self.is_shut_down() {
                         return Ok(());
                     }
@@ -551,7 +551,7 @@ impl Service {
                 Frame::Oversized { limit } => {
                     self.metrics.counter("service.malformed", 1);
                     let message = format!("request line exceeds {limit} bytes");
-                    frame::write_line(&mut writer, &protocol::malformed(&message))?;
+                    frame::write_line(&mut writer, protocol::malformed(&message))?;
                 }
                 Frame::Idle => {
                     if self.is_shut_down() {
@@ -564,7 +564,7 @@ impl Service {
                     // connection closes cleanly.
                     if let Some(tail) = partial {
                         if !tail.trim().is_empty() {
-                            frame::write_line(&mut writer, &self.handle_line(&tail))?;
+                            frame::write_line(&mut writer, self.handle_line(&tail))?;
                         }
                     }
                     return Ok(());

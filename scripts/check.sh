@@ -8,7 +8,7 @@ set -eu
 # crate until `cargo fmt --all --check` passes.
 cargo fmt --check -p clockroute-core -p clockroute-plan -p clockroute-flow -p clockroute-grid \
     -p clockroute-bench -p clockroute-service -p clockroute-cli -p clockroute-geom \
-    -p clockroute-elmore -p clockroute-sim
+    -p clockroute-elmore -p clockroute-sim -p clockroute-lint -p clockroute-tree
 cargo build --release
 # crlint first: the invariant gate (NaN-safe orderings, cancellable
 # search loops, deterministic reports — see DESIGN.md §11) is cheaper

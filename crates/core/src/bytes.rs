@@ -1,5 +1,5 @@
 //! Word-at-a-time byte scans for the request path: the JSON string
-//! kernels ([`plain_run_end`]) and `crserve`'s frame reader
+//! kernels (`plain_run_end`) and `crserve`'s frame reader
 //! ([`find_newline`]).
 //!
 //! Each scan loads eight bytes per step as a little-endian `u64` and
@@ -23,9 +23,9 @@ const fn has_byte(w: u64, b: u8) -> u64 {
     has_less(w ^ (ONES * b as u64), 1)
 }
 
-/// Whether a JSON string must escape `b` (or, in a literal, treat it
-/// specially): a control byte, `"` or `\`. All three are ASCII, so a
-/// run of other bytes ends on a char boundary.
+/// Whether `b` ends a plain run: a control byte, `"` or `\`, the bytes
+/// a JSON string literal cannot hold raw. All are ASCII, so a run of
+/// other bytes ends on a char boundary.
 const fn is_special(b: u8) -> bool {
     b < 0x20 || b == b'"' || b == b'\\'
 }
@@ -37,7 +37,7 @@ const fn is_special(b: u8) -> bool {
 /// # Panics
 ///
 /// If `from > bytes.len()`, as slicing would.
-pub fn plain_run_end(bytes: &[u8], from: usize) -> usize {
+pub(crate) fn plain_run_end(bytes: &[u8], from: usize) -> usize {
     scan(
         bytes,
         from,

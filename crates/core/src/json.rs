@@ -9,11 +9,10 @@
 //!
 //! Both string kernels, the escaper and the parser's unescaper, copy
 //! runs of plain bytes whole and find where a run ends eight bytes at a
-//! time ([`crate::bytes::plain_run_end`]). Their output is pinned byte
-//! for byte: the grammar table below fixes every error offset, and the
-//! property tests hold the escaper to a char-by-char reference and the
-//! parser to a round trip, with the specials shifted to every offset
-//! mod 8.
+//! time (`bytes::plain_run_end`). Their output is pinned byte for byte:
+//! the grammar table below fixes every error offset, and the property
+//! tests hold the escaper to a char-by-char reference and the parser to
+//! a round trip, with the specials shifted to every offset mod 8.
 
 use crate::bytes::plain_run_end;
 use std::collections::BTreeMap;

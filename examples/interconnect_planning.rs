@@ -44,7 +44,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for period_ps in [500.0, 250.0] {
         let period = Time::from_ps(period_ps);
-        println!("== clock period {period_ps} ps ({:.2} GHz) ==", 1000.0 / period_ps);
+        println!(
+            "== clock period {period_ps} ps ({:.2} GHz) ==",
+            1000.0 / period_ps
+        );
         println!(
             "{:<6} {:<6} {:>7} {:>9} {:>9} {:>9} {:>10}",
             "from", "to", "cycles", "regs", "bufs", "wire(mm)", "slack(ps)"

@@ -46,7 +46,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .period(period)
         .solve()
     {
-        Ok(sol) => println!("registers: {} registers (unexpected!)", sol.register_count()),
+        Ok(sol) => println!(
+            "registers: {} registers (unexpected!)",
+            sol.register_count()
+        ),
         Err(e) => println!("registers: {e}"),
     }
 

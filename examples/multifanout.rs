@@ -44,7 +44,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sol.buffer_count()
     );
     for (sink, latency) in sol.sink_latencies() {
-        println!("  sink {sink}: latency {:.0} ({} cycles)", latency.ps(), (latency.ps() / period.ps()) as u32);
+        println!(
+            "  sink {sink}: latency {:.0} ({} cycles)",
+            latency.ps(),
+            (latency.ps() / period.ps()) as u32
+        );
     }
 
     // Baseline: route every sink independently with RBP.

@@ -46,10 +46,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .source(s)
         .sink(t)
         .solve()?;
-    println!("== fast path: delay {:.0}, {} buffers ==", fast.delay(), fast.buffer_count());
+    println!(
+        "== fast path: delay {:.0}, {} buffers ==",
+        fast.delay(),
+        fast.buffer_count()
+    );
     println!(
         "{}",
-        render_grid(&graph, Some(&fast.path().grid_path()), &labels(fast.path(), &lib), &RenderOptions::default())
+        render_grid(
+            &graph,
+            Some(&fast.path().grid_path()),
+            &labels(fast.path(), &lib),
+            &RenderOptions::default()
+        )
     );
 
     // 2. Registered route at a 300 ps clock (RBP).
@@ -67,7 +76,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "{}",
-        render_grid(&graph, Some(&rbp.path().grid_path()), &labels(rbp.path(), &lib), &RenderOptions::default())
+        render_grid(
+            &graph,
+            Some(&rbp.path().grid_path()),
+            &labels(rbp.path(), &lib),
+            &RenderOptions::default()
+        )
     );
 
     // 3. Crossing into a 400 ps receiver domain (GALS).
@@ -85,7 +99,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "{}",
-        render_grid(&graph, Some(&gals.path().grid_path()), &labels(gals.path(), &lib), &RenderOptions::default())
+        render_grid(
+            &graph,
+            Some(&gals.path().grid_path()),
+            &labels(gals.path(), &lib),
+            &RenderOptions::default()
+        )
     );
     println!("S source · T sink · B buffer · R register/relay · F MCFIFO · █ IP block");
     Ok(())

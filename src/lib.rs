@@ -62,12 +62,12 @@
 
 pub use clockroute_core as core;
 pub use clockroute_elmore as elmore;
-pub use clockroute_geom as geom;
 pub use clockroute_flow as flow;
+pub use clockroute_geom as geom;
 pub use clockroute_grid as grid;
 pub use clockroute_plan as plan;
-pub use clockroute_tree as tree;
 pub use clockroute_sim as sim;
+pub use clockroute_tree as tree;
 
 /// Convenient single-import surface for applications.
 pub mod prelude {

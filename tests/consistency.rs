@@ -60,10 +60,7 @@ fn rbp_stages_equal_ground_truth_and_fit_period() {
             );
             // Stage count = registers + 1, latency formula holds.
             assert_eq!(report.stages.len(), sol.register_count() + 1);
-            assert_eq!(
-                sol.latency(),
-                t * (sol.register_count() as f64 + 1.0)
-            );
+            assert_eq!(sol.latency(), t * (sol.register_count() as f64 + 1.0));
             // Source/sink slack figures agree with the evaluator.
             let first = report.stages[0].delay;
             let last = report.stages[report.stages.len() - 1].delay;
@@ -87,10 +84,9 @@ fn gals_stages_equal_ground_truth_and_fit_domains() {
             .solve()
             .expect("feasible");
         let report = sol.path().report(&g, &tech, &lib);
-        assert!(report.is_feasible_gals(
-            Time::from_ps(ts.ps() + 1e-9),
-            Time::from_ps(tt.ps() + 1e-9)
-        ));
+        assert!(
+            report.is_feasible_gals(Time::from_ps(ts.ps() + 1e-9), Time::from_ps(tt.ps() + 1e-9))
+        );
         assert_eq!(report.fifo_count, 1);
         let lat = report
             .latency_gals(Time::from_ps(ts.ps() + 1e-9), Time::from_ps(tt.ps() + 1e-9))
@@ -144,7 +140,10 @@ fn routes_respect_blockage_maps() {
             if pt == sol.path().source() || pt == sol.path().sink() {
                 continue;
             }
-            assert!(!g.blockage().is_node_blocked(pt), "seed {seed}: gate at {pt}");
+            assert!(
+                !g.blockage().is_node_blocked(pt),
+                "seed {seed}: gate at {pt}"
+            );
             if lib.gate(gate).kind().is_sequential() {
                 assert!(!g.blockage().is_register_blocked(pt));
             }

@@ -72,8 +72,7 @@ fn rbp_matches_exhaustive_min_registers() {
         let t = Point::new(g.width() - 1, g.height() - 1);
         for period in [90.0, 120.0, 200.0, 400.0] {
             let t_phi = Time::from_ps(period);
-            let oracle =
-                reference::min_registers_exhaustive(&g, &tech, &lib, s, t, t_phi, 12);
+            let oracle = reference::min_registers_exhaustive(&g, &tech, &lib, s, t, t_phi, 12);
             let sol = RbpSpec::new(&g, &tech, &lib)
                 .source(s)
                 .sink(t)
@@ -104,8 +103,7 @@ fn gals_matches_exhaustive_min_latency() {
         let t = Point::new(g.width() - 1, g.height() - 1);
         for (ts, tt) in [(150.0, 150.0), (120.0, 200.0), (250.0, 130.0)] {
             let (ts, tt) = (Time::from_ps(ts), Time::from_ps(tt));
-            let oracle =
-                reference::min_gals_latency_exhaustive(&g, &tech, &lib, s, t, ts, tt, 12);
+            let oracle = reference::min_gals_latency_exhaustive(&g, &tech, &lib, s, t, ts, tt, 12);
             let sol = GalsSpec::new(&g, &tech, &lib)
                 .source(s)
                 .sink(t)

@@ -41,7 +41,12 @@ fn gals_latency_confirmed_by_link_simulation() {
     let g = GridGraph::open(35, 35, Length::from_um(500.0));
     let tech = Technology::paper_070nm();
     let lib = GateLibrary::paper_library();
-    for (ts, tt) in [(300.0, 300.0), (200.0, 300.0), (300.0, 200.0), (250.0, 420.0)] {
+    for (ts, tt) in [
+        (300.0, 300.0),
+        (200.0, 300.0),
+        (300.0, 200.0),
+        (250.0, 420.0),
+    ] {
         let sol = GalsSpec::new(&g, &tech, &lib)
             .source(Point::new(1, 1))
             .sink(Point::new(33, 30))

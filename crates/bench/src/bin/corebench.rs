@@ -105,8 +105,7 @@ impl Row {
 /// Runs one search, timing it; the instances are routable, so an error
 /// is a regression and aborts the run.
 fn timed<S>(what: &str, solve: impl FnOnce() -> Result<S, RouteError>) -> (S, f64) {
-    // crlint-allow: CR003 bench harness measures wall-clock by design; timings are reported, never byte-compared
-    let start = std::time::Instant::now();
+    let start = clockroute_bench::now();
     let sol = solve().unwrap_or_else(|e| panic!("{what}: {e}"));
     (sol, start.elapsed().as_secs_f64())
 }

@@ -133,13 +133,11 @@ fn run_scenario(name: &'static str) -> Result<[Row; 2], String> {
             .jobs(1)
     };
 
-    // crlint-allow: CR003 bench harness measures wall-clock by design; timings are reported, never byte-compared
-    let start = std::time::Instant::now();
+    let start = clockroute_bench::now();
     let sequential = planner().plan(&s.nets);
     let seq_seconds = start.elapsed().as_secs_f64();
 
-    // crlint-allow: CR003 bench harness measures wall-clock by design; timings are reported, never byte-compared
-    let start = std::time::Instant::now();
+    let start = clockroute_bench::now();
     let flow = planner().flow(&s.nets, &s.capacities, FlowConfig::default());
     let flow_seconds = start.elapsed().as_secs_f64();
 

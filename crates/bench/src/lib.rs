@@ -20,6 +20,9 @@
 //! verdict, so a regression in the algorithms shows up as a failed trend,
 //! not just different numbers.
 
+#![deny(clippy::disallowed_types)]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use clockroute_core::{FastPathSpec, GalsSpec, MetricsRecorder, RbpSpec, TelemetryHandle};
 use clockroute_elmore::{GateLibrary, Technology};
 use clockroute_geom::units::{Length, Time};
@@ -177,6 +180,16 @@ pub struct RegPathRow {
     pub seconds: f64,
 }
 
+/// The harness's one clock read: timings are reported, never
+/// byte-compared.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "bench harness measures wall-clock by design; timings are reported, never byte-compared"
+)]
+pub fn now() -> Instant {
+    Instant::now()
+}
+
 /// Runs one Table-I/II cell: fast path for `period = None`, RBP
 /// otherwise. Infeasible cells produce a row with `latency = None`
 /// (Table II's empty cells).
@@ -193,8 +206,7 @@ pub fn run_cell(
     t: Point,
     period: Option<f64>,
 ) -> RegPathRow {
-    // crlint-allow: CR003 bench harness measures wall-clock by design; timings are reported, never byte-compared
-    let start = Instant::now();
+    let start = now();
     let recorder = MetricsRecorder::new();
     let telemetry = TelemetryHandle::new(&recorder);
     match period {
@@ -298,8 +310,7 @@ pub fn table3(grid: u32, pairs: &[(f64, f64)]) -> Vec<GalsRow> {
     pairs
         .iter()
         .map(|&(ts, tt)| {
-            // crlint-allow: CR003 bench harness measures wall-clock by design; timings are reported, never byte-compared
-            let start = Instant::now();
+            let start = now();
             let recorder = MetricsRecorder::new();
             let sol = GalsSpec::new(&graph, &tech, &lib)
                 .source(s)

@@ -1,6 +1,8 @@
 //! End-to-end CLI-layer tests: scenario text → parser → planner →
 //! validated results, plus parser robustness fuzzing.
 
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use clockroute_cli::scenario;
 use clockroute_core::drc;
 use clockroute_elmore::GateLibrary;

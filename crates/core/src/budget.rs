@@ -140,6 +140,10 @@ pub struct BudgetMeter {
 impl BudgetMeter {
     /// Starts metering a search against `budget`, stamping errors with
     /// `stage`. The wall clock starts now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the budget meter is a clock seam: deadlines, never compared bytes"
+    )]
     pub fn new(budget: SearchBudget, stage: SearchStage) -> BudgetMeter {
         BudgetMeter {
             budget,

@@ -48,7 +48,10 @@ impl Arena {
     }
 
     pub fn push(&mut self, node: NodeId, gate: Option<GateId>, parent: u32) -> u32 {
-        // crlint-allow: CR002 arena growth is capped by the budget meter well below u32::MAX steps
+        #[expect(
+            clippy::expect_used,
+            reason = "arena growth is capped by the budget meter well below u32::MAX steps"
+        )]
         let id = u32::try_from(self.steps.len()).expect("arena overflow");
         self.steps.push(Step { node, gate, parent });
         id
@@ -83,9 +86,8 @@ impl Arena {
                 // Same node: keep the strongest label seen (gate steps are
                 // pushed after arrival steps, so the gate is already
                 // recorded; arrival steps carry `None`).
-                if labels.last() == Some(&None) {
-                    // crlint-allow: CR002 the `last()` probe above just returned Some
-                    *labels.last_mut().expect("non-empty") = step.gate;
+                if let Some(last @ None) = labels.last_mut() {
+                    *last = step.gate;
                 }
             } else {
                 nodes.push(step.node);
@@ -323,7 +325,10 @@ impl CandArena {
     }
 
     pub fn alloc(&mut self, cand: &Cand) -> u32 {
-        // crlint-allow: CR002 arena growth is capped by the budget meter well below u32::MAX candidates
+        #[expect(
+            clippy::expect_used,
+            reason = "arena growth is capped by the budget meter well below u32::MAX candidates"
+        )]
         let id = u32::try_from(self.cap.len()).expect("candidate arena overflow");
         self.cap.push(cand.cap);
         self.delay.push(cand.delay);

@@ -48,6 +48,9 @@
 //! # Ok::<(), clockroute_core::RouteError>(())
 //! ```
 
+#![deny(clippy::expect_used, clippy::disallowed_types)]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
+
 mod budget;
 pub mod bytes;
 pub mod canon;

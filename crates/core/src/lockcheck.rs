@@ -57,7 +57,7 @@ pub const ENABLED: bool = cfg!(any(debug_assertions, lockcheck));
 /// single-flight claim (`pending`), then the shard cache, then the
 /// persistence log, and telemetry last — sinks are leaf locks that may
 /// be taken under anything but must never take anything themselves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum LockRank {
     /// Worker-pool queue state (`JobQueue`).
@@ -71,6 +71,21 @@ pub enum LockRank {
     Persist = 3,
     /// Telemetry sinks (recorders, trace writers). Leaf rank.
     Telemetry = 4,
+}
+
+// Both orders by hand: a derived `PartialOrd` calls `partial_cmp`,
+// which clippy.toml bans (CR001), and clippy wants `Ord` and
+// `PartialOrd` derived together or written together.
+impl Ord for LockRank {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (*self as u8).cmp(&(*other as u8))
+    }
+}
+
+impl PartialOrd for LockRank {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl LockRank {
@@ -97,16 +112,26 @@ thread_local! {
     static REPORTING: Cell<bool> = const { Cell::new(false) };
 }
 
+/// The one raw `std::sync::Mutex` constructor (CR008 bans it everywhere
+/// else): the checker's own state below and every [`OrderedMutex`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "lockcheck is the one module that wraps raw std::sync locks"
+)]
+const fn raw_mutex<T>(value: T) -> Mutex<T> {
+    Mutex::new(value)
+}
+
 /// Edges `held -> acquired`, keyed by (rank, name) pairs; values count
 /// occurrences. `BTreeMap` so [`report`] is deterministically ordered.
 type Edge = ((LockRank, &'static str), (LockRank, &'static str));
-static GRAPH: Mutex<BTreeMap<Edge, u64>> = Mutex::new(BTreeMap::new());
+static GRAPH: Mutex<BTreeMap<Edge, u64>> = raw_mutex(BTreeMap::new());
 
 /// Violation descriptions in detection order.
-static VIOLATIONS: Mutex<Vec<String>> = Mutex::new(Vec::new());
+static VIOLATIONS: Mutex<Vec<String>> = raw_mutex(Vec::new());
 
 /// Optional telemetry sink notified (counter + event) on violations.
-static SINK: Mutex<Option<Arc<dyn Telemetry + Send + Sync>>> = Mutex::new(None);
+static SINK: Mutex<Option<Arc<dyn Telemetry + Send + Sync>>> = raw_mutex(None);
 
 /// Rides through poisoning: the checker must stay usable after a
 /// violation panic unwound past one of its own globals.
@@ -319,7 +344,7 @@ impl<T> OrderedMutex<T> {
         OrderedMutex {
             rank,
             name,
-            inner: Mutex::new(value),
+            inner: raw_mutex(value),
         }
     }
 

@@ -40,7 +40,10 @@ fn dfs(
     path: &mut Vec<NodeId>,
     f: &mut impl FnMut(&[NodeId]),
 ) {
-    // crlint-allow: CR002 recursion invariant: callers seed `path` with the source node
+    #[expect(
+        clippy::expect_used,
+        reason = "recursion invariant: callers seed `path` with the source node"
+    )]
     let u = *path.last().expect("path non-empty");
     if u == t {
         f(path);
@@ -278,10 +281,10 @@ pub fn min_gals_latency_exhaustive(
     );
     let mut best: Option<f64> = None;
     for_each_simple_path(graph, ctx.s, ctx.t, max_edges, &mut |path| {
-        use std::collections::HashMap;
+        use std::collections::BTreeMap;
         // Key: (fifo inserted, regs before fifo (source side), regs after).
         let gt = ctx.lib.gate(ctx.gt);
-        let mut states: HashMap<(bool, usize, usize), Vec<State>> = HashMap::new();
+        let mut states: BTreeMap<(bool, usize, usize), Vec<State>> = BTreeMap::new();
         states.insert(
             (false, 0, 0),
             vec![State {
@@ -291,7 +294,7 @@ pub fn min_gals_latency_exhaustive(
         );
         for i in (0..path.len() - 1).rev() {
             let (re, ce) = ctx.edge(path[i], path[i + 1]);
-            let mut next: HashMap<(bool, usize, usize), Vec<State>> = HashMap::new();
+            let mut next: BTreeMap<(bool, usize, usize), Vec<State>> = BTreeMap::new();
             for (&(z, rs, rt), bucket) in &states {
                 let t_cur = if z { ts } else { tt };
                 for st in bucket {

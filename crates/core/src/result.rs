@@ -130,7 +130,10 @@ impl RoutedPath {
     /// ground-truth delay evaluator.
     pub fn to_route_elems(&self, graph: &GridGraph) -> Vec<RouteElem> {
         let mut elems = Vec::with_capacity(self.points.len() * 2);
-        // crlint-allow: CR002 construction invariant: the source point always carries its gate label
+        #[expect(
+            clippy::expect_used,
+            reason = "construction invariant: the source point always carries its gate label"
+        )]
         elems.push(RouteElem::Gate(self.labels[0].expect("source gate")));
         for i in 1..self.points.len() {
             let a = graph.node(self.points[i - 1]);
@@ -145,9 +148,12 @@ impl RoutedPath {
     }
 
     /// Ground-truth Elmore re-evaluation of the route.
+    #[expect(
+        clippy::expect_used,
+        reason = "construction invariant: searches only build evaluable routes"
+    )]
     pub fn report(&self, graph: &GridGraph, tech: &Technology, lib: &GateLibrary) -> RouteReport {
         evaluate(&self.to_route_elems(graph), tech, lib)
-            // crlint-allow: CR002 construction invariant: searches only build evaluable routes
             .expect("a RoutedPath always forms a well-formed route")
     }
 

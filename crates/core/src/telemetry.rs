@@ -189,6 +189,10 @@ impl<'a> TelemetryHandle<'a> {
         stage: &str,
         run: impl FnOnce(&mut SearchStats) -> Result<T, RouteError>,
     ) -> Result<T, RouteError> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "telemetry is a clock seam: span durations, never compared bytes"
+        )]
         let started = std::time::Instant::now();
         let mut stats = SearchStats::new();
         let out = run(&mut stats);

@@ -136,7 +136,7 @@ impl Gate {
 }
 
 /// Identifier of a gate within a [`GateLibrary`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct GateId(u16);
 
 impl GateId {
@@ -192,7 +192,10 @@ impl GateLibraryBuilder {
     }
 
     fn push(&mut self, name: &str, gate: Gate) -> GateId {
-        // crlint-allow: CR002 builder API contract: libraries are tiny, >u16::MAX gates is caller error
+        #[expect(
+            clippy::expect_used,
+            reason = "builder API contract: libraries are tiny, >u16::MAX gates is caller error"
+        )]
         let id = GateId(u16::try_from(self.gates.len()).expect("too many gates"));
         self.gates.push(gate);
         self.names.push(name.to_owned());
@@ -245,7 +248,10 @@ impl GateLibraryBuilder {
     /// characteristics for register and MCFIFO).
     pub fn build(mut self) -> GateLibrary {
         assert!(!self.buffers.is_empty(), "buffer library may not be empty");
-        // crlint-allow: CR002 documented builder contract: build() panics without a register model
+        #[expect(
+            clippy::expect_used,
+            reason = "documented builder contract: build() panics without a register model"
+        )]
         let register = self.register.expect("a register model is required");
         let reg_gate = self.gates[register.index()];
         let latch = self.latch.unwrap_or_else(|| {
@@ -256,11 +262,7 @@ impl GateLibraryBuilder {
                 reg_gate.intrinsic(),
                 reg_gate.setup(),
             );
-            // crlint-allow: CR002 builder API contract: libraries are tiny, >u16::MAX gates is caller error
-            let id = GateId(u16::try_from(self.gates.len()).expect("too many gates"));
-            self.gates.push(g);
-            self.names.push("latch(default)".to_owned());
-            id
+            self.push("latch(default)", g)
         });
         let mcfifo = self.mcfifo.unwrap_or_else(|| {
             let g = Gate::new(
@@ -270,11 +272,7 @@ impl GateLibraryBuilder {
                 reg_gate.intrinsic(),
                 reg_gate.setup(),
             );
-            // crlint-allow: CR002 builder API contract: libraries are tiny, >u16::MAX gates is caller error
-            let id = GateId(u16::try_from(self.gates.len()).expect("too many gates"));
-            self.gates.push(g);
-            self.names.push("mcfifo(default)".to_owned());
-            id
+            self.push("mcfifo(default)", g)
         });
         GateLibrary {
             gates: self.gates,

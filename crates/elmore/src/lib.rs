@@ -36,6 +36,9 @@
 //! assert!(report.stages[0].delay > Time::ZERO);
 //! ```
 
+#![deny(clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod calib;
 pub mod delay;
 pub mod gate;

@@ -45,6 +45,9 @@
 //! to [`Planner::plan`], so every pre-existing scenario is
 //! byte-identical by construction.
 
+#![deny(clippy::expect_used, clippy::disallowed_types)]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
+
 mod price;
 pub mod report;
 
@@ -136,8 +139,11 @@ fn th(t: &Option<SharedTelemetry>) -> TelemetryHandle<'_> {
 }
 
 /// Wall-clock start of a trace-only phase span.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "span start; the duration only reaches telemetry, never compared bytes"
+)]
 fn span_start() -> Instant {
-    // crlint-allow: CR003 span start; the duration only reaches telemetry, never compared bytes
     Instant::now()
 }
 

@@ -1,8 +1,8 @@
 //! Flow-mode telemetry summary and the congestion/overflow report
 //! section.
 //!
-//! Everything here is keyed and iterated through `BTreeMap` (crlint
-//! CR006): the rendered section is part of `crplan`'s non-quiet output
+//! Everything here is keyed and iterated through `BTreeMap` (CR006,
+//! clippy.toml): the rendered section is part of `crplan`'s non-quiet output
 //! and must be byte-identical across runs and `--jobs` values.
 
 use clockroute_grid::EdgeKey;

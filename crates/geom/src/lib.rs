@@ -34,6 +34,9 @@
 //! assert!(!map.is_node_blocked(Point::new(5, 5)));
 //! ```
 
+#![deny(clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod blockage;
 pub mod floorplan;
 pub mod gen;

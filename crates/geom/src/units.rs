@@ -31,12 +31,22 @@ macro_rules! unit {
             Clone,
             Copy,
             PartialEq,
-            PartialOrd,
             Default,
             serde::Serialize,
             serde::Deserialize,
         )]
         pub struct $name(f64);
+
+        // crlint-allow: CR001 operator comparisons only; ordering keys use f64::total_cmp
+        impl PartialOrd for $name {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "operator comparisons only; ordering keys use f64::total_cmp"
+            )]
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                self.0.partial_cmp(&other.0)
+            }
+        }
 
         impl $name {
             /// The zero quantity.

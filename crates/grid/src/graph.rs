@@ -9,7 +9,7 @@ use std::fmt;
 ///
 /// `NodeId`s are only meaningful relative to the [`GridGraph`] that issued
 /// them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {

@@ -26,6 +26,9 @@
 //! assert!(g.is_insertable(g.node(Point::new(0, 0))));
 //! ```
 
+#![deny(clippy::expect_used, clippy::disallowed_types)]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod capacity;
 pub mod dijkstra;
 pub mod graph;

@@ -6,7 +6,7 @@
 use crate::{GridGraph, GridPath};
 use clockroute_geom::Point;
 // Ordered collections throughout: rendered art is diffed byte-for-byte
-// in tests and reports (crlint CR006).
+// in tests and reports (CR006, clippy.toml).
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Options controlling [`render_grid`].

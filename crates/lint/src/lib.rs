@@ -2,31 +2,31 @@
 //!
 //! `crates/core/src/drc.rs` checks that a *routed plan* obeys the
 //! physical design rules; this crate checks that the *source tree*
-//! obeys the correctness invariants PRs 1–3 established by hand:
+//! obeys the correctness invariants that clippy cannot express by path
+//! (the path bans — CR002, CR003, CR006, CR008 and the call halves of
+//! CR001 and CR004 — live in `clippy.toml`; see DESIGN.md §11):
 //!
 //! | Rule  | Invariant | Introduced by |
 //! |-------|-----------|---------------|
-//! | CR000 | `crlint-allow` suppressions must name a known rule and a reason | this PR |
-//! | CR001 | ordering keys are totally ordered (no NaN-unsound `partial_cmp`) | PR 2 heap fix |
-//! | CR002 | no `unwrap`/`expect` panics in the algorithmic core | PR 1 ladder |
-//! | CR003 | wall-clock reads confined to budget/telemetry seams | PR 2 promptness fix |
-//! | CR004 | threads confined to the planner; no `static mut` | PR 2 Send/Sync audit |
+//! | CR000 | `crlint-allow` suppressions must name a known rule and a reason | crlint |
+//! | CR001 | a hand-written `PartialOrd` delegates to a total order | PR 2 heap fix |
+//! | CR004 | no `static mut` | PR 2 Send/Sync audit |
 //! | CR005 | search queue loops are budget-cancellable | PR 2 promptness fix |
-//! | CR006 | report/serialization modules use ordered collections | PR 3 `--jobs` byte-identity |
 //! | CR007 | service reads untrusted streams only through the bounded frame reader | PR 6 crash-safety |
-//! | CR008 | no raw `std::sync` locks in threaded crates — ranked `lockcheck` wrappers only | PR 9 lock discipline |
 //! | CR009 | lock ranks are literal; guards stay lexical (no storing/returning) | PR 9 lock discipline |
 //! | CR010 | no condvar wait while another named guard is live | PR 9 lock discipline |
 //!
-//! Dependency-free by design (it gates the build that would build its
-//! dependencies). The binary is `crlint`; the library entry points are
-//! [`lint_source`] for one file and [`run_workspace`] for the tree.
+//! The binary is `crlint`; the library entry points are [`lint_source`]
+//! for one file and [`run_workspace`] for the tree.
 //!
 //! Suppression syntax (the reason is mandatory — CR000 fires without
-//! one): a line comment `// crlint-allow: CR003 span start, duration
-//! only reaches telemetry` suppresses that rule on the same line and
-//! the next line.
+//! one): a line comment `// crlint-allow: CR005 bounded drain; every
+//! entry was charged when first popped` suppresses that rule on the
+//! same line and the next line.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
+
+use clockroute_core::json::json_string;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -36,7 +36,7 @@ pub mod scan;
 
 /// Diagnostic severity. Every current rule reports `Error`; the field
 /// exists so future advisory rules don't need a schema change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
     Warning,
     Error,
@@ -128,7 +128,8 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
                 path: rel.to_string(),
                 line: a.line,
                 message: format!(
-                    "`crlint-allow` names unknown rule `{}`; known rules are {}",
+                    "`crlint-allow` names unknown rule `{}`; known rules are {} \
+                     (the rest are clippy's: use `#[expect(clippy::…, reason = …)]`)",
                     a.rule,
                     rules::RULE_IDS.join(", ")
                 ),
@@ -169,10 +170,12 @@ fn sort_findings(findings: &mut [Finding]) {
 }
 
 /// Walks the workspace rooted at `root` and lints every first-party
-/// `.rs` file. Vendored stubs (`vendor/`), build output (`target/`) and
-/// lint fixtures (`fixtures/`) are excluded; everything else — sources,
-/// integration tests, benches, examples, this crate itself — is
-/// scanned (test scope relaxes some rules per file, see
+/// `.rs` file. Vendored stubs (`vendor/`), build output (`target/`),
+/// lint fixtures (`fixtures/`) and nested packages that declare a
+/// `[workspace]` of their own (`perfbench/`, which clippy's
+/// `--workspace` run does not reach either) are excluded; everything
+/// else — sources, integration tests, benches, examples, this crate
+/// itself — is scanned (test scope relaxes some rules per file, see
 /// [`scan::FileCtx::in_test`]).
 ///
 /// # Errors
@@ -231,7 +234,9 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), Stri
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if matches!(name.as_ref(), "target" | "vendor" | "fixtures" | ".git") {
+            if matches!(name.as_ref(), "target" | "vendor" | "fixtures" | ".git")
+                || declares_workspace(&path)
+            {
                 continue;
             }
             collect_rs(root, &path, out)?;
@@ -250,9 +255,9 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), Stri
 }
 
 /// Renders findings as one deterministic JSON object (sorted by path,
-/// line, rule; stable key order). Validated in the test suite by the
-/// same dependency-free `validate_json` checker the e2e tests use for
-/// `--metrics` output.
+/// line, rule; stable key order), escaped by the workspace's one JSON
+/// string escaper. Validated in the test suite by the same
+/// `validate_json` checker the e2e tests use for `--metrics` output.
 pub fn to_json(findings: &[Finding]) -> String {
     let mut s = String::from("{\"version\":1,\"findings\":[");
     for (i, f) in findings.iter().enumerate() {
@@ -261,12 +266,12 @@ pub fn to_json(findings: &[Finding]) -> String {
         }
         s.push_str(&format!(
             "{{\"rule\":{},\"severity\":{},\"path\":{},\"line\":{},\"message\":{},\"explain\":{}}}",
-            json_str(&f.rule),
-            json_str(&f.severity.to_string()),
-            json_str(&f.path),
+            json_string(&f.rule),
+            json_string(&f.severity.to_string()),
+            json_string(&f.path),
             f.line,
-            json_str(&f.message),
-            json_str(rules::explain_line(&f.rule).unwrap_or(""))
+            json_string(&f.message),
+            json_string(rules::explain_line(&f.rule).unwrap_or(""))
         ));
     }
     let errors = findings
@@ -281,39 +286,22 @@ pub fn to_json(findings: &[Finding]) -> String {
     s
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Locates the workspace root: walks up from `start` until a directory
 /// whose `Cargo.toml` declares `[workspace]`.
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     let mut dir = start.to_path_buf();
     loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(dir);
-            }
+        if declares_workspace(&dir) {
+            return Some(dir);
         }
         if !dir.pop() {
             return None;
         }
     }
+}
+
+fn declares_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|t| t.contains("[workspace]"))
 }
 
 #[cfg(test)]
@@ -323,30 +311,26 @@ mod tests {
     #[test]
     fn suppression_with_reason_suppresses_same_and_next_line() {
         let src = "\
-fn f(q: &Q) {
-    // crlint-allow: CR002 value checked non-empty two lines up
-    q.get().unwrap();
-    q.get().unwrap(); // not covered: two lines below the allow
-}
+// crlint-allow: CR004 written once before any thread starts
+static mut A: u32 = 0;
+static mut B: u32 = 0; // not covered: two lines below the allow
 ";
         let out = lint_source("crates/core/src/x.rs", src);
         assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].rule, "CR002");
-        assert_eq!(out[0].line, 4);
+        assert_eq!(out[0].rule, "CR004");
+        assert_eq!(out[0].line, 3);
     }
 
     #[test]
     fn suppression_without_reason_is_cr000_and_suppresses_nothing() {
         let src = "\
-fn f(q: &Q) {
-    // crlint-allow: CR002
-    q.get().unwrap();
-}
+// crlint-allow: CR004
+static mut A: u32 = 0;
 ";
         let out = lint_source("crates/core/src/x.rs", src);
         let rules: Vec<&str> = out.iter().map(|f| f.rule.as_str()).collect();
-        assert_eq!(rules, ["CR000", "CR002"], "{out:?}");
-        assert_eq!(out[0].line, 2);
+        assert_eq!(rules, ["CR000", "CR004"], "{out:?}");
+        assert_eq!(out[0].line, 1);
     }
 
     #[test]
@@ -360,9 +344,19 @@ fn f(q: &Q) {
     }
 
     #[test]
+    fn suppression_naming_a_rule_moved_to_clippy_is_cr000() {
+        for rule in ["CR002", "CR003", "CR006", "CR008"] {
+            let src = format!("// crlint-allow: {rule} a leftover\nfn f() {{}}\n");
+            let out = lint_source("crates/core/src/x.rs", &src);
+            assert_eq!(out.len(), 1, "{out:?}");
+            assert_eq!(out[0].rule, "CR000");
+        }
+    }
+
+    #[test]
     fn json_is_deterministic_and_escaped() {
         let f = Finding {
-            rule: "CR003".to_string(),
+            rule: "CR004".to_string(),
             severity: Severity::Error,
             path: "a\"b.rs".to_string(),
             line: 7,

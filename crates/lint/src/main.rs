@@ -42,9 +42,13 @@ fn run(args: Vec<String>) -> Result<bool, String> {
             "--explain" => {
                 let rule = it
                     .next()
-                    .ok_or("--explain requires a rule ID (e.g. CR008)")?;
-                let text = clockroute_lint::rules::explain(&rule)
-                    .ok_or_else(|| format!("unknown rule `{rule}`; known rules: CR000..CR010"))?;
+                    .ok_or("--explain requires a rule ID (e.g. CR005)")?;
+                let text = clockroute_lint::rules::explain(&rule).ok_or_else(|| {
+                    format!(
+                        "unknown rule `{rule}`; known rules: {}",
+                        clockroute_lint::rules::RULE_IDS.join(", ")
+                    )
+                })?;
                 println!("{text}");
                 return Ok(true);
             }

@@ -1,16 +1,13 @@
 // Fixture: CR000 — suppression hygiene.
 
-fn naked_allow(v: &[u32]) -> u32 {
-    // crlint-allow: CR002
-    v.first().unwrap() + 1
-}
+// crlint-allow: CR004
+static mut NAKED: u32 = 0;
 
-fn justified_allow(v: &[u32]) -> u32 {
-    // crlint-allow: CR002 fixture: callers guarantee non-empty input
-    v.first().unwrap() + 1
-}
+// crlint-allow: CR004 fixture: written once before any thread starts
+static mut JUSTIFIED: u32 = 0;
 
-fn unknown_rule(v: &[u32]) -> u32 {
-    // crlint-allow: CR999 no such rule exists
-    v.first().copied().unwrap_or(0)
-}
+// crlint-allow: CR999 no such rule exists
+fn unknown_rule() {}
+
+// crlint-allow: CR002 a rule that moved to clippy
+fn moved_rule() {}

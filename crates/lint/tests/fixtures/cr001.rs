@@ -11,7 +11,7 @@ impl PartialEq for Entry {
     }
 }
 
-// BAD (line 15): hand-rolled PartialOrd with no total-order delegation.
+// BAD for crlint (line 15): hand-rolled PartialOrd with no total-order delegation.
 impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         // BAD (line 18): .partial_cmp( call on an f64 key.

@@ -1,7 +1,7 @@
 // Fixture: CR006 — unordered collections in report/serialization code.
 // BAD (line 3): HashMap import alone is flagged in report modules.
 use std::collections::HashMap;
-
+// BAD (line 5): so is a signature that names it.
 fn summarize(counts: &HashMap<String, u64>) -> String {
     let mut out = String::new();
     for (k, v) in counts {

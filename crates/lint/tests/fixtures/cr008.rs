@@ -1,22 +1,25 @@
-//! CR008 fixture: raw `std::sync` primitives in a threaded crate.
+//! CR008 fixture: raw `std::sync` primitives outside `lockcheck.rs`.
 use std::sync::{Condvar, Mutex, RwLock};
-use clockroute_core::lockcheck::{LockRank, OrderedMutex};
 
 pub fn bad() {
+    // BAD (line 6), BAD (line 7), BAD (line 8): raw lock constructors.
     let m = Mutex::new(0u32);
     let r = RwLock::new(0u32);
     let c = Condvar::new();
     drop((m, r, c));
 }
 
-// A ranked lock is the sanctioned construction.
-pub fn good() -> OrderedMutex<u32> {
-    OrderedMutex::new(LockRank::Cache, "fixture.good", 0)
+// GOOD: other `std::sync` constructors are not locks.
+pub fn good() -> std::sync::Arc<std::sync::atomic::AtomicU32> {
+    std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0))
 }
 
-// An explicitly justified exception stays quiet.
+// GOOD: an explicitly justified exception stays quiet.
 pub fn suppressed() {
-    // crlint-allow: CR008 fixture demonstrates the suppression path
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fixture demonstrates the suppression path"
+    )]
     let m = Mutex::new(0u32);
     drop(m);
 }

@@ -1,7 +1,7 @@
 //! The tool runs on itself: the workspace must be crlint-clean, every
 //! suppression must carry a reason, and the `--json` output must
-//! satisfy the same dependency-free JSON checker the e2e suite uses
-//! for `--metrics` files.
+//! satisfy the same JSON checker the e2e suite uses for `--metrics`
+//! files.
 
 use std::path::Path;
 use std::process::Command;
@@ -47,7 +47,7 @@ fn binary_exits_one_and_emits_valid_deterministic_json_on_findings() {
     std::fs::create_dir_all(&src_dir).expect("mkdir");
     std::fs::write(
         src_dir.join("bad.rs"),
-        "fn f(v: &[u32]) -> u32 {\n    *v.first().unwrap()\n}\n",
+        "fn f() {}\nstatic mut COUNTER: u32 = 0;\n",
     )
     .expect("write fixture tree");
 
@@ -62,7 +62,7 @@ fn binary_exits_one_and_emits_valid_deterministic_json_on_findings() {
     assert_eq!(out.status.code(), Some(1), "findings must exit 1: {out:?}");
     let json = String::from_utf8(out.stdout).expect("utf8");
     clockroute_core::json::validate_json(&json).expect("valid JSON with findings");
-    assert!(json.contains("\"rule\":\"CR002\""), "{json}");
+    assert!(json.contains("\"rule\":\"CR004\""), "{json}");
     assert!(
         json.contains("\"path\":\"crates/core/src/bad.rs\""),
         "{json}"
@@ -151,7 +151,7 @@ fn explain_covers_every_rule_and_reaches_the_json() {
     std::fs::create_dir_all(&src_dir).expect("mkdir");
     std::fs::write(
         src_dir.join("bad.rs"),
-        "fn f(v: &[u32]) -> u32 {\n    *v.first().unwrap()\n}\n",
+        "fn f() {}\nstatic mut COUNTER: u32 = 0;\n",
     )
     .expect("write fixture tree");
     let out = Command::new(env!("CARGO_BIN_EXE_crlint"))
@@ -162,7 +162,7 @@ fn explain_covers_every_rule_and_reaches_the_json() {
     let json = String::from_utf8(out.stdout).expect("utf8");
     clockroute_core::json::validate_json(&json).expect("json with explain field");
     assert!(
-        json.contains("\"explain\":\"unwrap/expect in core crates"),
+        json.contains("\"explain\":\"static mut is unsound to audit"),
         "{json}"
     );
 }

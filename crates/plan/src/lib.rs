@@ -102,6 +102,9 @@
 //! assert_eq!(plan.routed().count(), 2);
 //! ```
 
+#![deny(clippy::expect_used)]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
+
 use clockroute_core::{
     failpoint::{self, FailAction},
     lockcheck,
@@ -842,7 +845,10 @@ impl Planner {
     fn plan_net(&self, net: &NetSpec) -> (Outcome, TelemetryShard) {
         let shard = TelemetryShard::new();
         let handle = TelemetryHandle::new(&shard);
-        // crlint-allow: CR003 span start; the duration only reaches telemetry, never compared bytes
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "span start; the duration only reaches telemetry, never compared bytes"
+        )]
         let started = std::time::Instant::now();
         let outcome = self.ladder(net, handle);
         handle.span_ns("plan.net.solve_ns", started.elapsed().as_nanos() as u64);

@@ -37,6 +37,14 @@ where
         return (0..count).map(|k| work(&mut state, k)).collect();
     };
     let cursor = AtomicUsize::new(0);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the planner's fan-out is an audited thread seam (CR004)"
+    )]
+    #[expect(
+        clippy::expect_used,
+        reason = "work items catch their own panics (the planner's ladder); a panic crossing join is a harness bug"
+    )]
     let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..jobs.max(1).min(count))
             .map(|_| {
@@ -65,7 +73,6 @@ where
             .collect();
         handles
             .into_iter()
-            // crlint-allow: CR002 work items catch their own panics (the planner's ladder); a panic crossing join is a harness bug
             .flat_map(|h| h.join().expect("worker panicked"))
             .collect()
     });

@@ -1,7 +1,7 @@
 //! Per-request admission control and request timing.
 //!
 //! This is the **only** module in `clockroute-service` that reads a
-//! clock (crlint CR003 enforces that). Everything else in the crate is
+//! clock (CR003 in clippy.toml enforces that). Everything else in the crate is
 //! a pure function of its inputs, which is what keeps service
 //! responses byte-identical to a cold `crplan` run.
 //!
@@ -173,6 +173,10 @@ pub struct RequestTimer {
 impl RequestTimer {
     /// Starts timing now.
     #[allow(clippy::new_without_default)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the admission gate is a clock seam: request timings feed service metrics, never response bytes"
+    )]
     pub fn start() -> RequestTimer {
         RequestTimer {
             start: Instant::now(),

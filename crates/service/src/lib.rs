@@ -40,13 +40,16 @@
 //! (`Pool < Pending < Cache < Persist < Telemetry`), so the documented
 //! lock order — pending before cache, never two shards, waits hold
 //! exactly the waited lock — is asserted at runtime in debug/lockcheck
-//! builds and statically by crlint CR008–CR010.
+//! builds and statically by CR008 (clippy.toml) and crlint CR009–CR010.
 //!
 //! See DESIGN.md §12 for the protocol grammar and the warm-start
 //! soundness argument, §13 for the persistence format and the shutdown
 //! state machine, §14 for the sharding, single-flight, and lock-order
 //! story, and §16 for the rank lattice and what the lockcheck gates
 //! prove.
+
+#![deny(clippy::disallowed_types)]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod admission;
 pub mod cache;

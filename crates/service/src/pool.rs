@@ -9,8 +9,8 @@
 //! the OS accept backlog. Memory and thread count are then a function
 //! of configuration, not of offered load.
 //!
-//! Alongside `server.rs` and the planner, this module is an allowed
-//! thread-spawn site for crlint CR004 — threads are created in exactly
+//! This module and the planner's workers are the only thread-spawn
+//! sites CR004 (clippy.toml) allows — threads are created in exactly
 //! one place here, inside [`run`]'s scope.
 
 use clockroute_core::lockcheck::{LockRank, OrderedCondvar, OrderedMutex};
@@ -113,6 +113,10 @@ impl<T> JobQueue<T> {
 /// returns, the queue closes, the workers drain what is queued and
 /// exit, and `feed`'s result is returned after all workers have
 /// joined — so `work` never outlives the borrows `feed` captured.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the bounded worker pool is an audited thread seam (CR004)"
+)]
 pub fn run<T, R>(
     workers: usize,
     bound: usize,

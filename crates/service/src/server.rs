@@ -1,8 +1,8 @@
 //! The routing service: request dispatch, cache orchestration, and the
 //! stdio / TCP front-ends.
 //!
-//! Threads are created in exactly two modules of this crate — here and
-//! [`crate::pool`] (crlint CR004 enforces that); everything
+//! Threads are created in exactly one module of this crate,
+//! [`crate::pool`] (CR004 in clippy.toml enforces that); everything
 //! request-scoped funnels through [`Service::handle_line`], which is
 //! plain sequential code so the stdio and TCP front-ends — and the
 //! tests — exercise exactly the same path. Concurrency composes in

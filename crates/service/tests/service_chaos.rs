@@ -13,6 +13,8 @@
 //! * SIGTERM as a graceful drain: exit 0, snapshot written, warm
 //!   cache on the next start.
 
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use clockroute_core::failpoint::{self, FailAction};
 use clockroute_core::json::json_string;
 use clockroute_service::{Service, ServiceConfig};

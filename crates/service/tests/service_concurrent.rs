@@ -6,6 +6,8 @@
 //! lifetime across the durability window, duplicate-miss double work,
 //! duplicate-key snapshot records).
 
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use clockroute_core::canon::mix64;
 use clockroute_core::lockcheck::{self, LockRank, OrderedMutex};
 use clockroute_service::{persist, Service, ServiceConfig};

@@ -8,6 +8,8 @@
 //! check it survives malformed requests, admission rejections and armed
 //! failpoints without dying.
 
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+
 use clockroute_cli::{report, scenario};
 use clockroute_core::json::{validate_json, validate_jsonl};
 use clockroute_core::SearchBudget;

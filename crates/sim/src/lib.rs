@@ -32,6 +32,8 @@
 //! assert!(report.throughput_tokens_per_cycle > 0.97);
 //! ```
 
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod gals_link;
 pub mod mcfifo;
 pub mod multicycle;

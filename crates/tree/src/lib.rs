@@ -23,6 +23,8 @@
 //! On a degenerate tree (a single path) the result provably coincides
 //! with RBP — asserted in the tests.
 
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub mod insertion;
 pub mod topology;
 

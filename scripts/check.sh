@@ -1,18 +1,24 @@
 #!/usr/bin/env sh
-# Full local gate: release build, the whole test suite in both profiles
-# (debug catches debug_assert guards; release catches what CI ships), and
-# clippy with warnings promoted to errors. Run from the repo root.
+# Full local gate: formatting, release build, the invariant gates (clippy
+# with warnings promoted to errors, its fixture gate, crlint), then the
+# whole test suite in both profiles (debug catches debug_assert guards;
+# release catches what CI ships) and the smoke scripts. Run from the
+# repo root.
 set -eu
 
-# Format gate, scoped to the crates already formatted; it widens crate by
-# crate until `cargo fmt --all --check` passes.
-cargo fmt --check -p clockroute-core -p clockroute-plan -p clockroute-flow -p clockroute-grid \
-    -p clockroute-bench -p clockroute-service -p clockroute-cli -p clockroute-geom \
-    -p clockroute-elmore -p clockroute-sim -p clockroute-lint -p clockroute-tree
+cargo fmt --all --check
 cargo build --release
-# crlint first: the invariant gate (NaN-safe orderings, cancellable
-# search loops, deterministic reports — see DESIGN.md §11) is cheaper
-# than the test suite and its findings explain later failures.
+# The invariant gates first (NaN-safe orderings, cancellable search
+# loops, deterministic reports, ranked locks — see DESIGN.md §11): they
+# are cheaper than the test suites and their findings explain later
+# failures. clippy carries the path bans of clippy.toml; the fixture
+# gate proves each of those paths still flags its fixture line (clippy
+# only warns on a path that names nothing); crlint checks the patterns
+# clippy cannot express.
+# --workspace: at the root, which is itself a package, plain
+# `cargo clippy` would lint only that package and skip crates/*.
+cargo clippy --workspace --all-targets -- -D warnings
+sh scripts/clippy_fixtures.sh
 cargo run --release -p clockroute-lint -- --workspace
 cargo test --workspace -q
 cargo test --workspace --release -q
@@ -52,6 +58,3 @@ sh scripts/serve_smoke.sh
 # SIGTERM graceful drain, snapshot corruption, and a concurrent-client
 # burst SIGKILLed mid-flight (see DESIGN.md §13–14).
 sh scripts/chaos_smoke.sh
-# --workspace: at the root, which is itself a package, plain
-# `cargo clippy` would lint only that package and skip crates/*.
-cargo clippy --workspace --all-targets -- -D warnings

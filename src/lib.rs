@@ -60,6 +60,8 @@
 //! # assert!(solution.register_count() > 0);
 //! ```
 
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
+
 pub use clockroute_core as core;
 pub use clockroute_elmore as elmore;
 pub use clockroute_flow as flow;

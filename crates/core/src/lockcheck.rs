@@ -77,12 +77,14 @@ pub enum LockRank {
 // which clippy.toml bans (CR001), and clippy wants `Ord` and
 // `PartialOrd` derived together or written together.
 impl Ord for LockRank {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (*self as u8).cmp(&(*other as u8))
     }
 }
 
 impl PartialOrd for LockRank {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }

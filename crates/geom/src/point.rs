@@ -29,12 +29,14 @@ pub struct Point {
 // which clippy.toml bans (CR001), and clippy wants `Ord` and
 // `PartialOrd` derived together or written together.
 impl Ord for Point {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.x, self.y).cmp(&(other.x, other.y))
     }
 }
 
 impl PartialOrd for Point {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }

@@ -43,6 +43,7 @@ macro_rules! unit {
                 clippy::disallowed_methods,
                 reason = "operator comparisons only; ordering keys use f64::total_cmp"
             )]
+            #[inline]
             fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
                 self.0.partial_cmp(&other.0)
             }

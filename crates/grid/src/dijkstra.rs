@@ -40,7 +40,7 @@ impl Ord for HeapEntry {
         other
             .dist
             .total_cmp(&self.dist)
-            .then_with(|| other.node.index().cmp(&self.node.index()))
+            .then_with(|| other.node.cmp(&self.node))
     }
 }
 

@@ -12,6 +12,23 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct NodeId(pub(crate) u32);
 
+// Both orders by hand: a derived `PartialOrd` calls `partial_cmp`,
+// which clippy.toml bans (CR001), and clippy wants `Ord` and
+// `PartialOrd` derived together or written together.
+impl Ord for NodeId {
+    #[inline]
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for NodeId {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl NodeId {
     /// The dense index, suitable for indexing per-node side arrays.
     #[inline]

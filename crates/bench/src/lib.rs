@@ -20,7 +20,6 @@
 //! verdict, so a regression in the algorithms shows up as a failed trend,
 //! not just different numbers.
 
-#![deny(clippy::disallowed_types)]
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 use clockroute_core::{FastPathSpec, GalsSpec, MetricsRecorder, RbpSpec, TelemetryHandle};

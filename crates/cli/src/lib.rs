@@ -8,7 +8,6 @@
 //! (crates/service) parses the same format off the wire and returns
 //! the same report bytes.
 
-#![deny(clippy::disallowed_types)]
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod report;

@@ -41,8 +41,6 @@
 //! `--strict`), `1` any net failed — or, under `--strict`, was degraded —
 //! `2` usage or scenario errors.
 
-#![deny(clippy::disallowed_types)]
-
 use clockroute_cli::{report, scenario};
 use clockroute_core::telemetry::Tee;
 use clockroute_core::{failpoint, MetricsRecorder, SearchBudget, Telemetry, TraceWriter};

@@ -1,5 +1,6 @@
 //! Word-at-a-time byte scans for the request path: the JSON string
-//! kernels (`plain_run_end`) and `crserve`'s frame reader
+//! kernels (`plain_run_end`), the literal-end scan behind the parser's
+//! deferred field (`string_end`) and `crserve`'s frame reader
 //! ([`find_newline`]).
 //!
 //! Each scan loads eight bytes per step as a little-endian `u64` and
@@ -44,6 +45,39 @@ pub(crate) fn plain_run_end(bytes: &[u8], from: usize) -> usize {
         |w| (has_less(w, 0x20) | has_byte(w, b'"') | has_byte(w, b'\\')) != 0,
         is_special,
     )
+}
+
+/// The end of the string literal whose body starts at `from` (just past
+/// its opening quote): the index of the first `"` after an even run of
+/// backslashes, or `bytes.len()` if there is none.
+///
+/// The word test looks for one byte value, the quote, so escapes do not
+/// stop the scan; only at a quote are the backslashes before it counted,
+/// back to `from` at most. In a valid literal each backslash run starts
+/// an escape at its first byte, so an odd run escapes the quote and an
+/// even one ends the literal there, exactly where the parser ends it.
+/// Nothing else about the literal is checked.
+///
+/// # Panics
+///
+/// If `from > bytes.len()`, as slicing would.
+pub(crate) fn string_end(bytes: &[u8], from: usize) -> usize {
+    let mut at = from;
+    loop {
+        let quote = scan(bytes, at, |w| has_byte(w, b'"') != 0, |b| b == b'"');
+        if quote == bytes.len() {
+            return quote;
+        }
+        let escapes = bytes[from..quote]
+            .iter()
+            .rev()
+            .take_while(|&&b| b == b'\\')
+            .count();
+        if escapes % 2 == 0 {
+            return quote;
+        }
+        at = quote + 1;
+    }
 }
 
 /// The index of the first `\n` at or after `from`.
@@ -96,6 +130,19 @@ mod tests {
         (from..bytes.len()).find(|&i| bytes[i] == b'\n')
     }
 
+    /// A byte loop that tracks the backslash run as it goes.
+    fn naive_string_end(bytes: &[u8], from: usize) -> usize {
+        let mut run = 0;
+        for (i, &b) in bytes.iter().enumerate().skip(from) {
+            match b {
+                b'"' if run % 2 == 0 => return i,
+                b'\\' => run += 1,
+                _ => run = 0,
+            }
+        }
+        bytes.len()
+    }
+
     /// Both scans agree with the naive loops from every start offset.
     fn check_all_offsets(bytes: &[u8]) {
         for from in 0..=bytes.len() {
@@ -124,6 +171,57 @@ mod tests {
                         bytes[pos] = value;
                         check_all_offsets(&bytes);
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn string_end_matches_the_naive_loop_on_every_short_string() {
+        // Quote, backslash, the escape letters `n` and `u`, a hex digit, a
+        // control byte and a plain byte: every string of up to six, each
+        // shifted by 0–7 bytes so it meets every offset mod 8 and, with
+        // the shift, crosses a word boundary.
+        const ALPHABET: [u8; 7] = [b'"', b'\\', b'n', b'u', b'a', 0x01, b'x'];
+        let mut body = Vec::new();
+        for len in 0..=6u32 {
+            for mut code in 0..ALPHABET.len().pow(len) {
+                body.clear();
+                for _ in 0..len {
+                    body.push(ALPHABET[code % ALPHABET.len()]);
+                    code /= ALPHABET.len();
+                }
+                for shift in 0..8 {
+                    let mut bytes = vec![b'p'; shift];
+                    bytes.extend_from_slice(&body);
+                    for from in shift..=bytes.len() {
+                        assert_eq!(
+                            string_end(&bytes, from),
+                            naive_string_end(&bytes, from),
+                            "{bytes:?} from {from}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn string_end_counts_backslash_runs_of_every_parity() {
+        // `n` backslashes before a first quote, a second quote later: an
+        // even run ends the literal at the first, an odd one escapes it.
+        for n in 0..=9 {
+            for lead in 0..=17 {
+                for shift in 0..8 {
+                    let mut bytes = vec![b'p'; shift];
+                    let from = bytes.len();
+                    bytes.extend(std::iter::repeat_n(b'x', lead));
+                    bytes.extend(std::iter::repeat_n(b'\\', n));
+                    let first = bytes.len();
+                    bytes.extend_from_slice(b"\"tail\"rest");
+                    let second = first + 5;
+                    let want = if n % 2 == 0 { first } else { second };
+                    assert_eq!(string_end(&bytes, from), want, "{n} after {lead}+{shift}");
                 }
             }
         }
@@ -168,5 +266,38 @@ mod tests {
             bytes.truncate(64);
             check_all_offsets(&bytes);
         }
+
+        #[test]
+        fn string_end_is_where_the_parser_ends_a_valid_literal(
+            pieces in proptest::collection::vec(literal_piece(), 0..24),
+            tail in proptest::collection::vec(piece(), 0..6),
+        ) {
+            let literal = format!("\"{}\"", pieces.concat());
+            let tail: Vec<u8> = tail.concat();
+            // The parser's own end: the one prefix that parses whole.
+            let parsed_end = (1..=literal.len())
+                .find(|&n| literal.get(..n).is_some_and(|p| crate::json::parse(p).is_ok()))
+                .map(|n| n - 1);
+            prop_assert_eq!(parsed_end, Some(literal.len() - 1), "{}", literal);
+            for shift in 0..8 {
+                let mut bytes = vec![b'p'; shift];
+                bytes.extend_from_slice(literal.as_bytes());
+                bytes.extend_from_slice(&tail);
+                prop_assert_eq!(string_end(&bytes, shift + 1), shift + literal.len() - 1);
+            }
+        }
+    }
+
+    /// One piece of a valid literal's body: a plain or multi-byte
+    /// character, or any of JSON's escapes, surrogate pairs included.
+    fn literal_piece() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0u32..6).prop_map(|i| ["a", "é", "😀", " ", "u", "5"][i as usize].to_owned()),
+            (0u32..8).prop_map(|i| {
+                ["\\\"", "\\\\", "\\/", "\\n", "\\r", "\\t", "\\b", "\\f"][i as usize].to_owned()
+            }),
+            (0u32..0xd800).prop_map(|c| format!("\\u{c:04x}")),
+            (0u32..0x400).prop_map(|c| format!("\\ud83d\\u{:04X}", 0xdc00 + c)),
+        ]
     }
 }

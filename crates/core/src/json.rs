@@ -13,8 +13,12 @@
 //! the grammar table below fixes every error offset, and the property
 //! tests hold the escaper to a char-by-char reference and the parser to
 //! a round trip, with the specials shifted to every offset mod 8.
+//!
+//! [`parse_deferred`] walks an object with the same parser but leaves
+//! one string field undecoded, so `crserve` can recognise a literal it
+//! has already decoded once by its bytes alone.
 
-use crate::bytes::plain_run_end;
+use crate::bytes::{plain_run_end, string_end};
 use std::collections::BTreeMap;
 
 /// Deepest array/object nesting [`parse`] accepts. `crserve` hands
@@ -87,6 +91,61 @@ pub fn parse(text: &str) -> Result<Value, String> {
         return Err(format!("trailing garbage at byte {}", p.pos));
     }
     Ok(value)
+}
+
+/// Walks `text` as one JSON object exactly as [`parse`] does, except
+/// for the value of field `key`: it must be a string, and is returned
+/// undecoded, as its raw literal (quotes included), beside the other
+/// fields, decoded.
+///
+/// The literal ends at the first `"` after an even run of backslashes,
+/// which is where [`parse`] ends a valid literal, and nothing inside it
+/// is checked. So [`parse`] accepts `text`, with these fields and the
+/// literal's decoded text under `key`, exactly when the literal is
+/// valid. The caller establishes that, e.g. by finding the literal equal
+/// byte for byte to one [`parse`] has accepted before: the parser reads
+/// a literal by its bytes alone.
+///
+/// `None` for anything else: not an object, `key` missing, repeated or
+/// not a string, a duplicate field, a syntax error, trailing bytes.
+pub fn parse_deferred<'a>(text: &'a str, key: &str) -> Option<(BTreeMap<String, Value>, &'a str)> {
+    let mut p = Parser { text, pos: 0 };
+    p.skip_ws();
+    if p.peek() != Some(b'{') {
+        return None;
+    }
+    let mut fields = BTreeMap::new();
+    let mut literal = None;
+    p.items(b'}', |p| {
+        let name = p.string()?;
+        p.eat(b':')?;
+        if name != key {
+            let value = p.value(1)?;
+            return match fields.insert(name, value) {
+                Some(_) => Err(String::new()),
+                None => Ok(()),
+            };
+        }
+        p.skip_ws();
+        let start = p.pos;
+        if literal.is_some() || p.peek() != Some(b'"') {
+            return Err(String::new());
+        }
+        let end = string_end(text.as_bytes(), start + 1);
+        if end == text.len() {
+            return Err(String::new());
+        }
+        // Past the closing quote, which is ASCII: a char boundary.
+        p.pos = end + 1;
+        literal = Some(&text[start..p.pos]);
+        Ok(())
+    })
+    .ok()?;
+    p.skip_ws();
+    if p.pos != text.len() {
+        return None;
+    }
+    Some((fields, literal?))
 }
 
 /// Checks that `text` is one well-formed JSON value ([`parse`] without
@@ -384,6 +443,49 @@ mod tests {
             ("s".to_owned(), Value::Str("😀/".to_owned())),
         ]));
         assert_eq!(v, Ok(want));
+    }
+
+    #[test]
+    fn deferred_walk_agrees_with_parse() {
+        let cases = [
+            r#"{"id":"a","op":"route","s":"x\ny"}"#,
+            r#"  {"s" : "q\"uote\\" , "n":[1,{"a":null}] }  "#,
+            r#"{"\u0073":"escaped key","t":true}"#,
+            r#"{"s":"\u000a\/\ud83d\ude00"}"#,
+            r#"{"s":""}"#,
+            r#"{"a":1}"#,
+            r#"{"s":1}"#,
+            r#"{"s":null}"#,
+            r#"{"s":"a","s":"a"}"#,
+            r#"{"a":1,"a":1,"s":"x"}"#,
+            r#"{"s":"x"} trailing"#,
+            r#"{"s":"x""#,
+            r#"{"s":"x"}"#,
+            r#"{"s":"bad \q escape"}"#,
+            "{\"s\":\"raw\ncontrol\"}",
+            r#"["s","x"]"#,
+            r#"{"s":"x",}"#,
+            "",
+        ];
+        for text in cases {
+            let whole = parse(text);
+            match parse_deferred(text, "s") {
+                Some((mut fields, literal)) => match parse(literal) {
+                    // A valid literal: the walk and `parse` agree.
+                    Ok(decoded) => {
+                        assert!(literal.starts_with('"') && literal.ends_with('"'));
+                        fields.insert("s".to_owned(), decoded);
+                        assert_eq!(whole, Ok(Value::Obj(fields)), "{text}");
+                    }
+                    // An invalid one: `parse` rejects the line.
+                    Err(_) => assert!(whole.is_err(), "{text}"),
+                },
+                None => assert!(
+                    !matches!(&whole, Ok(Value::Obj(f)) if matches!(f.get("s"), Some(Value::Str(_)))),
+                    "{text}: {whole:?}"
+                ),
+            }
+        }
     }
 
     #[test]

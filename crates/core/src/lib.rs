@@ -48,7 +48,7 @@
 //! # Ok::<(), clockroute_core::RouteError>(())
 //! ```
 
-#![deny(clippy::expect_used, clippy::disallowed_types)]
+#![deny(clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 mod budget;

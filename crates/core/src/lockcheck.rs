@@ -37,6 +37,15 @@
 //!
 //! [`SolveSlot`]: ../../clockroute_service/shard/struct.SolveSlot.html
 
+// CR008 bans the raw lock types everywhere else, so this is the one
+// module that may name them; it builds them in two constructors, each
+// excused from the constructor ban: `raw_mutex` and
+// `OrderedCondvar::new`.
+#![expect(
+    clippy::disallowed_types,
+    reason = "lockcheck is the one module that wraps raw std::sync locks"
+)]
+
 use crate::telemetry::{Telemetry, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -419,15 +428,27 @@ impl<T> Drop for OrderedGuard<'_, T> {
 
 /// A condvar paired with [`OrderedMutex`]. Waits additionally check the
 /// thread holds no lock besides the one being waited on.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct OrderedCondvar {
     inner: Condvar,
 }
 
+impl Default for OrderedCondvar {
+    fn default() -> OrderedCondvar {
+        OrderedCondvar::new()
+    }
+}
+
 impl OrderedCondvar {
-    /// A fresh condvar.
+    /// A fresh condvar: the one raw `std::sync::Condvar` constructor.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "lockcheck is the one module that wraps raw std::sync locks"
+    )]
     pub fn new() -> OrderedCondvar {
-        OrderedCondvar::default()
+        OrderedCondvar {
+            inner: Condvar::new(),
+        }
     }
 
     /// Blocks until notified, releasing and re-acquiring the guard's

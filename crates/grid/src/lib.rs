@@ -26,7 +26,7 @@
 //! assert!(g.is_insertable(g.node(Point::new(0, 0))));
 //! ```
 
-#![deny(clippy::expect_used, clippy::disallowed_types)]
+#![deny(clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod capacity;

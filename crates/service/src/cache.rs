@@ -13,16 +13,19 @@
 //! therefore which base-key candidate wins when several match — is
 //! deterministic across runs and platforms.
 //!
-//! Each entry also keeps a few exact request texts that parsed to its
-//! scenario (its *aliases*), so an exact repeat can be answered without
-//! parsing: an alias matches only on equal length and equal bytes,
-//! never on a hash. Aliases live and die with their entry — eviction
-//! and same-key replacement drop them, a zero-capacity cache never
-//! holds one — and they are never exported, so snapshots do not carry
-//! them.
+//! The memo works on wire bytes in both directions. Each entry keeps
+//! its report escaped once as a JSON string literal, spliced into every
+//! `ok` response it answers, and a few raw `scenario` literals of
+//! requests whose decoded text parsed to its scenario (its *aliases*),
+//! so an exact repeat is answered without decoding or parsing: an alias
+//! matches only on equal length and equal bytes, never on a hash.
+//! Aliases live and die with their entry — eviction and same-key
+//! replacement drop them, a zero-capacity cache never holds one — and
+//! they are never exported, so snapshots do not carry them.
 
 use crate::keys::{block_delta, same_base, same_blocks};
 use clockroute_cli::scenario::Scenario;
+use clockroute_core::json::json_string;
 use clockroute_plan::TracedPlan;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,10 +49,34 @@ pub struct Solved {
     pub degraded: usize,
 }
 
-/// Request texts kept per entry. Four is the number of textual forms
-/// the `serve_hit` benchmark sends per scenario (`STYLES` in
-/// `perfbench/src/gen.rs`: plain, comments, CRLF, reordered blocks);
-/// later forms of a full entry take the parse path.
+/// A solve as the cache holds it and the service answers with it: the
+/// solve, plus its report escaped once as a JSON string literal, so no
+/// `ok` response escapes the report again.
+#[derive(Debug)]
+pub struct Answer {
+    /// The solve.
+    pub solved: Arc<Solved>,
+    /// `json_string(&solved.report)`, quotes included.
+    pub report_literal: String,
+}
+
+impl Answer {
+    /// Escapes `solved`'s report: once per solve entering the cache or
+    /// replayed from a snapshot.
+    pub fn new(solved: Arc<Solved>) -> Answer {
+        let report_literal = json_string(&solved.report);
+        Answer {
+            solved,
+            report_literal,
+        }
+    }
+}
+
+/// Scenario literals kept per entry. Four is the number of textual
+/// forms the `serve_hit` benchmark sends per scenario (`STYLES` in
+/// `perfbench/src/gen.rs`: plain, comments, CRLF, reordered blocks),
+/// each with one escaping; later literals of a full entry take the
+/// parse path.
 const MAX_ALIASES: usize = 4;
 
 /// One cached scenario.
@@ -57,18 +84,19 @@ const MAX_ALIASES: usize = 4;
 struct Entry {
     base: u64,
     scenario: Scenario,
-    solved: Arc<Solved>,
+    answer: Arc<Answer>,
     last_used: u64,
-    /// Exact request texts that parsed to `scenario` (at most
-    /// [`MAX_ALIASES`], no spare capacity per text).
+    /// Raw `scenario` literals (quotes included) of requests whose
+    /// decoded text parsed to `scenario`: at most [`MAX_ALIASES`], no
+    /// spare capacity per literal.
     aliases: Vec<Box<str>>,
 }
 
 impl Entry {
-    fn has_alias(&self, text: &str) -> bool {
+    fn has_alias(&self, literal: &str) -> bool {
         self.aliases
             .iter()
-            .any(|a| a.len() == text.len() && a.as_bytes() == text.as_bytes())
+            .any(|a| a.len() == literal.len() && a.as_bytes() == literal.as_bytes())
     }
 }
 
@@ -135,9 +163,9 @@ impl ResultCache {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Exact lookup: the stored solve for `scenario` if an entry with
+    /// Exact lookup: the stored answer for `scenario` if an entry with
     /// this `key` exists *and* structurally matches. Bumps recency.
-    pub fn lookup(&mut self, key: u64, scenario: &Scenario) -> Option<Arc<Solved>> {
+    pub fn lookup(&mut self, key: u64, scenario: &Scenario) -> Option<Arc<Answer>> {
         let tick = self.next_tick();
         let entry = self.entries.get_mut(&key)?;
         if !(same_base(&entry.scenario, scenario) && same_blocks(&entry.scenario, scenario)) {
@@ -146,42 +174,43 @@ impl ResultCache {
             return None;
         }
         entry.last_used = tick;
-        Some(Arc::clone(&entry.solved))
+        Some(Arc::clone(&entry.answer))
     }
 
-    /// Records `text` as an alias of entry `key`, unless the entry is
+    /// Records `literal` as an alias of entry `key`, unless the entry is
     /// gone, already holds it, or is full. The caller must hold the
-    /// lock under which it verified that `text` parses to the entry's
-    /// scenario (a [`lookup`](Self::lookup) hit or the insert itself).
-    pub fn remember(&mut self, key: u64, text: &str) {
+    /// lock under which it verified that the literal's decoded text
+    /// parses to the entry's scenario (a [`lookup`](Self::lookup) hit
+    /// or the insert itself).
+    pub fn remember(&mut self, key: u64, literal: &str) {
         if let Some(entry) = self.entries.get_mut(&key) {
-            if entry.aliases.len() < MAX_ALIASES && !entry.has_alias(text) {
-                entry.aliases.push(text.into());
+            if entry.aliases.len() < MAX_ALIASES && !entry.has_alias(literal) {
+                entry.aliases.push(literal.into());
             }
         }
     }
 
     /// Memo scan: the key and net count of the entry holding exactly
-    /// `text` as an alias. Read-only — recency is bumped only by
+    /// `literal` as an alias. Read-only — recency is bumped only by
     /// [`lookup_alias`](Self::lookup_alias).
-    pub fn find_alias(&self, text: &str) -> Option<(u64, usize)> {
+    pub fn find_alias(&self, literal: &str) -> Option<(u64, usize)> {
         self.entries
             .iter()
-            .find(|(_, e)| e.has_alias(text))
+            .find(|(_, e)| e.has_alias(literal))
             .map(|(k, e)| (*k, e.scenario.nets.len()))
     }
 
-    /// Memo hit: the stored solve of entry `key` if it still holds
-    /// exactly `text` as an alias (it may have been evicted or
+    /// Memo hit: the stored answer of entry `key` if it still holds
+    /// exactly `literal` as an alias (it may have been evicted or
     /// replaced since [`find_alias`](Self::find_alias)). Bumps recency.
-    pub fn lookup_alias(&mut self, key: u64, text: &str) -> Option<Arc<Solved>> {
+    pub fn lookup_alias(&mut self, key: u64, literal: &str) -> Option<Arc<Answer>> {
         let tick = self.next_tick();
         let entry = self.entries.get_mut(&key)?;
-        if !entry.has_alias(text) {
+        if !entry.has_alias(literal) {
             return None;
         }
         entry.last_used = tick;
-        Some(Arc::clone(&entry.solved))
+        Some(Arc::clone(&entry.answer))
     }
 
     /// Near-miss lookup: the most recently used entry sharing
@@ -228,7 +257,7 @@ impl ResultCache {
         }
         entry.last_used = tick;
         Some(WarmPrior {
-            solved: Arc::clone(&entry.solved),
+            solved: Arc::clone(&entry.answer.solved),
             dirty,
         })
     }
@@ -252,14 +281,14 @@ impl ResultCache {
         let mut rows: Vec<(&u64, &Entry)> = self.entries.iter().collect();
         rows.sort_by_key(|(_, e)| e.last_used);
         rows.into_iter()
-            .map(|(k, e)| (e.last_used, *k, e.base, &e.scenario, &e.solved))
+            .map(|(k, e)| (e.last_used, *k, e.base, &e.scenario, &e.answer.solved))
             .collect()
     }
 
-    /// Stores a solve, evicting the least recently used entry if the
+    /// Stores an answer, evicting the least recently used entry if the
     /// cache is full. A no-op when the capacity is zero. Replacing an
     /// entry under the same key drops the old entry's aliases.
-    pub fn insert(&mut self, key: u64, base: u64, scenario: Scenario, solved: Arc<Solved>) {
+    pub fn insert(&mut self, key: u64, base: u64, scenario: Scenario, answer: Arc<Answer>) {
         if self.cap == 0 {
             return;
         }
@@ -269,7 +298,7 @@ impl ResultCache {
             Entry {
                 base,
                 scenario,
-                solved,
+                answer,
                 last_used: tick,
                 aliases: Vec::new(),
             },
@@ -308,15 +337,22 @@ mod tests {
         parse(&text(block_x)).unwrap()
     }
 
-    fn solved(tag: &str) -> Arc<Solved> {
-        Arc::new(Solved {
+    /// `text` as a request carries it: a JSON string literal.
+    fn literal(block_x: u32) -> String {
+        json_string(&text(block_x))
+    }
+
+    fn solved(tag: &str) -> Arc<Answer> {
+        Arc::new(Answer::new(Arc::new(Solved {
             report: tag.to_owned(),
             ..Solved::default()
-        })
+        })))
     }
 
     fn report_of(cache: &mut ResultCache, s: &Scenario) -> Option<String> {
-        cache.lookup(scenario_key(s), s).map(|v| v.report.clone())
+        cache
+            .lookup(scenario_key(s), s)
+            .map(|v| v.solved.report.clone())
     }
 
     #[test]
@@ -432,7 +468,7 @@ mod tests {
         // as an alias.
         let key = scenario_key(&s2);
         cache.insert(key, base_key(&s1), s1, solved("wrong"));
-        cache.remember(key, &text(2));
+        cache.remember(key, &literal(2));
         assert!(
             report_of(&mut cache, &s2).is_none(),
             "structural verification rejects the colliding entry"
@@ -440,8 +476,8 @@ mod tests {
         // The cold solve's insert replaces the slot: no alias of the
         // old entry may serve its answer any more.
         cache.insert(key, base_key(&s2), s2.clone(), solved("right"));
-        assert!(cache.find_alias(&text(2)).is_none());
-        assert!(cache.lookup_alias(key, &text(2)).is_none());
+        assert!(cache.find_alias(&literal(2)).is_none());
+        assert!(cache.lookup_alias(key, &literal(2)).is_none());
         assert_eq!(report_of(&mut cache, &s2).as_deref(), Some("right"));
     }
 
@@ -452,7 +488,7 @@ mod tests {
         let key = scenario_key(&s);
         cache.insert(key, base_key(&s), s, solved("two"));
         let forms: Vec<String> = (0..MAX_ALIASES + 2)
-            .map(|i| format!("{}{}", "# pad\n".repeat(i), text(2)))
+            .map(|i| json_string(&format!("{}{}", "# pad\n".repeat(i), text(2))))
             .collect();
         for form in &forms {
             cache.remember(key, form);
@@ -463,8 +499,12 @@ mod tests {
             assert_eq!(held, i < MAX_ALIASES, "alias {i}");
             assert_eq!(cache.lookup_alias(key, form).is_some(), held);
         }
-        // One byte off, same length: no hit.
-        let mutant = text(2).replacen("die", "dIe", 1);
+        // One byte off, same length: no hit; nor the same text escaped
+        // another way.
+        let mutant = literal(2).replacen("die", "dIe", 1);
+        assert!(cache.find_alias(&mutant).is_none());
+        assert!(cache.lookup_alias(key, &mutant).is_none());
+        let mutant = literal(2).replace("\\n", "\\u000a");
         assert!(cache.find_alias(&mutant).is_none());
         assert!(cache.lookup_alias(key, &mutant).is_none());
     }

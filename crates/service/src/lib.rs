@@ -48,7 +48,6 @@
 //! story, and §16 for the rank lattice and what the lockcheck gates
 //! prove.
 
-#![deny(clippy::disallowed_types)]
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod admission;

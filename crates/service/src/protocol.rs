@@ -15,7 +15,15 @@
 //!
 //! Requests are decoded by [`clockroute_core::json::parse`], the same
 //! strict parser `validate_json` uses, so a line the service accepts is
-//! valid JSON.
+//! valid JSON. The one exception is a memo hit ([`raw_route`]): its
+//! line is walked by the same parser with the `scenario` literal left
+//! undecoded, and accepted only when that literal is byte for byte one
+//! the parser accepted before — so it is accepted by identity with a
+//! line `parse` accepts, with the same fields and scenario text.
+//!
+//! A `route` answer embeds the cached report as an escaped literal,
+//! stored once per solve; [`route_ok`] is the same response built from
+//! the unescaped report.
 
 use clockroute_core::json::{self, json_string};
 use std::collections::BTreeMap;
@@ -60,11 +68,7 @@ pub enum Op {
 /// connection survives.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let mut fields = parse_flat(line)?;
-    let id = match fields.remove("id") {
-        None | Some(JsonValue::Null) => None,
-        Some(JsonValue::Str(s)) => Some(s),
-        Some(_) => return Err("`id` must be a string or null".to_owned()),
-    };
+    let id = request_id(fields.remove("id"))?;
     let op = match fields.remove("op") {
         Some(JsonValue::Str(s)) => s,
         Some(_) => return Err("`op` must be a string".to_owned()),
@@ -82,6 +86,45 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         other => return Err(format!("unknown op `{other}`")),
     };
     Ok(Request { id, op })
+}
+
+/// The request id from its field's value: a string, or none when the
+/// field is absent or null.
+fn request_id(value: Option<JsonValue>) -> Result<Option<String>, String> {
+    match value {
+        None | Some(JsonValue::Null) => Ok(None),
+        Some(JsonValue::Str(s)) => Ok(Some(s)),
+        Some(_) => Err("`id` must be a string or null".to_owned()),
+    }
+}
+
+/// A `route` request read without decoding its scenario: the memo's
+/// view of a line.
+#[derive(Debug, PartialEq)]
+pub(crate) struct RawRoute<'a> {
+    /// As [`Request::id`].
+    pub(crate) id: Option<String>,
+    /// The `scenario` value's raw JSON string literal, quotes included.
+    pub(crate) literal: &'a str,
+}
+
+/// Reads `line` as a `route` request carrying `op`, `scenario` and an
+/// optional `id` (string or null) and nothing else, with the scenario
+/// left as its raw literal ([`json::parse_deferred`]).
+///
+/// `None` for every other line; the caller then takes
+/// [`parse_request`]. When the literal is valid, as it is whenever it
+/// equals one [`parse_request`] accepted, `parse_request(line)` returns
+/// the same id and the literal's decoded text as the scenario.
+pub(crate) fn raw_route(line: &str) -> Option<RawRoute<'_>> {
+    let (mut fields, literal) = json::parse_deferred(line, "scenario")?;
+    let id = request_id(fields.remove("id")).ok()?;
+    match fields.remove("op") {
+        Some(JsonValue::Str(op)) if op == "route" && fields.is_empty() => {
+            Some(RawRoute { id, literal })
+        }
+        _ => None,
+    }
 }
 
 /// Decodes one flat JSON object (e.g. a `route` response) into its
@@ -126,12 +169,30 @@ pub fn route_ok(
     degraded: usize,
     report: &str,
 ) -> String {
-    format!(
-        "{{\"id\":{},\"status\":\"ok\",\"cache\":{},\"routed\":{routed},\"failed\":{failed},\"degraded\":{degraded},\"report\":{}}}",
+    route_ok_spliced(id, cache, routed, failed, degraded, &json_string(report))
+}
+
+/// [`route_ok`] with the report already escaped: `report_literal` is
+/// `json_string(report)`, spliced in as it is. The response is built in
+/// one buffer of exactly its length.
+pub(crate) fn route_ok_spliced(
+    id: Option<&str>,
+    cache: &str,
+    routed: usize,
+    failed: usize,
+    degraded: usize,
+    report_literal: &str,
+) -> String {
+    let head = format!(
+        "{{\"id\":{},\"status\":\"ok\",\"cache\":{},\"routed\":{routed},\"failed\":{failed},\"degraded\":{degraded},\"report\":",
         id_field(id),
         json_string(cache),
-        json_string(report),
-    )
+    );
+    let mut out = String::with_capacity(head.len() + report_literal.len() + 1);
+    out.push_str(&head);
+    out.push_str(report_literal);
+    out.push('}');
+    out
 }
 
 /// Admission rejection. `retry_after_ms` is the deterministic back-off
@@ -306,6 +367,80 @@ mod tests {
         }
         let transcript = all.join("\n");
         validate_jsonl(&transcript).unwrap();
+    }
+
+    #[test]
+    fn raw_route_reads_only_plain_route_envelopes() {
+        let lit = r#""die 1mm 1mm\ngrid 4 4\n""#;
+        for (line, id) in [
+            (
+                format!(r#"{{"id":"r1","op":"route","scenario":{lit}}}"#),
+                Some("r1"),
+            ),
+            (
+                format!(r#" {{ "scenario" : {lit} , "op":"route" }} "#),
+                None,
+            ),
+            (
+                format!(r#"{{"id":null,"op":"route","scenario":{lit}}}"#),
+                None,
+            ),
+            (
+                format!(r#"{{"id":"\u00e9","\u006fp":"route","scenario":{lit}}}"#),
+                Some("é"),
+            ),
+        ] {
+            let raw = raw_route(&line).unwrap_or_else(|| panic!("{line}"));
+            assert_eq!(
+                raw,
+                RawRoute {
+                    id: id.map(str::to_owned),
+                    literal: lit
+                }
+            );
+            let Ok(Request {
+                id: parsed_id,
+                op: Op::Route { scenario },
+            }) = parse_request(&line)
+            else {
+                panic!("{line}");
+            };
+            assert_eq!(
+                (parsed_id.as_deref(), scenario.as_str()),
+                (id, "die 1mm 1mm\ngrid 4 4\n")
+            );
+        }
+        for line in [
+            format!(r#"{{"op":"ping","scenario":{lit}}}"#),
+            format!(r#"{{"op":"route","scenario":{lit},"extra":1}}"#),
+            format!(r#"{{"id":7,"op":"route","scenario":{lit}}}"#),
+            format!(r#"{{"id":["a"],"op":"route","scenario":{lit}}}"#),
+            format!(r#"{{"op":"route","scenario":{lit},"scenario":{lit}}}"#),
+            format!(r#"{{"id":"a","id":"a","op":"route","scenario":{lit}}}"#),
+            format!(r#"{{"op":"route","scenario":{lit}}}x"#),
+            format!(r#"{{"op":"route","scenario":{lit}"#),
+            r#"{"op":"route","scenario":7}"#.to_owned(),
+            r#"{"op":"route"}"#.to_owned(),
+        ] {
+            assert_eq!(raw_route(&line), None, "{line}");
+        }
+    }
+
+    #[test]
+    fn spliced_ok_matches_one_format_call() {
+        for report in ["", "a: 1 cycles\nb: FAILED\n", "q\"\\\u{1}é"] {
+            for id in [None, Some("r\"1")] {
+                let reference = format!(
+                    "{{\"id\":{},\"status\":\"ok\",\"cache\":\"hit\",\"routed\":3,\"failed\":1,\"degraded\":2,\"report\":{}}}",
+                    id_field(id),
+                    json_string(report),
+                );
+                let spliced = route_ok_spliced(id, "hit", 3, 1, 2, &json_string(report));
+                assert_eq!(spliced, reference);
+                assert_eq!(spliced.len(), spliced.capacity(), "one exact buffer");
+                assert_eq!(route_ok(id, "hit", 3, 1, 2, report), reference);
+            }
+        }
     }
 
     #[test]

@@ -16,12 +16,12 @@
 //! The response contract (asserted by the crate's property tests): for
 //! a given scenario, the `route` response is byte-identical whether it
 //! was computed cold, answered from the exact-match cache (through the
-//! parser or the exact-bytes text memo in front of it), or
+//! parser or the exact-bytes scenario-literal memo in front of it), or
 //! warm-started from a near-miss entry — and identical to what a
 //! freshly spawned `crplan --quiet` prints for the same file.
 
 use crate::admission::{Admission, Permit, RequestTimer};
-use crate::cache::{Solved, WarmPrior};
+use crate::cache::{Answer, Solved, WarmPrior};
 use crate::frame::{self, Frame, FrameReader};
 use crate::keys::{base_key, scenario_key};
 use crate::persist::{self, LogSlot, SnapshotLog};
@@ -231,7 +231,8 @@ impl Service {
                     // last-wins: a later insert replaces the slot, so
                     // neither `len` nor the eviction count ever counts
                     // one fingerprint twice.
-                    cache.insert(e.key, e.base, e.scenario, Arc::new(e.solved));
+                    let answer = Answer::new(Arc::new(e.solved));
+                    cache.insert(e.key, e.base, e.scenario, Arc::new(answer));
                 }
                 let payloads: Vec<Vec<u8>> = cache
                     .export()
@@ -301,6 +302,16 @@ impl Service {
     /// Handles one request line and returns the one-line JSON response.
     pub fn handle_line(&self, line: &str) -> String {
         self.metrics.counter("service.requests", 1);
+        // Memo path: a plain `route` envelope whose raw scenario literal
+        // some entry holds as an alias is answered without decoding the
+        // literal or parsing the scenario. Anything else, or a memo that
+        // comes up empty, takes the parse path below.
+        let raw = protocol::raw_route(line);
+        if let Some(raw) = &raw {
+            if let Some(response) = self.memo(raw.id.as_deref(), raw.literal) {
+                return response;
+            }
+        }
         let request = match protocol::parse_request(line) {
             Ok(r) => r,
             Err(e) => {
@@ -324,28 +335,43 @@ impl Service {
                 self.shutdown.store(true, Ordering::Release);
                 protocol::bye(id)
             }
-            Op::Route { scenario } => self.route(id, &scenario),
+            Op::Route { scenario } => {
+                // Both readings of one line: the envelope walk found the
+                // literal that `parse_request` decoded.
+                let literal = raw.map(|raw| raw.literal);
+                debug_assert!(literal.is_none_or(|l| {
+                    clockroute_core::json::parse(l)
+                        == Ok(protocol::JsonValue::Str(scenario.clone()))
+                }));
+                self.route(id, &scenario, literal)
+            }
         }
     }
 
-    fn route(&self, id: Option<&str>, text: &str) -> String {
+    /// The memo answer for a `route` whose raw scenario literal an entry
+    /// holds as an alias, or `None` to take the parse path. The alias is
+    /// a literal `parse_request` accepted and decoded to text that
+    /// parsed to the entry, so the parse path would answer these bytes
+    /// from the same entry. Admission sees the entry's net count,
+    /// exactly as the parse path would; the bytes are re-verified under
+    /// the shard lock, and a miss there (evicted or replaced since the
+    /// scan) falls through.
+    fn memo(&self, id: Option<&str>, literal: &str) -> Option<String> {
         let timer = RequestTimer::start();
-        // Memo path: an exact repeat of a text some entry already
-        // answered skips the parser and both fingerprints. Admission
-        // sees the entry's net count, exactly as the parse path would;
-        // the bytes are re-verified under the shard lock, and a miss
-        // there (evicted or replaced since the scan) falls through.
-        if let Some((key, nets)) = self.cache.find_alias(text) {
-            let permit = match self.admit(id, nets) {
-                Ok(p) => p,
-                Err(busy) => return busy,
-            };
-            if let Some(solved) = self.cache.lookup_alias(key, text) {
-                return self.answer(id, &timer, permit, &solved, CachePath::Hit);
-            }
-            drop(permit);
-        }
+        let (key, nets) = self.cache.find_alias(literal)?;
+        let permit = match self.admit(id, nets) {
+            Ok(p) => p,
+            Err(busy) => return Some(busy),
+        };
+        let answer = self.cache.lookup_alias(key, literal)?;
+        Some(self.answer(id, &timer, permit, &answer, CachePath::Hit))
+    }
 
+    /// The parse path of a `route` whose scenario decoded to `text`;
+    /// `literal` is its raw literal when the line is a plain `route`
+    /// envelope, recorded as an alias of the entry that answers it.
+    fn route(&self, id: Option<&str>, text: &str, literal: Option<&str>) -> String {
+        let timer = RequestTimer::start();
         let parsed = match scenario::parse(text) {
             Ok(s) => s,
             Err(e) => {
@@ -360,12 +386,12 @@ impl Service {
 
         let key = scenario_key(&parsed);
         let base = base_key(&parsed);
-        let (solved, path) = match self.cache.lookup_or_claim(key, &parsed, text) {
-            Lookup::Hit(solved) => (solved, CachePath::Hit),
+        let (answer, path) = match self.cache.lookup_or_claim(key, &parsed, literal) {
+            Lookup::Hit(answer) => (answer, CachePath::Hit),
             // A concurrent leader solved this key while we waited; its
             // entry was inserted and persisted before the slot dropped,
             // so echoing it keeps "answered ⟹ durable".
-            Lookup::Coalesced(solved) => (solved, CachePath::Coalesced),
+            Lookup::Coalesced(answer) => (answer, CachePath::Coalesced),
             Lookup::Lead(slot) => {
                 let prior = self.cache.find_warm(base, &parsed, WARM_MAX_DIRTY);
                 let path = if prior.is_some() {
@@ -383,14 +409,14 @@ impl Service {
                         return protocol::error(id, &message);
                     }
                 };
-                let solved = Arc::new(self.render(traced));
+                let answer = Arc::new(Answer::new(Arc::new(self.render(traced))));
                 // Encode before the insert: the append payload is a
                 // pure function of the entry, and the shard lock must
                 // stay short.
                 let record = self
                     .persists()
-                    .then(|| persist::encode_entry(key, base, &parsed, &solved));
-                let (evicted, _) = slot.insert(base, parsed, Arc::clone(&solved), text);
+                    .then(|| persist::encode_entry(key, base, &parsed, &answer.solved));
+                let (evicted, _) = slot.insert(base, parsed, Arc::clone(&answer), literal);
                 if evicted > 0 {
                     self.metrics.counter("service.evictions", evicted);
                 }
@@ -409,10 +435,10 @@ impl Service {
                 // Entry inserted and durable: dropping the slot now
                 // releases every coalesced waiter.
                 drop(slot);
-                (solved, path)
+                (answer, path)
             }
         };
-        self.answer(id, &timer, permit, &solved, path)
+        self.answer(id, &timer, permit, &answer, path)
     }
 
     /// Takes an in-flight permit for a `nets`-net request, or counts the
@@ -426,13 +452,13 @@ impl Service {
 
     /// The `ok` response for an answered `route`, on every path: the
     /// path's counters, the request span, the permit release, and the
-    /// response bytes.
+    /// response bytes, spliced around the stored report literal.
     fn answer(
         &self,
         id: Option<&str>,
         timer: &RequestTimer,
         permit: Permit<'_>,
-        solved: &Solved,
+        answer: &Answer,
         path: CachePath,
     ) -> String {
         match path {
@@ -449,13 +475,14 @@ impl Service {
         // Held from admission through solve, insert, and the fsynced
         // append — the whole durability window (DESIGN.md §14).
         drop(permit);
-        protocol::route_ok(
+        let solved = &answer.solved;
+        protocol::route_ok_spliced(
             id,
             path.label(),
             solved.routed,
             solved.failed,
             solved.degraded,
-            &solved.report,
+            &answer.report_literal,
         )
     }
 
@@ -637,7 +664,7 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clockroute_core::json::validate_json;
+    use clockroute_core::json::{json_string, validate_json};
     use std::collections::BTreeMap;
 
     const SCENARIO: &str =
@@ -651,7 +678,7 @@ mod tests {
     fn route_text(id: &str, text: &str) -> String {
         format!(
             "{{\"id\":\"{id}\",\"op\":\"route\",\"scenario\":{}}}",
-            clockroute_core::json::json_string(text)
+            json_string(text)
         )
     }
 
@@ -795,9 +822,15 @@ mod tests {
                 // Without two `block` lines the reordered form is the
                 // plain text itself, already covered above.
                 for form in variant_forms(&plain).into_iter().filter(|f| *f != plain) {
-                    assert!(service.cache.find_alias(&form).is_none(), "{name}");
+                    assert!(
+                        service.cache.find_alias(&json_string(&form)).is_none(),
+                        "{name}"
+                    );
                     let parse_path = send(&service, &route_text("s", &form));
-                    assert!(service.cache.find_alias(&form).is_some(), "{name}");
+                    assert!(
+                        service.cache.find_alias(&json_string(&form)).is_some(),
+                        "{name}"
+                    );
                     let memo_path = send(&service, &route_text("s", &form));
                     assert!(parse_path.0.contains("\"cache\":\"hit\""), "{name}");
                     assert_eq!(unlabelled(&parse_path.0), cold, "{name}, {shards} shards");
@@ -817,6 +850,127 @@ mod tests {
         }
     }
 
+    /// The `serve_smoke.sh` session's scenario and the lines it sends
+    /// (less `stats`, whose counters differ between two services primed
+    /// differently).
+    fn smoke_session() -> (String, Vec<String>) {
+        let scen = "die 25mm 25mm\\ngrid 12 12\\nblock hard 4 4 6 6\\nnet comb name=a src=0,0 dst=11,11\\nnet reg name=b src=0,6 dst=11,6 period=2000\\n";
+        let crlf = scen.replace("\\n", "\\r\\n");
+        let lines = vec![
+            r#"{"id":"p","op":"ping"}"#.to_owned(),
+            route_line("r1", scen),
+            route_line("r2", scen),
+            route_line("r3", &crlf),
+            route_line("r4", &crlf),
+            "this is not json".to_owned(),
+            r#"{"id":"q","op":"shutdown"}"#.to_owned(),
+        ];
+        (scen.replace("\\n", "\n"), lines)
+    }
+
+    /// Lines around one escaping `literal` of a scenario text: every
+    /// envelope shape the memo must either answer exactly as the parser
+    /// would or leave to it.
+    fn envelopes(literal: &str) -> Vec<String> {
+        vec![
+            format!(r#"{{"id":"x","op":"route","scenario":{literal}}}"#),
+            format!(r#"{{"scenario":{literal},"op":"route","id":"x"}}"#),
+            format!(" {{ \"id\" : \"x\" ,\t\"op\" :\"route\" , \"scenario\" :\r\n{literal} }}  "),
+            format!(r#"{{"op":"route","scenario":{literal}}}"#),
+            format!(r#"{{"id":null,"op":"route","scenario":{literal}}}"#),
+            format!(r#"{{"id":"x","op":"route","scenario":{literal},"extra":1}}"#),
+            format!(r#"{{"id":"x","op":"ping","scenario":{literal}}}"#),
+            format!(r#"{{"id":"x","op":"route","scenario":{literal},"scenario":{literal}}}"#),
+            format!(r#"{{"id":"x","id":"x","op":"route","scenario":{literal}}}"#),
+            format!(r#"{{"id":7,"op":"route","scenario":{literal}}}"#),
+            format!(r#"{{"id":{{"n":1}},"op":"route","scenario":{literal}}}"#),
+            format!(r#"{{"id":"x","op":"route","scenario":{literal}}}garbage"#),
+            format!(r#"{{"id":"x","op":"route","scenario":{literal} 1}}"#),
+            format!(r#"{{"id":"x","op":"route","scenario":{literal}"#),
+            format!(
+                r#"{{"id":"x","op":"route","scenario":{}"#,
+                &literal[..literal.len() / 2]
+            ),
+        ]
+    }
+
+    /// `count` seeded one-byte mutants of a request line: an ASCII byte
+    /// swapped for a JSON-significant one, a comment mark or a letter,
+    /// never a digit, so no mutant grows the grid.
+    fn line_mutants(line: &str, seed: u64, count: usize) -> Vec<String> {
+        let mut state = seed;
+        let mut mutants = Vec::new();
+        while mutants.len() < count {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let at = (state >> 33) as usize % line.len();
+            let new = b"\"\\:,{}[x #"[(state >> 17) as usize % 10];
+            let old = line.as_bytes()[at];
+            if old.is_ascii() && old != new {
+                let mut bytes = line.as_bytes().to_vec();
+                bytes[at] = new;
+                mutants.push(String::from_utf8(bytes).unwrap());
+            }
+        }
+        mutants
+    }
+
+    #[test]
+    fn memo_path_answers_every_line_as_the_parse_path_does() {
+        let mut groups = vec![smoke_session()];
+        for (i, (_, plain)) in shipped_scenarios().into_iter().enumerate() {
+            let mut lines = Vec::new();
+            let mut forms = vec![plain.clone()];
+            forms.extend(variant_forms(&plain));
+            forms.dedup();
+            for form in &forms {
+                let literal = json_string(form);
+                lines.extend(envelopes(&literal));
+                lines.extend(envelopes(&literal.replace("\\n", "\\u000a")));
+                let slashed = json_string(&format!("{form}# a/b\n"));
+                lines.extend(envelopes(&slashed.replace('/', "\\/")));
+            }
+            lines.extend(line_mutants(&route_text("x", &plain), 11 + i as u64, 40));
+            // A mutant's literal may start an entry of its own on both
+            // services; sent twice, it would meet B's memo too.
+            let mut seen = std::collections::BTreeSet::new();
+            lines.retain(|line| seen.insert(line.clone()));
+            groups.push((plain, lines));
+        }
+        let mut memo_answers = 0;
+        for (plain, lines) in groups {
+            // A holds the plain text's own literal as an alias. B holds
+            // four other forms of the same scenario, which fill its
+            // alias slots, so every line below takes B's parse path.
+            let a = Service::new(ServiceConfig::default());
+            let b = Service::new(ServiceConfig::default());
+            a.handle_line(&route_text("prime", &plain));
+            for k in 0..4 {
+                b.handle_line(&route_text("prime", &format!("{plain}# only b {k}\n")));
+            }
+            for line in &lines {
+                let literal = protocol::raw_route(line).map(|raw| raw.literal);
+                let on_b = literal.and_then(|l| b.cache.find_alias(l));
+                assert!(on_b.is_none(), "B answers {line} from its memo");
+                memo_answers += usize::from(literal.and_then(|l| a.cache.find_alias(l)).is_some());
+                let (got_a, count_a, _) = send(&a, line);
+                let (got_b, count_b, _) = send(&b, line);
+                assert_eq!(got_a, got_b, "{line}");
+                for name in [
+                    "service.requests",
+                    "service.hits",
+                    "service.misses",
+                    "service.malformed",
+                ] {
+                    let delta = |c: &Readings| c.iter().find(|(n, _)| n == name).map(|(_, d)| *d);
+                    assert_eq!(delta(&count_a), delta(&count_b), "{name} on {line}");
+                }
+            }
+        }
+        assert!(memo_answers >= 30, "only {memo_answers} lines met the memo");
+    }
+
     #[test]
     fn eviction_takes_the_memo_with_it() {
         // Cache cap 1: A, B, A ends in a miss, not a memo answer from
@@ -830,7 +984,7 @@ mod tests {
         let b = a.replace("8 8 11 11", "3 3 6 6");
         let first = service.handle_line(&route_text("a", &a));
         service.handle_line(&route_text("b", &b));
-        assert!(service.cache.find_alias(&a).is_none());
+        assert!(service.cache.find_alias(&json_string(&a)).is_none());
         let again = service.handle_line(&route_text("a", &a));
         assert!(!again.contains("\"cache\":\"hit\""), "{again}");
         assert_eq!(unlabelled(&again), first);
@@ -848,9 +1002,9 @@ mod tests {
         service.handle_line(&route_text("b", &text));
         let crlf = text.replace('\n', "\r\n");
         let held = service.admission.try_admit(0).unwrap();
-        assert!(service.cache.find_alias(&crlf).is_none());
+        assert!(service.cache.find_alias(&json_string(&crlf)).is_none());
         let parse_path = send(&service, &route_text("b", &crlf));
-        assert!(service.cache.find_alias(&text).is_some());
+        assert!(service.cache.find_alias(&json_string(&text)).is_some());
         let memo_path = send(&service, &route_text("b", &text));
         assert!(
             parse_path.0.contains("\"status\":\"busy\""),

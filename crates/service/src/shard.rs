@@ -18,10 +18,11 @@
 //! coalesced response is never sent before the bytes it echoes are
 //! durable ("answered ⟹ durable" holds on every path).
 //!
-//! **Memo.** An exact repeat of a request text is found without
-//! parsing: [`find_alias`](ShardedCache::find_alias) scans the shards
-//! for an entry holding those bytes as an alias (recorded on a `Hit`
-//! and on the leader's insert), and
+//! **Memo.** An exact repeat of a request's raw `scenario` literal is
+//! found without decoding or parsing:
+//! [`find_alias`](ShardedCache::find_alias) scans the shards for an
+//! entry holding those bytes as an alias (recorded on a `Hit` and on
+//! the leader's insert), and
 //! [`lookup_alias`](ShardedCache::lookup_alias) re-verifies them under
 //! the owning shard's lock before answering. Either step may come up
 //! empty; the caller then takes the parse path.
@@ -52,7 +53,7 @@
 //! merges per-shard rows into the same global LRU order a 1-shard
 //! cache would produce — snapshot bytes are shard-count-independent.
 
-use crate::cache::{ResultCache, Solved, WarmPrior};
+use crate::cache::{Answer, ResultCache, Solved, WarmPrior};
 use clockroute_cli::scenario::Scenario;
 use clockroute_core::lockcheck::{LockRank, OrderedCondvar, OrderedMutex};
 use std::collections::BTreeSet;
@@ -74,22 +75,24 @@ struct Shard {
 
 impl Shard {
     /// The cached answer for `key`, if any: `Coalesced` after a wait,
-    /// else a `Hit` that records `text` as an alias under the same lock
-    /// that verified the match.
+    /// else a `Hit` that records `literal` (if any) as an alias under
+    /// the same lock that verified the match.
     fn lookup(
         &self,
         key: u64,
         scenario: &Scenario,
-        text: &str,
+        literal: Option<&str>,
         waited: bool,
     ) -> Option<Lookup<'_>> {
         let mut cache = self.cache.lock();
-        let solved = cache.lookup(key, scenario)?;
+        let answer = cache.lookup(key, scenario)?;
         if waited {
-            return Some(Lookup::Coalesced(solved));
+            return Some(Lookup::Coalesced(answer));
         }
-        cache.remember(key, text);
-        Some(Lookup::Hit(solved))
+        if let Some(literal) = literal {
+            cache.remember(key, literal);
+        }
+        Some(Lookup::Hit(answer))
     }
 }
 
@@ -98,10 +101,10 @@ impl Shard {
 pub enum Lookup<'a> {
     /// The entry was cached; recency bumped, solve skipped. Shared with
     /// the cache, not copied.
-    Hit(Arc<Solved>),
+    Hit(Arc<Answer>),
     /// The entry was produced by a concurrent leader this thread waited
     /// for — same bytes as a hit, different accounting.
-    Coalesced(Arc<Solved>),
+    Coalesced(Arc<Answer>),
     /// This thread claimed the key and must solve. Dropping the slot
     /// releases any coalesced waiters, so hold it until the entry is
     /// inserted *and* durable.
@@ -116,20 +119,22 @@ pub struct SolveSlot<'a> {
 }
 
 impl SolveSlot<'_> {
-    /// Stores the leader's solve, with `text` (the request that parsed
-    /// to `scenario`) as its first alias, returning
-    /// `(evictions caused, shard len after)`.
+    /// Stores the leader's answer, with `literal` (the raw `scenario`
+    /// literal of the request that parsed to `scenario`, if any) as its
+    /// first alias, returning `(evictions caused, shard len after)`.
     pub fn insert(
         &self,
         base: u64,
         scenario: Scenario,
-        solved: Arc<Solved>,
-        text: &str,
+        answer: Arc<Answer>,
+        literal: Option<&str>,
     ) -> (u64, usize) {
         let mut cache = self.shard.cache.lock();
         let before = cache.evictions();
-        cache.insert(self.key, base, scenario, solved);
-        cache.remember(self.key, text);
+        cache.insert(self.key, base, scenario, answer);
+        if let Some(literal) = literal {
+            cache.remember(self.key, literal);
+        }
         (cache.evictions() - before, cache.len())
     }
 }
@@ -185,14 +190,20 @@ impl ShardedCache {
 
     /// Resolves `key`: a cached answer, a coalesced answer after
     /// waiting out a concurrent leader, or leadership of the solve.
-    /// On a [`Lookup::Hit`], `text` (the request that parsed to
-    /// `scenario`) is recorded as an alias of the entry under the same
-    /// shard lock that verified the match.
-    pub fn lookup_or_claim(&self, key: u64, scenario: &Scenario, text: &str) -> Lookup<'_> {
+    /// On a [`Lookup::Hit`], `literal` (the raw `scenario` literal of
+    /// the request that parsed to `scenario`, if any) is recorded as an
+    /// alias of the entry under the same shard lock that verified the
+    /// match.
+    pub fn lookup_or_claim(
+        &self,
+        key: u64,
+        scenario: &Scenario,
+        literal: Option<&str>,
+    ) -> Lookup<'_> {
         let shard = self.shard(key);
         let mut waited = false;
         loop {
-            if let Some(answer) = shard.lookup(key, scenario, text, waited) {
+            if let Some(answer) = shard.lookup(key, scenario, literal, waited) {
                 return answer;
             }
             let mut pending = shard.pending.lock();
@@ -204,7 +215,7 @@ impl ShardedCache {
                 // (Pending → Cache is the one nested acquire; the rank
                 // order exists so exactly this is legal and the
                 // reverse is not.)
-                if let Some(answer) = shard.lookup(key, scenario, text, waited) {
+                if let Some(answer) = shard.lookup(key, scenario, literal, waited) {
                     return answer;
                 }
                 pending.insert(key);
@@ -222,20 +233,20 @@ impl ShardedCache {
     }
 
     /// Memo scan: the key and net count of the entry holding exactly
-    /// `text` as an alias, reading the shards one lock at a time like
-    /// the warm scan.
-    pub fn find_alias(&self, text: &str) -> Option<(u64, usize)> {
+    /// `literal` as an alias, reading the shards one lock at a time
+    /// like the warm scan.
+    pub fn find_alias(&self, literal: &str) -> Option<(u64, usize)> {
         self.shards
             .iter()
-            .find_map(|shard| shard.cache.lock().find_alias(text))
+            .find_map(|shard| shard.cache.lock().find_alias(literal))
     }
 
-    /// Memo hit: re-verifies `text` against entry `key` under its shard
-    /// lock and bumps recency. `None` when the entry was evicted or
-    /// replaced since [`find_alias`](Self::find_alias) — the caller
+    /// Memo hit: re-verifies `literal` against entry `key` under its
+    /// shard lock and bumps recency. `None` when the entry was evicted
+    /// or replaced since [`find_alias`](Self::find_alias) — the caller
     /// then takes the parse path, which is always a safe answer.
-    pub fn lookup_alias(&self, key: u64, text: &str) -> Option<Arc<Solved>> {
-        self.shard(key).cache.lock().lookup_alias(key, text)
+    pub fn lookup_alias(&self, key: u64, literal: &str) -> Option<Arc<Answer>> {
+        self.shard(key).cache.lock().lookup_alias(key, literal)
     }
 
     /// Cross-shard warm scan: the globally most recent entry sharing
@@ -263,11 +274,11 @@ impl ShardedCache {
     /// Direct insert, used by snapshot recovery (single-threaded, no
     /// coalescing needed). Routes to the owning shard, so replay lands
     /// entries exactly where live traffic would have put them.
-    pub fn insert(&self, key: u64, base: u64, scenario: Scenario, solved: Arc<Solved>) {
+    pub fn insert(&self, key: u64, base: u64, scenario: Scenario, answer: Arc<Answer>) {
         self.shard(key)
             .cache
             .lock()
-            .insert(key, base, scenario, solved);
+            .insert(key, base, scenario, answer);
     }
 
     /// Total entries across shards.
@@ -317,6 +328,7 @@ mod tests {
     use super::*;
     use crate::keys::{base_key, scenario_key};
     use clockroute_cli::scenario::parse;
+    use clockroute_core::json::json_string;
     use std::sync::mpsc;
 
     fn text(block_x: u32) -> String {
@@ -330,23 +342,28 @@ mod tests {
         parse(&text(block_x)).unwrap()
     }
 
-    fn solved(tag: &str) -> Arc<Solved> {
-        Arc::new(Solved {
+    /// `text` as a request carries it: a JSON string literal.
+    fn literal(block_x: u32) -> String {
+        json_string(&text(block_x))
+    }
+
+    fn solved(tag: &str) -> Arc<Answer> {
+        Arc::new(Answer::new(Arc::new(Solved {
             report: tag.to_owned(),
             ..Solved::default()
-        })
+        })))
     }
 
     /// Resolve the scenario with block at `block_x` to a solved answer,
     /// solving with `tag` as its report when leading.
-    fn get_or_solve(cache: &ShardedCache, block_x: u32, tag: &str) -> (Arc<Solved>, &'static str) {
-        let (text, s) = (text(block_x), scenario(block_x));
-        match cache.lookup_or_claim(scenario_key(&s), &s, &text) {
+    fn get_or_solve(cache: &ShardedCache, block_x: u32, tag: &str) -> (Arc<Answer>, &'static str) {
+        let (literal, s) = (literal(block_x), scenario(block_x));
+        match cache.lookup_or_claim(scenario_key(&s), &s, Some(&literal)) {
             Lookup::Hit(v) => (v, "hit"),
             Lookup::Coalesced(v) => (v, "coalesced"),
             Lookup::Lead(slot) => {
                 let v = solved(tag);
-                slot.insert(base_key(&s), s.clone(), Arc::clone(&v), &text);
+                slot.insert(base_key(&s), s.clone(), Arc::clone(&v), Some(&literal));
                 (v, "lead")
             }
         }
@@ -384,7 +401,7 @@ mod tests {
             "a hit shares the entry, never copies it"
         );
         let rows = cache.export();
-        assert!(Arc::ptr_eq(&rows[0].3, &led), "export shares it too");
+        assert!(Arc::ptr_eq(&rows[0].3, &led.solved), "export shares it too");
     }
 
     #[test]
@@ -409,7 +426,7 @@ mod tests {
         assert!(cache.is_empty());
         // No entry (and so no alias) was kept: the next request leads
         // again.
-        assert!(cache.find_alias(&text(2)).is_none());
+        assert!(cache.find_alias(&literal(2)).is_none());
         let (_, again) = get_or_solve(&cache, 2, "y");
         assert_eq!(again, "lead");
     }
@@ -444,7 +461,7 @@ mod tests {
 
         // Deterministic interleaving: claim leadership on this thread,
         // then start a follower that must block until the slot drops.
-        let slot = match cache.lookup_or_claim(key, &s, &text(3)) {
+        let slot = match cache.lookup_or_claim(key, &s, Some(&literal(3))) {
             Lookup::Lead(slot) => slot,
             other => panic!("fresh key must lead, got {other:?}"),
         };
@@ -454,9 +471,9 @@ mod tests {
             let s = s.clone();
             std::thread::spawn(move || {
                 tx.send(()).unwrap(); // follower is about to block
-                let outcome = cache.lookup_or_claim(key, &s, &text(3));
+                let outcome = cache.lookup_or_claim(key, &s, Some(&literal(3)));
                 match outcome {
-                    Lookup::Coalesced(v) => v.report.clone(),
+                    Lookup::Coalesced(v) => v.solved.report.clone(),
                     other => panic!("follower must coalesce, got {other:?}"),
                 }
             })
@@ -466,13 +483,18 @@ mod tests {
         // not, it observes `pending` and waits — the assertion below
         // does not depend on this sleep.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        slot.insert(base_key(&s), s.clone(), solved("the-answer"), &text(3));
+        slot.insert(
+            base_key(&s),
+            s.clone(),
+            solved("the-answer"),
+            Some(&literal(3)),
+        );
         drop(slot); // release the follower only now
         assert_eq!(follower.join().unwrap(), "the-answer");
 
         // And the entry is a plain hit afterwards.
         let (v, path) = get_or_solve(&cache, 3, "never");
-        assert_eq!((v.report.as_str(), path), ("the-answer", "hit"));
+        assert_eq!((v.solved.report.as_str(), path), ("the-answer", "hit"));
     }
 
     #[test]
@@ -480,13 +502,16 @@ mod tests {
         let cache = ShardedCache::new(1, 8);
         let s = scenario(3);
         let key = scenario_key(&s);
-        let slot = match cache.lookup_or_claim(key, &s, &text(3)) {
+        let slot = match cache.lookup_or_claim(key, &s, Some(&literal(3))) {
             Lookup::Lead(slot) => slot,
             other => panic!("fresh key must lead, got {other:?}"),
         };
         drop(slot); // leader gave up without inserting (solve error)
-        assert!(cache.find_alias(&text(3)).is_none(), "no entry, no alias");
-        let second = cache.lookup_or_claim(key, &s, &text(3));
+        assert!(
+            cache.find_alias(&literal(3)).is_none(),
+            "no entry, no alias"
+        );
+        let second = cache.lookup_or_claim(key, &s, Some(&literal(3)));
         assert!(
             matches!(second, Lookup::Lead(_)),
             "next request must lead again, got {second:?}"

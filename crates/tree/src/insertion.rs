@@ -184,7 +184,7 @@ impl<'a> TreeInsertionSpec<'a> {
         );
         let gt = lib.gate(self.sink_gate);
         let gs = lib.gate(self.source_gate);
-        let sink_set: std::collections::HashSet<usize> = tree.sinks().iter().copied().collect();
+        let sink_set: std::collections::BTreeSet<usize> = tree.sinks().iter().copied().collect();
 
         let mut arena = TraceArena::new();
         let mut tables: Vec<Option<Buckets>> = vec![None; tree.len()];
@@ -368,7 +368,7 @@ impl TreeSolution {
             .iter()
             .filter(|(_, g)| lib.gate(*g).kind() == GateKind::Buffer)
             .count();
-        let reg_points: std::collections::HashSet<Point> = insertions
+        let reg_points: std::collections::BTreeSet<Point> = insertions
             .iter()
             .filter(|(_, g)| lib.gate(*g).kind().is_sequential())
             .map(|&(p, _)| p)
@@ -440,10 +440,10 @@ impl TreeSolution {
         lib: &GateLibrary,
     ) -> bool {
         let t = self.period.ps();
-        let gate_at: std::collections::HashMap<Point, GateId> =
+        let gate_at: std::collections::BTreeMap<Point, GateId> =
             self.insertions.iter().copied().collect();
         let reg = lib.gate(lib.register());
-        let sink_set: std::collections::HashSet<usize> = tree.sinks().iter().copied().collect();
+        let sink_set: std::collections::BTreeSet<usize> = tree.sinks().iter().copied().collect();
         // Bottom-up single pass with fixed labels.
         let mut state: Vec<(f64, f64)> = vec![(0.0, 0.0); tree.len()];
         for i in tree.bottom_up() {

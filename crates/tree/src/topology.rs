@@ -3,7 +3,7 @@
 use clockroute_geom::Point;
 use clockroute_grid::GridGraph;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -114,7 +114,7 @@ impl RoutingTree {
         // Embed each MST edge (from the already-rooted endpoint outward)
         // as an L-shaped route; grow a grid-level adjacency map with
         // shared segments merged.
-        let mut adjacency: HashMap<Point, Vec<Point>> = HashMap::new();
+        let mut adjacency: BTreeMap<Point, Vec<Point>> = BTreeMap::new();
         let mut add_edge = |a: Point, b: Point| {
             let list = adjacency.entry(a).or_default();
             if !list.contains(&b) {
@@ -139,14 +139,14 @@ impl RoutingTree {
         // L-embeddings can contain cycles; the BFS tree keeps shortest
         // hop counts, preserving rectilinear spirit).
         let mut points = vec![source];
-        let mut index: HashMap<Point, usize> = HashMap::from([(source, 0)]);
+        let mut index: BTreeMap<Point, usize> = BTreeMap::from([(source, 0)]);
         let mut parents = vec![usize::MAX];
         let mut queue = std::collections::VecDeque::from([source]);
         while let Some(p) = queue.pop_front() {
             let pi = index[&p];
             if let Some(neigh) = adjacency.get(&p) {
                 for &q in neigh {
-                    if let std::collections::hash_map::Entry::Vacant(e) = index.entry(q) {
+                    if let std::collections::btree_map::Entry::Vacant(e) = index.entry(q) {
                         let qi = points.len();
                         e.insert(qi);
                         points.push(q);
@@ -165,7 +165,7 @@ impl RoutingTree {
         }
         // Prune branches that lead to no sink (BFS may have kept cycle
         // remnants as dead twigs).
-        let sink_set: std::collections::HashSet<Point> = sinks.iter().copied().collect();
+        let sink_set: std::collections::BTreeSet<Point> = sinks.iter().copied().collect();
         let mut keep = vec![false; points.len()];
         for (i, &p) in points.iter().enumerate() {
             if sink_set.contains(&p) {

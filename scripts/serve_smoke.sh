@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Smoke test for crserve: drives one stdio session through every answer
 # path (cold miss, exact-match cache hit, a textual variant's parse-path
-# hit and its repeat's memo hit, malformed line, budget rejection),
+# hit and its repeat's memo hit, the cached text escaped another way,
+# a memoized literal under a duplicated key, malformed line, budget
+# rejection),
 # checks the exit-code contract, and validates every
 # response line through the same JSON grammar the telemetry export
 # uses (`crserve --validate-jsonl`). Run from the repo root; the
@@ -25,6 +27,9 @@ fail() {
 SCEN='die 25mm 25mm\ngrid 12 12\nblock hard 4 4 6 6\nnet comb name=a src=0,0 dst=11,11\nnet reg name=b src=0,6 dst=11,6 period=2000\n'
 # The same scenario with CRLF line ends: a different text, the same entry.
 SCEN_CRLF=$(printf '%s' "$SCEN" | sed 's/\\n/\\r\\n/g')
+# The same text with its newlines escaped as \u000a: other bytes on the
+# wire, so the memo (which matches raw literals) leaves it to the parser.
+SCEN_U=$(printf '%s' "$SCEN" | sed 's/\\n/\\u000a/g')
 
 {
     printf '%s\n' '{"id":"p","op":"ping"}'
@@ -32,6 +37,8 @@ SCEN_CRLF=$(printf '%s' "$SCEN" | sed 's/\\n/\\r\\n/g')
     printf '{"id":"r2","op":"route","scenario":"%s"}\n' "$SCEN"
     printf '{"id":"r3","op":"route","scenario":"%s"}\n' "$SCEN_CRLF"
     printf '{"id":"r4","op":"route","scenario":"%s"}\n' "$SCEN_CRLF"
+    printf '{"id":"r5","op":"route","scenario":"%s"}\n' "$SCEN_U"
+    printf '{"id":"r6","op":"route","scenario":"%s","scenario":"%s"}\n' "$SCEN" "$SCEN"
     printf '%s\n' 'this is not json'
     printf '%s\n' '{"id":"s","op":"stats"}'
     printf '%s\n' '{"id":"q","op":"shutdown"}'
@@ -41,7 +48,7 @@ SCEN_CRLF=$(printf '%s' "$SCEN" | sed 's/\\n/\\r\\n/g')
     < "$tmp/session.jsonl" > "$tmp/out.jsonl" \
     || fail "clean session exited non-zero"
 
-[ "$(wc -l < "$tmp/out.jsonl")" -eq 8 ] || fail "expected 8 response lines"
+[ "$(wc -l < "$tmp/out.jsonl")" -eq 10 ] || fail "expected 10 response lines"
 "$BIN" --validate-jsonl < "$tmp/out.jsonl" || fail "responses are not valid JSONL"
 # The metrics export is one pretty-printed object; joined onto a
 # single line it is a one-line JSONL document.
@@ -52,16 +59,22 @@ grep -q '"pong"' "$tmp/out.jsonl" || fail "missing pong response"
 grep -q '"cache":"cold"' "$tmp/out.jsonl" || fail "missing cold-path response"
 grep -q '"cache":"hit"' "$tmp/out.jsonl" || fail "replay did not hit the cache"
 grep -q '"status":"malformed"' "$tmp/out.jsonl" || fail "malformed line not reported"
-# r3 (first CRLF send, parse path) and r4 (its exact repeat, memo path)
-# are hits whose bytes equal r1's cold answer apart from id and label.
-for n in 4 5; do
+# r3 (first CRLF send, parse path), r4 (its exact repeat, memo path)
+# and r5 (the cached text re-escaped, parse path) are hits whose bytes
+# equal r1's cold answer apart from id and label.
+for n in 4 5 6; do
     sed -n "${n}p" "$tmp/out.jsonl" | grep -q '"cache":"hit"' \
-        || fail "CRLF variant line $n was not a cache hit"
+        || fail "line $n was not a cache hit"
 done
-sed -n '2,5p' "$tmp/out.jsonl" | sed 's/"id":"r[0-9]"//; s/"cache":"[a-z]*"//' \
+sed -n '2,6p' "$tmp/out.jsonl" | sed 's/"id":"r[0-9]"//; s/"cache":"[a-z]*"//' \
     | sort -u > "$tmp/answers.txt"
 [ "$(wc -l < "$tmp/answers.txt")" -eq 1 ] || fail "hit bytes differ from the cold answer"
-grep -q '"service.hits":3' "$tmp/out.jsonl" || fail "stats did not count the three hits"
+# r6 repeats the memoized literal under a duplicated key: the memo must
+# not answer a line the parser rejects.
+sed -n '7p' "$tmp/out.jsonl" | grep -q '"status":"malformed","error":"duplicate field `scenario`"' \
+    || fail "duplicated scenario key was not malformed"
+grep -q '"service.hits":4,' "$tmp/out.jsonl" || fail "stats did not count the four hits"
+grep -q '"service.malformed":2,' "$tmp/out.jsonl" || fail "stats did not count the two malformed lines"
 grep -q '"bye":true' "$tmp/out.jsonl" || fail "missing shutdown acknowledgement"
 
 # Budget rejection: a 2-net scenario against --max-nets 1 must answer

@@ -47,6 +47,16 @@ impl Arena {
         self.steps.len()
     }
 
+    /// Empties the arena, keeping its capacity for the next search.
+    pub fn clear(&mut self) {
+        self.steps.clear();
+    }
+
+    /// Bytes the arena holds, for the scratch ceiling.
+    pub fn held_bytes(&self) -> usize {
+        self.steps.capacity() * std::mem::size_of::<Step>()
+    }
+
     pub fn push(&mut self, node: NodeId, gate: Option<GateId>, parent: u32) -> u32 {
         #[expect(
             clippy::expect_used,
@@ -324,6 +334,24 @@ impl CandArena {
         CandArena::default()
     }
 
+    /// Empties the arena, keeping its capacity for the next search.
+    pub fn clear(&mut self) {
+        self.cap.clear();
+        self.delay.clear();
+        self.latency.clear();
+        self.sink_stage.clear();
+        self.borrowed.clear();
+        self.node.clear();
+        self.trail.clear();
+        self.flags.clear();
+    }
+
+    /// Bytes the arena holds, for the scratch ceiling.
+    pub fn held_bytes(&self) -> usize {
+        // Five `f64` columns, the node and trail columns, the flags.
+        self.cap.capacity() * (5 * 8 + std::mem::size_of::<NodeId>() + 4 + 1)
+    }
+
     pub fn alloc(&mut self, cand: &Cand) -> u32 {
         #[expect(
             clippy::expect_used,
@@ -475,6 +503,11 @@ const DIAL_SPAN: usize = 1 << 15;
 /// at small keys after a wave empties the queue) are sorted into the
 /// active bucket, or trigger a downward calendar rebase when no bucket
 /// is active; keys beyond [`DIAL_SPAN`] buckets land in the far list.
+///
+/// Drained buckets go to a spare pool instead of being freed, and
+/// [`reset`](DialQueue::reset) returns every bucket there, so a queue
+/// reused across searches stops allocating once its pool covers the
+/// calendar it needs.
 pub(crate) struct DialQueue {
     width: f64,
     inv_width: f64,
@@ -486,6 +519,8 @@ pub(crate) struct DialQueue {
     /// come off the end in ascending order.
     active: Vec<DialEntry>,
     far: Vec<DialEntry>,
+    /// Empty buckets, capacity kept, for the ring to reuse.
+    spare: Vec<Vec<DialEntry>>,
     far_min: f64,
     seq: u64,
     len: usize,
@@ -510,11 +545,49 @@ impl DialQueue {
             ring: VecDeque::new(),
             active: Vec::new(),
             far: Vec::new(),
+            spare: Vec::new(),
             far_min: f64::INFINITY,
             seq: 0,
             len: 0,
             last_pop: f64::NEG_INFINITY,
         }
+    }
+
+    /// Empties the queue into the state [`new`](DialQueue::new) builds
+    /// for `scale` — every field, `seq` included, comes from `new` — so
+    /// the next search pops in the same order as on a new queue. Only
+    /// the buckets' capacity survives, in the spare pool.
+    pub fn reset(&mut self, scale: f64) {
+        let DialQueue {
+            mut ring,
+            mut active,
+            mut far,
+            mut spare,
+            ..
+        } = std::mem::replace(self, DialQueue::new(scale));
+        for mut bucket in ring.drain(..) {
+            bucket.clear();
+            spare.push(bucket);
+        }
+        active.clear();
+        far.clear();
+        self.ring = ring;
+        self.active = active;
+        self.far = far;
+        self.spare = spare;
+    }
+
+    /// Bytes the queue holds, for the scratch ceiling.
+    pub fn held_bytes(&self) -> usize {
+        let entries: usize = self
+            .ring
+            .iter()
+            .chain(&self.spare)
+            .chain([&self.active, &self.far])
+            .map(Vec::capacity)
+            .sum();
+        entries * std::mem::size_of::<DialEntry>()
+            + (self.ring.capacity() + self.spare.capacity()) * std::mem::size_of::<Vec<DialEntry>>()
     }
 
     fn desc(a: &DialEntry, b: &DialEntry) -> Ordering {
@@ -531,7 +604,9 @@ impl DialQueue {
             return;
         }
         if self.ring.len() <= rel {
-            self.ring.resize_with(rel + 1, Vec::new);
+            let spare = &mut self.spare;
+            self.ring
+                .resize_with(rel + 1, || spare.pop().unwrap_or_default());
         }
         self.ring[rel].push(e);
     }
@@ -571,13 +646,19 @@ impl DialQueue {
         }
         loop {
             while matches!(self.ring.front(), Some(b) if b.is_empty()) {
-                self.ring.pop_front();
+                if let Some(empty) = self.ring.pop_front() {
+                    self.spare.push(empty);
+                }
                 self.base += self.width;
             }
             if let Some(mut bucket) = self.ring.pop_front() {
                 self.base += self.width;
-                bucket.sort_by(Self::desc);
-                self.active = bucket;
+                // Every `seq` is unique, so `(key, seq)` is a strict
+                // total order and an unstable sort gives the stable
+                // sort's result.
+                bucket.sort_unstable_by(Self::desc);
+                let drained = std::mem::replace(&mut self.active, bucket);
+                self.spare.push(drained);
                 return true;
             }
             if self.far.is_empty() {
@@ -587,9 +668,12 @@ impl DialQueue {
             // minimum and redistribute.
             self.base = self.far_min;
             self.far_min = f64::INFINITY;
-            let pending = std::mem::take(&mut self.far);
-            for e in pending {
+            let mut pending = std::mem::take(&mut self.far);
+            for e in pending.drain(..) {
                 self.file_into_ring(e);
+            }
+            if self.far.is_empty() {
+                self.far = pending;
             }
         }
     }
@@ -646,17 +730,32 @@ struct FrontEntry {
     idx: u32,
 }
 
+/// Where one front list lives in the [`SortedFronts`] slab: `len`
+/// entries from `start`, with room for `room`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Seg {
+    start: usize,
+    len: usize,
+    room: usize,
+}
+
+impl Seg {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start..self.start + self.len
+    }
+}
+
 /// One key's Pareto front, split by the `capable` class.
 ///
 /// While `uniform` holds (every entry shares `extra0` — true for fast
 /// path, RBP and GALS, whose third dimension is constantly zero per
 /// front) each list is a staircase: `cap` strictly ascending, `delay`
 /// strictly descending. Dominance against a staircase is a single
-/// binary-search probe; eviction is one contiguous drain.
-#[derive(Debug, Clone)]
+/// binary-search probe; eviction is one contiguous removal.
+#[derive(Debug, Clone, Copy)]
 struct KeyFront {
-    capable: Vec<FrontEntry>,
-    gated: Vec<FrontEntry>,
+    capable: Seg,
+    gated: Seg,
     extra0: f64,
     uniform: bool,
 }
@@ -664,12 +763,40 @@ struct KeyFront {
 impl KeyFront {
     fn empty() -> KeyFront {
         KeyFront {
-            capable: Vec::new(),
-            gated: Vec::new(),
+            capable: Seg::default(),
+            gated: Seg::default(),
             extra0: f64::NAN,
             uniform: true,
         }
     }
+}
+
+/// Filler for slab room no list uses yet.
+const NO_ENTRY: FrontEntry = FrontEntry {
+    cap: 0.0,
+    delay: 0.0,
+    extra: 0.0,
+    idx: 0,
+};
+
+/// Inserts `entry` at `pos` of the list `seg`. A full list moves to
+/// the end of the slab with twice the room (at least 4), or grows in
+/// place when it already ends the slab.
+fn slab_insert(slab: &mut Vec<FrontEntry>, seg: &mut Seg, pos: usize, entry: FrontEntry) {
+    if seg.len == seg.room {
+        let room = (2 * seg.room).max(4);
+        if seg.start + seg.room != slab.len() {
+            let start = slab.len();
+            slab.extend_from_within(seg.range());
+            seg.start = start;
+        }
+        slab.resize(seg.start + room, NO_ENTRY);
+        seg.room = room;
+    }
+    let at = seg.start + pos;
+    slab.copy_within(at..seg.start + seg.len, at + 1);
+    slab[at] = entry;
+    seg.len += 1;
 }
 
 fn stair_dominated(list: &[FrontEntry], cap: f64, delay: f64, comps: &mut u64) -> bool {
@@ -742,16 +869,18 @@ fn scan_strict(
     false
 }
 
+/// Evicts (and kills) the staircase entries `(cap, delay)` dominates;
+/// returns the list's new length.
 fn stair_evict(
-    list: &mut Vec<FrontEntry>,
+    list: &mut [FrontEntry],
     cap: f64,
     delay: f64,
     cands: &mut CandArena,
     evicted: &mut u64,
     comps: &mut u64,
-) {
+) -> usize {
     if list.is_empty() {
-        return;
+        return 0;
     }
     *comps += u64::from(list.len().ilog2()) + 1;
     let start = list.partition_point(|e| e.cap < cap);
@@ -760,33 +889,39 @@ fn stair_evict(
         *comps += 1;
         end += 1;
     }
-    for e in list.drain(start..end) {
+    for e in &list[start..end] {
         cands.kill(e.idx);
         *evicted += 1;
     }
+    list.copy_within(end.., start);
+    list.len() - (end - start)
 }
 
+/// Evicts (and kills) the entries `(cap, delay, extra)` dominates,
+/// keeping the rest in order; returns the list's new length.
 fn scan_evict(
-    list: &mut Vec<FrontEntry>,
+    list: &mut [FrontEntry],
     cap: f64,
     delay: f64,
     extra: f64,
     cands: &mut CandArena,
     evicted: &mut u64,
     comps: &mut u64,
-) {
-    let mut i = list.partition_point(|e| e.cap < cap);
-    while i < list.len() {
+) -> usize {
+    let from = list.partition_point(|e| e.cap < cap);
+    let mut kept = from;
+    for i in from..list.len() {
         *comps += 1;
         let e = list[i];
         if e.delay >= delay && e.extra >= extra {
             cands.kill(e.idx);
             *evicted += 1;
-            list.remove(i);
         } else {
-            i += 1;
+            list[kept] = e;
+            kept += 1;
         }
     }
+    kept
 }
 
 /// Per-key sorted Pareto fronts with binary-search dominance.
@@ -802,21 +937,57 @@ fn scan_evict(
 /// [`admits`](SortedFronts::admits) first, then on success
 /// [`insert`](SortedFronts::insert), which also kills evicted indices in
 /// the [`CandArena`].
+///
+/// Every key's two lists live in one slab, so a search allocates no
+/// memory per key. A list that fills up moves to the end of the slab
+/// with twice the room; the space it leaves is not reused until the next
+/// search. A key's lists are emptied lazily, on its first use in a new
+/// epoch: a new wave keeps their room, a new search starts them empty.
+/// [`reset`](SortedFronts::reset) starts a search by emptying the slab
+/// and bumping the epoch, so a table reused across searches costs
+/// nothing per key and allocates nothing once its slab is large enough.
 pub(crate) struct SortedFronts {
     fronts: Vec<KeyFront>,
     stamps: Vec<u64>,
+    slab: Vec<FrontEntry>,
     epoch: u64,
+    /// The epoch the current search started in.
+    first_epoch: u64,
     comparisons: u64,
 }
 
 impl SortedFronts {
     pub fn new(keys: usize) -> SortedFronts {
-        SortedFronts {
-            fronts: vec![KeyFront::empty(); keys],
-            stamps: vec![0; keys],
-            epoch: 1,
+        let mut fronts = SortedFronts {
+            fronts: Vec::new(),
+            stamps: Vec::new(),
+            slab: Vec::new(),
+            epoch: 0,
+            first_epoch: 0,
             comparisons: 0,
+        };
+        fronts.reset(keys);
+        fronts
+    }
+
+    /// Empties every front for a new search over `keys` keys: a new
+    /// epoch makes every existing key stale, and the comparison count
+    /// restarts at zero.
+    pub fn reset(&mut self, keys: usize) {
+        if self.fronts.len() < keys {
+            self.fronts.resize(keys, KeyFront::empty());
+            self.stamps.resize(keys, 0);
         }
+        self.slab.clear();
+        self.epoch += 1;
+        self.first_epoch = self.epoch;
+        self.comparisons = 0;
+    }
+
+    /// Bytes the table holds, for the scratch ceiling.
+    pub fn held_bytes(&self) -> usize {
+        self.fronts.capacity() * (std::mem::size_of::<KeyFront>() + 8)
+            + self.slab.capacity() * std::mem::size_of::<FrontEntry>()
     }
 
     /// Total pairwise entry comparisons (binary-search probes counted at
@@ -832,8 +1003,17 @@ impl SortedFronts {
 
     fn refresh(&mut self, key: usize) {
         if self.stamps[key] != self.epoch {
+            let f = &mut self.fronts[key];
+            if self.stamps[key] < self.first_epoch {
+                // Last used by an earlier search, whose slab is gone.
+                *f = KeyFront::empty();
+            } else {
+                f.capable.len = 0;
+                f.gated.len = 0;
+                f.extra0 = f64::NAN;
+                f.uniform = true;
+            }
             self.stamps[key] = self.epoch;
-            self.fronts[key] = KeyFront::empty();
         }
     }
 
@@ -842,6 +1022,7 @@ impl SortedFronts {
     pub fn admits(&mut self, key: usize, cap: f64, delay: f64, extra: f64, capable: bool) -> bool {
         self.refresh(key);
         let f = &self.fronts[key];
+        let (capable_list, gated) = (&self.slab[f.capable.range()], &self.slab[f.gated.range()]);
         let mut comps = 0u64;
         let admitted = if f.uniform {
             if !f.extra0.is_nan() && f.extra0 > extra {
@@ -849,13 +1030,13 @@ impl SortedFronts {
                 // can dominate.
                 true
             } else {
-                let dominated = stair_dominated(&f.capable, cap, delay, &mut comps)
-                    || (!capable && stair_dominated(&f.gated, cap, delay, &mut comps));
+                let dominated = stair_dominated(capable_list, cap, delay, &mut comps)
+                    || (!capable && stair_dominated(gated, cap, delay, &mut comps));
                 !dominated
             }
         } else {
-            let dominated = scan_dominated(&f.capable, cap, delay, extra, &mut comps)
-                || (!capable && scan_dominated(&f.gated, cap, delay, extra, &mut comps));
+            let dominated = scan_dominated(capable_list, cap, delay, extra, &mut comps)
+                || (!capable && scan_dominated(gated, cap, delay, extra, &mut comps));
             !dominated
         };
         self.comparisons += comps;
@@ -881,27 +1062,22 @@ impl SortedFronts {
         self.refresh(key);
         let mut comps = 0u64;
         let f = &mut self.fronts[key];
-        if f.uniform {
-            if f.extra0.is_nan() || extra <= f.extra0 {
-                if capable {
-                    stair_evict(&mut f.capable, cap, delay, cands, evicted, &mut comps);
-                }
-                stair_evict(&mut f.gated, cap, delay, cands, evicted, &mut comps);
+        let slab = &mut self.slab;
+        let (uniform, in_reach) = (f.uniform, f.extra0.is_nan() || extra <= f.extra0);
+        let mut evict = |seg: &mut Seg| {
+            let list = &mut slab[seg.range()];
+            if !uniform {
+                seg.len = scan_evict(list, cap, delay, extra, cands, evicted, &mut comps);
+            } else if in_reach {
+                seg.len = stair_evict(list, cap, delay, cands, evicted, &mut comps);
             }
-        } else {
-            if capable {
-                scan_evict(
-                    &mut f.capable,
-                    cap,
-                    delay,
-                    extra,
-                    cands,
-                    evicted,
-                    &mut comps,
-                );
-            }
-            scan_evict(&mut f.gated, cap, delay, extra, cands, evicted, &mut comps);
+        };
+        // A capable entry dominates in both classes, a gated one only
+        // among the gated.
+        if capable {
+            evict(&mut f.capable);
         }
+        evict(&mut f.gated);
         if f.extra0.is_nan() {
             f.extra0 = extra;
         } else if f.extra0 != extra {
@@ -913,13 +1089,13 @@ impl SortedFronts {
             extra,
             idx,
         };
-        let list = if capable {
+        let seg = if capable {
             &mut f.capable
         } else {
             &mut f.gated
         };
-        let pos = list.partition_point(|e| e.cap < cap);
-        list.insert(pos, entry);
+        let pos = slab[seg.range()].partition_point(|e| e.cap < cap);
+        slab_insert(slab, seg, pos, entry);
         self.comparisons += comps;
     }
 
@@ -935,21 +1111,22 @@ impl SortedFronts {
     ) -> bool {
         self.refresh(key);
         let f = &self.fronts[key];
+        let (capable_list, gated) = (&self.slab[f.capable.range()], &self.slab[f.gated.range()]);
         let mut comps = 0u64;
         let stale = if f.uniform {
             if !f.extra0.is_nan() && f.extra0 > extra {
                 false
             } else if capable {
-                stair_strict(&f.capable, cap, delay, extra, f.extra0, false, &mut comps)
+                stair_strict(capable_list, cap, delay, extra, f.extra0, false, &mut comps)
             } else {
-                stair_strict(&f.capable, cap, delay, extra, f.extra0, true, &mut comps)
-                    || stair_strict(&f.gated, cap, delay, extra, f.extra0, false, &mut comps)
+                stair_strict(capable_list, cap, delay, extra, f.extra0, true, &mut comps)
+                    || stair_strict(gated, cap, delay, extra, f.extra0, false, &mut comps)
             }
         } else if capable {
-            scan_strict(&f.capable, cap, delay, extra, false, &mut comps)
+            scan_strict(capable_list, cap, delay, extra, false, &mut comps)
         } else {
-            scan_strict(&f.capable, cap, delay, extra, true, &mut comps)
-                || scan_strict(&f.gated, cap, delay, extra, false, &mut comps)
+            scan_strict(capable_list, cap, delay, extra, true, &mut comps)
+                || scan_strict(gated, cap, delay, extra, false, &mut comps)
         };
         self.comparisons += comps;
         stale
@@ -1259,6 +1436,106 @@ mod tests {
                     }
                 }
             }
+        }
+
+        /// Replays `ops` on `fronts` and returns every decision, the
+        /// eviction count and the comparison count.
+        fn replay_fronts(
+            fronts: &mut SortedFronts,
+            ops: &[(u8, u8, u8, u8, u8)],
+        ) -> (Vec<bool>, u64, u64) {
+            use clockroute_geom::units::Length;
+            let g = clockroute_grid::GridGraph::open(2, 1, Length::from_um(1.0));
+            let n = nid(&g, 0, 0);
+            let mut cands = CandArena::new();
+            let mut evicted = 0u64;
+            let mut decisions = Vec::new();
+            for &(key, cap, delay, extra, action) in ops {
+                let key = key as usize;
+                let (cap, delay) = (cap as f64, delay as f64);
+                let extra = if extra == 2 { 1.0 } else { 0.0 };
+                let capable = action % 2 == 0;
+                match action {
+                    7 => fronts.advance_wave(),
+                    5 | 6 => decisions.push(fronts.is_stale(key, cap, delay, extra, capable)),
+                    _ => {
+                        let admitted = fronts.admits(key, cap, delay, extra, capable);
+                        if admitted {
+                            let idx = cands.alloc(&Cand::start(cap, delay, NO_PARENT, n));
+                            fronts.insert(
+                                key,
+                                cap,
+                                delay,
+                                extra,
+                                capable,
+                                idx,
+                                &mut cands,
+                                &mut evicted,
+                            );
+                        }
+                        decisions.push(admitted);
+                    }
+                }
+            }
+            (decisions, evicted, fronts.comparisons())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+            /// A table reset after one search decides the next search's
+            /// stream exactly as a new table does, comparisons included.
+            #[test]
+            fn reset_fronts_decide_like_new_fronts(first in front_ops(), second in front_ops()) {
+                let mut reused = SortedFronts::new(4);
+                replay_fronts(&mut reused, &first);
+                // A larger key count grows the table.
+                reused.reset(8);
+                prop_assert_eq!(
+                    replay_fronts(&mut reused, &second),
+                    replay_fronts(&mut SortedFronts::new(8), &second)
+                );
+            }
+
+            /// A queue reset after one search pops the next search's
+            /// keys in the order a new queue does.
+            #[test]
+            fn reset_dial_queue_pops_like_a_new_queue(
+                first in queue_ops(),
+                second in queue_ops(),
+                scale in 1u8..200,
+            ) {
+                let mut reused = DialQueue::new(0.5);
+                replay_queue(&mut reused, &first);
+                reused.reset(f64::from(scale) * 0.25);
+                let mut fresh = DialQueue::new(f64::from(scale) * 0.25);
+                prop_assert_eq!(replay_queue(&mut reused, &second), replay_queue(&mut fresh, &second));
+            }
+        }
+
+        /// Replays push/pop `ops` on `queue`, then drains it; returns
+        /// every popped index.
+        fn replay_queue(queue: &mut DialQueue, ops: &[(u16, u8)]) -> Vec<Option<u32>> {
+            let mut keys_by_idx: Vec<f64> = Vec::new();
+            let mut floor = 0.0f64;
+            let mut popped = Vec::new();
+            for &(raw, action) in ops {
+                if action < 5 {
+                    let key = floor + f64::from(raw) * 0.5;
+                    queue.push(key, keys_by_idx.len() as u32);
+                    keys_by_idx.push(key);
+                } else {
+                    let i = queue.pop();
+                    if let Some(i) = i {
+                        floor = keys_by_idx[i as usize];
+                    }
+                    popped.push(i);
+                }
+            }
+            while let Some(i) = queue.pop() {
+                popped.push(Some(i));
+            }
+            popped
         }
 
         /// Interleaved push/pop streams; pushes stay at or above the last

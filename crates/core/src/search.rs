@@ -19,6 +19,7 @@ use crate::{RouteError, RoutedPath, SearchBudget, SearchStats};
 use clockroute_elmore::GateId;
 use clockroute_geom::Point;
 use clockroute_grid::NodeId;
+use std::cell::Cell;
 
 /// What a search does once the current wave's queue is empty.
 pub(crate) enum WaveEnd {
@@ -108,6 +109,62 @@ pub(crate) struct Search<'a> {
     pub stats: SearchStats,
 }
 
+/// The memory of one search — step and candidate arenas, fronts and
+/// queue — kept on its thread between searches, so a solve resets it
+/// instead of allocating it again.
+struct SearchScratch {
+    arena: Arena,
+    cands: CandArena,
+    fronts: SortedFronts,
+    queue: DialQueue,
+}
+
+/// A thread's scratch is dropped instead of kept once it holds more than
+/// this many bytes, so a long-lived thread (a `crserve` worker) does not
+/// hold the memory of its largest search forever (DESIGN.md §15).
+pub(crate) const SCRATCH_KEEP_BYTES: usize = 16 << 20;
+
+thread_local! {
+    /// The scratch between searches; `None` while a search runs on this
+    /// thread, and before its first.
+    static SCRATCH: Cell<Option<SearchScratch>> = const { Cell::new(None) };
+}
+
+impl SearchScratch {
+    /// The thread's kept scratch reset for a search over `keys` fronts,
+    /// or a new one. Taking it leaves `None` behind, so a search nested
+    /// in this one, or one after a panic unwound this one, starts fresh.
+    fn take(keys: usize, queue_scale: f64) -> SearchScratch {
+        match SCRATCH.take() {
+            Some(mut s) => {
+                s.arena.clear();
+                s.cands.clear();
+                s.fronts.reset(keys);
+                s.queue.reset(queue_scale);
+                s
+            }
+            None => SearchScratch {
+                arena: Arena::new(),
+                cands: CandArena::new(),
+                fronts: SortedFronts::new(keys),
+                queue: DialQueue::new(queue_scale),
+            },
+        }
+    }
+
+    /// Keeps `self` for the thread's next search unless it is over the
+    /// ceiling.
+    fn put_back(self) {
+        let held = self.arena.held_bytes()
+            + self.cands.held_bytes()
+            + self.fronts.held_bytes()
+            + self.queue.held_bytes();
+        if held <= SCRATCH_KEEP_BYTES {
+            SCRATCH.set(Some(self));
+        }
+    }
+}
+
 /// Runs one search over `keys` Pareto fronts. On success returns the
 /// reconstructed route and the candidate it ends in; `stats` holds the
 /// search's counters either way.
@@ -118,19 +175,39 @@ pub(crate) fn run<R: Rules>(
     stats: &mut SearchStats,
     rules: &mut R,
 ) -> Result<(RoutedPath, Cand), RouteError> {
+    let SearchScratch {
+        arena,
+        cands,
+        fronts,
+        queue,
+    } = SearchScratch::take(keys, ctx.queue_scale());
     // The search owns its counters while it runs and hands them back
     // on every exit, a budget error included.
     let mut search = Search {
         ctx,
         meter: BudgetMeter::new(budget, R::STAGE),
-        arena: Arena::new(),
-        cands: CandArena::new(),
-        fronts: SortedFronts::new(keys),
-        queue: DialQueue::new(ctx.queue_scale()),
+        arena,
+        cands,
+        fronts,
+        queue,
         stats: *stats,
     };
     let out = search.run(rules);
     *stats = search.stats;
+    let Search {
+        arena,
+        cands,
+        fronts,
+        queue,
+        ..
+    } = search;
+    SearchScratch {
+        arena,
+        cands,
+        fronts,
+        queue,
+    }
+    .put_back();
     out
 }
 

@@ -27,10 +27,13 @@
 //!    unbuffered route. Only a net without a geometry, or one that
 //!    fails every rung in its corridor, is planned on the full grid.
 //!
-//! Phases 1 and 2 run inline on the calling thread, charging one flow
-//! [`BudgetMeter`]; each reroute reads the usage the previous one left.
-//! Phase 3 is per-net independent work and runs on the planner's
-//! [`Planner::jobs`] workers.
+//! Phase 1 runs on the planner's [`Planner::jobs`] workers, one oracle
+//! each, when the budget is unlimited; under a budget that can trip it
+//! runs inline in name order on the flow [`BudgetMeter`], so the trip
+//! lands on the same pop at every job count. Phase 2 runs inline on the
+//! calling thread, charging that meter; each reroute reads the usage the
+//! previous one left. Phase 3 is per-net independent work and runs on
+//! the workers.
 //!
 //! **Determinism contract.** Same scenario ⇒ byte-identical plan,
 //! summary and metrics, regardless of `--jobs` and of net declaration
@@ -53,8 +56,10 @@ pub mod report;
 
 pub use report::{FlowMode, FlowSummary};
 
+use price::{Adjacency, OracleWork, PricedOracle};
+
 use clockroute_core::failpoint;
-use clockroute_core::{BudgetMeter, SearchStage, TelemetryHandle, TelemetryShard};
+use clockroute_core::{BudgetMeter, RouteError, SearchStage, TelemetryHandle, TelemetryShard};
 use clockroute_geom::Point;
 use clockroute_grid::{edge_key, EdgeCapacities, EdgeKey, GridGraph};
 use clockroute_plan::{workers, NetResult, NetSpec, Plan, Planner, SharedTelemetry};
@@ -163,22 +168,36 @@ fn path_slots<'a>(graph: &'a GridGraph, points: &'a [Point]) -> impl Iterator<It
         .filter_map(|w| graph.edge_slot(w[0], w[1]))
 }
 
-/// Adds one unit of usage on every edge of a path.
-fn add_usage(usage: &mut [u32], graph: &GridGraph, points: &[Point]) {
-    for s in path_slots(graph, points) {
+/// A net's chosen geometry with the edge slots it crosses, derived once
+/// when the geometry is chosen: rip-up reads the slots on every
+/// iteration.
+struct Route {
+    points: Vec<Point>,
+    slots: Vec<usize>,
+}
+
+impl Route {
+    fn new(graph: &GridGraph, points: Vec<Point>) -> Route {
+        let slots = path_slots(graph, &points).collect();
+        Route { points, slots }
+    }
+}
+
+/// Adds one unit of usage on every edge slot of a path.
+fn add_usage(usage: &mut [u32], slots: impl IntoIterator<Item = usize>) {
+    for s in slots {
         usage[s] += 1;
     }
 }
 
-/// Removes one unit of usage from every edge of a path. Removing a
-/// path that was never added (a double rip-up) is a bookkeeping bug:
-/// it fails in debug builds and clamps at zero in release builds.
-fn remove_usage(usage: &mut [u32], graph: &GridGraph, points: &[Point]) {
-    for s in path_slots(graph, points) {
+/// Removes one unit of usage from every edge slot of a path. Removing a
+/// path that was never added (a double rip-up) is a bookkeeping bug: it
+/// fails in debug builds and clamps at zero in release builds.
+fn remove_usage(usage: &mut [u32], slots: impl IntoIterator<Item = usize>) {
+    for s in slots {
         debug_assert!(
             usage[s] > 0,
-            "removing a path that was never added: edge {:?} is unused",
-            graph.slot_edge(s)
+            "removing a path that was never added: edge slot {s} is unused"
         );
         usage[s] = usage[s].saturating_sub(1);
     }
@@ -274,6 +293,21 @@ fn legalize(
     })
 }
 
+/// A net's initial geometry: a path, no route, or a budget trip.
+type Initial = Result<Option<Vec<Point>>, RouteError>;
+
+/// Phase 1's call for one net: its unpriced shortest path, with the
+/// oracle work it took.
+fn initial_path(
+    oracle: &mut PricedOracle<'_>,
+    meter: &mut BudgetMeter,
+    net: &NetSpec,
+) -> (Initial, OracleWork) {
+    let before = oracle.work;
+    let path = oracle.path(net.source, net.sink, |_| 1.0, meter);
+    (path, oracle.work.since(before))
+}
+
 fn flow_priced(planner: Planner, nets: &[NetSpec], caps: &EdgeCapacities) -> FlowPlan {
     let graph = planner.graph().clone();
     let telemetry = planner.telemetry_sink().cloned();
@@ -288,24 +322,62 @@ fn flow_priced(planner: Planner, nets: &[NetSpec], caps: &EdgeCapacities) -> Flo
         }
     }
     let mut usage = vec![0u32; slots];
-    let mut oracle = price::PricedOracle::new(&graph);
-    let mut meter = BudgetMeter::new(planner.search_budget(), SearchStage::Flow);
+    let adjacency = Adjacency::new(&graph);
+    let budget = planner.search_budget();
+    let mut meter = BudgetMeter::new(budget, SearchStage::Flow);
     let mut budget_exhausted = false;
     // A name routes, and is ripped up as, the first net declared under it.
     let mut by_name: BTreeMap<&str, &NetSpec> = BTreeMap::new();
     for net in nets {
         by_name.entry(&net.name).or_insert(net);
     }
+    let named: Vec<(&str, &NetSpec)> = by_name.iter().map(|(&name, &net)| (name, net)).collect();
 
-    // Phase 1 — every net's unpriced shortest path, in name order. Each
-    // path is a function of the net's terminals alone.
+    // Phase 1 — every net's unpriced shortest path. Each path is a
+    // function of the net's terminals alone, so when no budget can trip
+    // the nets go to the workers, one oracle each. A budget that can
+    // trip must trip at the pop one job trips at, which depends on every
+    // call before it: then one oracle and the flow meter route the nets
+    // in name order and stop at the first trip.
     let started = span_start();
-    let mut chosen: BTreeMap<&str, Vec<Point>> = BTreeMap::new();
-    for (&name, net) in &by_name {
-        match oracle.path(net.source, net.sink, |_| 1.0, &mut meter) {
+    let initial: Vec<(Initial, OracleWork)> = if budget.is_unlimited() {
+        let jobs = planner.job_count();
+        let inherited = (jobs > 1 && named.len() > 1).then(failpoint::capture);
+        workers::map_indexed(
+            jobs,
+            named.len(),
+            inherited.as_ref(),
+            || {
+                (
+                    PricedOracle::new(&adjacency),
+                    BudgetMeter::new(budget, SearchStage::Flow),
+                )
+            },
+            |(oracle, meter), k| initial_path(oracle, meter, named[k].1),
+        )
+    } else {
+        let mut oracle = PricedOracle::new(&adjacency);
+        let mut done = Vec::with_capacity(named.len());
+        for &(_, net) in &named {
+            let item = initial_path(&mut oracle, &mut meter, net);
+            let tripped = item.0.is_err();
+            done.push(item);
+            if tripped {
+                break;
+            }
+        }
+        done
+    };
+    // Usage and the oracle counts add up in name order.
+    let mut work = OracleWork::default();
+    let mut chosen: BTreeMap<&str, Route> = BTreeMap::new();
+    for (&(name, _), (path, spent)) in named.iter().zip(initial) {
+        work += spent;
+        match path {
             Ok(Some(points)) => {
-                add_usage(&mut usage, &graph, &points);
-                chosen.insert(name, points);
+                let route = Route::new(&graph, points);
+                add_usage(&mut usage, route.slots.iter().copied());
+                chosen.insert(name, route);
             }
             // Unreachable terminals: the full planner decides later.
             Ok(None) => {}
@@ -320,8 +392,9 @@ fn flow_priced(planner: Planner, nets: &[NetSpec], caps: &EdgeCapacities) -> Flo
     // Phase 2 — rip-up-and-reroute of overflow offenders, worst
     // overflow contribution first, ties by net name ascending. A net
     // that proposes a geometry it already had is restored and frozen;
-    // the others carry on.
+    // the others carry on. It charges the flow meter phase 1 left.
     let started = span_start();
+    let mut oracle = PricedOracle::new(&adjacency);
     let mut tried: BTreeMap<&str, BTreeSet<PathKey>> = BTreeMap::new();
     let mut frozen: BTreeSet<&str> = BTreeSet::new();
     let mut ripups = 0u64;
@@ -331,12 +404,14 @@ fn flow_priced(planner: Planner, nets: &[NetSpec], caps: &EdgeCapacities) -> Flo
         // overflow. Iterating the name-keyed map with a strict `>` keeps
         // the lexicographically smallest name on ties.
         let mut offender: Option<(&str, u64)> = None;
-        for (&name, points) in &chosen {
+        for (&name, route) in &chosen {
             if frozen.contains(name) {
                 continue;
             }
-            let contribution: u64 = path_slots(&graph, points)
-                .map(|s| match cap[s] {
+            let contribution: u64 = route
+                .slots
+                .iter()
+                .map(|&s| match cap[s] {
                     Some(c) if usage[s] > c => u64::from(usage[s] - c),
                     _ => 0,
                 })
@@ -346,10 +421,10 @@ fn flow_priced(planner: Planner, nets: &[NetSpec], caps: &EdgeCapacities) -> Flo
             }
         }
         let Some((name, _)) = offender else { break };
-        let (Some(old_points), Some(net)) = (chosen.remove(name), by_name.get(name)) else {
+        let (Some(old), Some(net)) = (chosen.remove(name), by_name.get(name)) else {
             break;
         };
-        remove_usage(&mut usage, &graph, &old_points);
+        remove_usage(&mut usage, old.slots.iter().copied());
         // Saturation weights: an edge at or over capacity costs one
         // penalty per unit of usage past capacity − 1.
         let weight = |s: usize| -> f64 {
@@ -360,26 +435,27 @@ fn flow_priced(planner: Planner, nets: &[NetSpec], caps: &EdgeCapacities) -> Flo
         };
         let rerouted = oracle.path(net.source, net.sink, weight, &mut meter);
         let seen = tried.entry(name).or_default();
-        let points = match rerouted {
-            Ok(Some(new_points)) if new_points != old_points && !seen.contains(&new_points) => {
-                seen.insert(old_points);
+        let route = match rerouted {
+            Ok(Some(new_points)) if new_points != old.points && !seen.contains(&new_points) => {
+                seen.insert(old.points);
                 ripups += 1;
-                new_points
+                Route::new(&graph, new_points)
             }
             // Cycling between known geometries (or, impossibly, no
             // route where one was): keep the old one, stop moving it.
             Ok(_) => {
                 frozen.insert(name);
-                old_points
+                old
             }
             Err(_) => {
                 budget_exhausted = true;
-                old_points
+                old
             }
         };
-        add_usage(&mut usage, &graph, &points);
-        chosen.insert(name, points);
+        add_usage(&mut usage, route.slots.iter().copied());
+        chosen.insert(name, route);
     }
+    work += oracle.work;
     span_end(&telemetry, "flow.ripup_ns", started);
 
     // Phase 3 — per-net corridor legalization through the exact
@@ -401,7 +477,8 @@ fn flow_priced(planner: Planner, nets: &[NetSpec], caps: &EdgeCapacities) -> Flo
             let net = &nets[i];
             let shard = telemetry.as_ref().map(|_| Arc::new(TelemetryShard::new()));
             let sink = shard.as_ref().map(|s| SharedTelemetry::new(s.clone()));
-            let result = legalize(&planner, &graph, net, chosen.get(net.name.as_str()), &sink);
+            let points = chosen.get(net.name.as_str()).map(|r| &r.points);
+            let result = legalize(&planner, &graph, net, points, &sink);
             (result, shard)
         },
     );
@@ -418,7 +495,7 @@ fn flow_priced(planner: Planner, nets: &[NetSpec], caps: &EdgeCapacities) -> Flo
     usage.fill(0);
     for r in &results {
         if let Some(path) = &r.path {
-            add_usage(&mut usage, &graph, path.points());
+            add_usage(&mut usage, path_slots(&graph, path.points()));
         }
     }
     let (total_overflow, max_overflow) = overflow_of(&usage, &cap);
@@ -435,9 +512,9 @@ fn flow_priced(planner: Planner, nets: &[NetSpec], caps: &EdgeCapacities) -> Flo
 
     let t = th(&telemetry);
     t.counter("flow.ripups", ripups);
-    t.counter("flow.oracle.calls", oracle.calls);
-    t.counter("flow.oracle.pops", oracle.pops);
-    t.counter("flow.oracle.expands", oracle.expands);
+    t.counter("flow.oracle.calls", work.calls);
+    t.counter("flow.oracle.pops", work.pops);
+    t.counter("flow.oracle.expands", work.expands);
     if budget_exhausted {
         t.counter("flow.budget.exhausted", 1);
     }
@@ -596,9 +673,9 @@ mod tests {
         };
         let mut best = u64::MAX;
         for path in first {
-            add_usage(usage, g, path);
+            add_usage(usage, path_slots(g, path));
             best = best.min(min_overflow(g, cap, rest, usage));
-            remove_usage(usage, g, path);
+            remove_usage(usage, path_slots(g, path));
         }
         best
     }
@@ -724,10 +801,11 @@ mod tests {
         let g = GridGraph::open(3, 2, Length::from_um(125.0));
         let mut usage = vec![0; g.edge_slots()];
         // (1, 0)→(1, 0) and (1, 0)→(2, 1) are not grid edges.
-        let path = [p(0, 0), p(1, 0), p(1, 0), p(2, 1)];
-        add_usage(&mut usage, &g, &path);
+        let route = Route::new(&g, vec![p(0, 0), p(1, 0), p(1, 0), p(2, 1)]);
+        assert_eq!(route.slots.len(), 1);
+        add_usage(&mut usage, route.slots.iter().copied());
         assert_eq!(usage.iter().sum::<u32>(), 1);
-        remove_usage(&mut usage, &g, &path);
+        remove_usage(&mut usage, route.slots.iter().copied());
         assert!(usage.iter().all(|&u| u == 0));
     }
 
@@ -738,8 +816,8 @@ mod tests {
         let g = GridGraph::open(3, 1, Length::from_um(125.0));
         let mut usage = vec![0; g.edge_slots()];
         let path = [p(0, 0), p(1, 0), p(2, 0)];
-        add_usage(&mut usage, &g, &path);
-        remove_usage(&mut usage, &g, &path);
-        remove_usage(&mut usage, &g, &path);
+        add_usage(&mut usage, path_slots(&g, &path));
+        remove_usage(&mut usage, path_slots(&g, &path));
+        remove_usage(&mut usage, path_slots(&g, &path));
     }
 }

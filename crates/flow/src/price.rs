@@ -7,12 +7,17 @@
 //! legalization: the weights steer where a net goes, the Elmore
 //! searches decide what gets inserted along the way.
 //!
-//! The grid's adjacency is built once per flow run, as `(neighbour,
-//! edge slot, length)` arcs in [`GridGraph::neighbors`] order, and the
-//! oracle reuses its distance, predecessor and heap buffers across
-//! calls; the multiplier is a function of the dense edge slot
-//! ([`GridGraph::edge_slot`]), so a relaxation is an array read, not a
-//! map lookup.
+//! The grid's [`Adjacency`] is built once per flow run, as `(neighbour,
+//! edge slot, length)` arcs in [`GridGraph::neighbors`] order, and
+//! shared by every oracle of the run: one per worker of the initial
+//! pass, one for rip-up. Each oracle reuses its distance, predecessor
+//! and heap buffers across calls; the multiplier is a function of the
+//! dense edge slot ([`GridGraph::edge_slot`]), so a relaxation is an
+//! array read, not a map lookup. The heap holds bare `u128` keys, a
+//! distance's bits above its node index ([`heap_key`]): one integer
+//! comparison per sift step, in exactly the order of the `f64::total_cmp`
+//! and node-id entries it replaced, so pops, stale pops and counters are
+//! unchanged.
 //!
 //! Every pop and every relaxation charges the flow-phase
 //! [`BudgetMeter`], so a blown deadline surfaces as
@@ -21,69 +26,75 @@
 
 use clockroute_core::{BudgetMeter, RouteError};
 use clockroute_geom::Point;
-use clockroute_grid::{GridGraph, NodeId};
-use std::cmp::Ordering;
+use clockroute_grid::GridGraph;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-#[derive(PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
+/// No predecessor, in [`PricedOracle`]'s `prev` array.
+const NO_PREV: u32 = u32::MAX;
+
+/// The heap key of `node` at priced distance `dist`: the distance's bits
+/// above the node index. For the non-negative finite distances the
+/// oracle produces, the bit order of an `f64` is its numeric order, so a
+/// min-heap on this key pops by distance, ties to the smaller node index
+/// — the order of `f64::total_cmp` then node id.
+#[inline]
+fn heap_key(dist: f64, node: u32) -> u128 {
+    debug_assert!(
+        dist >= 0.0 && dist.is_finite(),
+        "heap key needs a non-negative finite distance, got {dist}"
+    );
+    (u128::from(dist.to_bits()) << 32) | u128::from(node)
 }
 
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on priced distance; ties broken by node id for
-        // determinism. `total_cmp` keeps the heap invariant even for
-        // non-finite keys (the canonical CR001 pattern).
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// The distance and node index packed by [`heap_key`].
+#[inline]
+fn heap_entry(key: u128) -> (f64, u32) {
+    (f64::from_bits((key >> 32) as u64), key as u32)
 }
 
 /// One directed grid edge leaving a node.
 #[derive(Clone, Copy)]
 struct OutEdge {
-    to: NodeId,
+    /// Index of the neighbour.
+    to: u32,
     slot: usize,
     /// Physical length in µm.
     length: f64,
 }
 
-/// The grid's arcs, built once per flow run.
-struct Adjacency<'g> {
+/// The grid's arcs, built once per flow run and shared by every oracle
+/// of the run.
+pub(crate) struct Adjacency<'g> {
     graph: &'g GridGraph,
     /// Arcs of node `u` are `arcs[first[u]..first[u + 1]]`.
     first: Vec<usize>,
     arcs: Vec<OutEdge>,
+    /// The grid point of each node index.
+    points: Vec<Point>,
 }
 
 impl<'g> Adjacency<'g> {
     /// The arcs of `graph` as `(neighbour, slot, length)`, in
     /// [`GridGraph::neighbors`] order.
-    fn new(graph: &'g GridGraph) -> Adjacency<'g> {
+    pub(crate) fn new(graph: &'g GridGraph) -> Adjacency<'g> {
         let n = graph.node_count();
         let mut first = Vec::with_capacity(n + 1);
         let mut arcs = Vec::with_capacity(4 * n);
+        let mut points = Vec::with_capacity(n);
         for u in graph.nodes() {
             first.push(arcs.len());
             let pu = graph.point(u);
+            points.push(pu);
             for v in graph.neighbors(u) {
                 // A neighbour is adjacent and on the grid: it always has
-                // a slot.
-                if let Some(slot) = graph.edge_slot(pu, graph.point(v)) {
+                // a slot, and the grid's node count fits a `u32`.
+                if let (Some(slot), Ok(to)) = (
+                    graph.edge_slot(pu, graph.point(v)),
+                    u32::try_from(v.index()),
+                ) {
                     arcs.push(OutEdge {
-                        to: v,
+                        to,
                         slot,
                         length: graph.edge_length(u, v).um(),
                     });
@@ -91,17 +102,18 @@ impl<'g> Adjacency<'g> {
             }
         }
         first.push(arcs.len());
-        Adjacency { graph, first, arcs }
+        Adjacency {
+            graph,
+            first,
+            arcs,
+            points,
+        }
     }
 }
 
-/// The priced Dijkstra over one grid: its [`Adjacency`], search
-/// buffers and work counts. A flow run holds one.
-pub(crate) struct PricedOracle<'g> {
-    adjacency: Adjacency<'g>,
-    dist: Vec<f64>,
-    prev: Vec<Option<NodeId>>,
-    heap: BinaryHeap<HeapEntry>,
+/// An oracle's exact work counts, the `flow.oracle.*` counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct OracleWork {
     /// Calls to [`PricedOracle::path`].
     pub(crate) calls: u64,
     /// Heap pops, each charged to the meter.
@@ -110,23 +122,52 @@ pub(crate) struct PricedOracle<'g> {
     pub(crate) expands: u64,
 }
 
-impl<'g> PricedOracle<'g> {
-    /// Builds the adjacency of `graph` and sizes the buffers.
-    pub(crate) fn new(graph: &'g GridGraph) -> PricedOracle<'g> {
-        let n = graph.node_count();
+impl OracleWork {
+    /// The work done since the counts stood at `before`.
+    pub(crate) fn since(self, before: OracleWork) -> OracleWork {
+        OracleWork {
+            calls: self.calls - before.calls,
+            pops: self.pops - before.pops,
+            expands: self.expands - before.expands,
+        }
+    }
+}
+
+impl std::ops::AddAssign for OracleWork {
+    fn add_assign(&mut self, other: OracleWork) {
+        self.calls += other.calls;
+        self.pops += other.pops;
+        self.expands += other.expands;
+    }
+}
+
+/// The priced Dijkstra over one grid's [`Adjacency`]: search buffers and
+/// work counts. Each thread of a flow run that routes holds one.
+pub(crate) struct PricedOracle<'a> {
+    adjacency: &'a Adjacency<'a>,
+    dist: Vec<f64>,
+    /// Predecessor node index, [`NO_PREV`] for none.
+    prev: Vec<u32>,
+    /// Min-heap of [`heap_key`]s.
+    heap: BinaryHeap<Reverse<u128>>,
+    pub(crate) work: OracleWork,
+}
+
+impl<'a> PricedOracle<'a> {
+    /// Sizes the buffers for `adjacency`'s grid.
+    pub(crate) fn new(adjacency: &'a Adjacency<'a>) -> PricedOracle<'a> {
+        let n = adjacency.points.len();
         PricedOracle {
-            adjacency: Adjacency::new(graph),
+            adjacency,
             dist: vec![f64::INFINITY; n],
-            prev: vec![None; n],
+            prev: vec![NO_PREV; n],
             heap: BinaryHeap::new(),
-            calls: 0,
-            pops: 0,
-            expands: 0,
+            work: OracleWork::default(),
         }
     }
 
     /// Cheapest source→sink geometry when the edge in slot `s` costs its
-    /// length times `multiplier(s)` (a factor ≥ 1). Returns:
+    /// length times `multiplier(s)` (a finite factor ≥ 1). Returns:
     ///
     /// * `Ok(Some(points))` — the priced shortest path;
     /// * `Ok(None)` — no route exists (terminals off-grid or
@@ -144,56 +185,62 @@ impl<'g> PricedOracle<'g> {
         multiplier: impl Fn(usize) -> f64,
         meter: &mut BudgetMeter,
     ) -> Result<Option<Vec<Point>>, RouteError> {
-        self.calls += 1;
-        let Adjacency { graph, first, arcs } = &self.adjacency;
-        let graph = *graph;
+        self.work.calls += 1;
+        let Adjacency {
+            graph,
+            first,
+            arcs,
+            points,
+        } = self.adjacency;
         if !graph.contains(source) || !graph.contains(sink) {
             return Ok(None);
         }
-        let s = graph.node(source);
-        let t = graph.node(sink);
+        let (Ok(s), Ok(t)) = (
+            u32::try_from(graph.node(source).index()),
+            u32::try_from(graph.node(sink).index()),
+        ) else {
+            return Ok(None);
+        };
         self.dist.fill(f64::INFINITY);
-        self.prev.fill(None);
+        self.prev.fill(NO_PREV);
         self.heap.clear();
-        self.dist[s.index()] = 0.0;
-        self.heap.push(HeapEntry { dist: 0.0, node: s });
+        self.dist[s as usize] = 0.0;
+        self.heap.push(Reverse(heap_key(0.0, s)));
 
-        while let Some(HeapEntry { dist: d, node: u }) = self.heap.pop() {
-            self.pops += 1;
+        while let Some(Reverse(key)) = self.heap.pop() {
+            self.work.pops += 1;
             meter.charge_pop(0)?;
-            if d > self.dist[u.index()] {
+            let (d, u) = heap_entry(key);
+            if d > self.dist[u as usize] {
                 continue;
             }
             if u == t {
                 break;
             }
-            for arc in &arcs[first[u.index()]..first[u.index() + 1]] {
-                self.expands += 1;
+            for arc in &arcs[first[u as usize]..first[u as usize + 1]] {
+                self.work.expands += 1;
                 meter.charge_expand()?;
                 let nd = d + arc.length * multiplier(arc.slot);
-                let v = arc.to.index();
+                let v = arc.to as usize;
                 if nd < self.dist[v] {
                     self.dist[v] = nd;
-                    self.prev[v] = Some(u);
-                    self.heap.push(HeapEntry {
-                        dist: nd,
-                        node: arc.to,
-                    });
+                    self.prev[v] = u;
+                    self.heap.push(Reverse(heap_key(nd, arc.to)));
                 }
             }
         }
 
-        if self.dist[t.index()].is_infinite() {
+        if self.dist[t as usize].is_infinite() {
             return Ok(None);
         }
-        let mut points = vec![sink];
+        let mut path = vec![sink];
         let mut cur = t;
-        while let Some(p) = self.prev[cur.index()] {
-            points.push(graph.point(p));
-            cur = p;
+        while self.prev[cur as usize] != NO_PREV {
+            cur = self.prev[cur as usize];
+            path.push(points[cur as usize]);
         }
-        points.reverse();
-        Ok(Some(points))
+        path.reverse();
+        Ok(Some(path))
     }
 }
 
@@ -203,11 +250,37 @@ mod tests {
     use clockroute_core::{SearchBudget, SearchStage};
     use clockroute_geom::units::Length;
     use clockroute_geom::BlockageMap;
-    use clockroute_grid::{edge_key, EdgeKey};
+    use clockroute_grid::{edge_key, EdgeKey, NodeId};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cmp::Ordering;
     use std::collections::BTreeMap;
     use std::time::Duration;
+
+    /// The reference model's heap entry: an `Ord`-trait min-heap on
+    /// distance, ties by node id.
+    #[derive(PartialEq)]
+    struct HeapEntry {
+        dist: f64,
+        node: NodeId,
+    }
+
+    impl Eq for HeapEntry {}
+
+    impl Ord for HeapEntry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other
+                .dist
+                .total_cmp(&self.dist)
+                .then_with(|| other.node.cmp(&self.node))
+        }
+    }
+
+    impl PartialOrd for HeapEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
 
     fn p(x: u32, y: u32) -> Point {
         Point::new(x, y)
@@ -230,13 +303,14 @@ mod tests {
             let (a, b) = g.slot_edge(s).expect("arc slots name grid edges");
             mult(a, b)
         };
-        PricedOracle::new(g).path(source, sink, slot_mult, meter)
+        PricedOracle::new(&Adjacency::new(g)).path(source, sink, slot_mult, meter)
     }
 
     /// The reference model: the oracle as it was before the edge-slot
-    /// layout, with the multiplier a closure over point pairs looked up
-    /// in a `BTreeMap`, fresh buffers per call, and counters for the
-    /// pops and relaxations it charges.
+    /// layout and the packed heap keys, with `Ord`-trait heap entries,
+    /// the multiplier a closure over point pairs looked up in a
+    /// `BTreeMap`, fresh buffers per call, and counters for the pops and
+    /// relaxations it charges.
     fn reference_priced_path(
         graph: &GridGraph,
         source: Point,
@@ -342,7 +416,8 @@ mod tests {
                 |a: Point, b: Point| -> f64 { prices.get(&edge_key(a, b)).copied().unwrap_or(1.0) };
             // One oracle serves every query of the instance, as in a
             // flow run, budget trips included.
-            let mut oracle = PricedOracle::new(&g);
+            let adjacency = Adjacency::new(&g);
+            let mut oracle = PricedOracle::new(&adjacency);
             let pick =
                 |rng: &mut StdRng| p(rng.gen_range(0..g.width()), rng.gen_range(0..g.height()));
             for _ in 0..8 {
@@ -350,14 +425,15 @@ mod tests {
                 let mut counts = (0, 0);
                 let want = reference_priced_path(&g, s, t, &weight, &mut meter(), &mut counts)
                     .expect("unlimited budget");
-                let (pops, expands) = (oracle.pops, oracle.expands);
+                let before = oracle.work;
                 let got = oracle
                     .path(s, t, |slot| dense[slot], &mut meter())
                     .expect("unlimited budget");
                 let ctx = format!("instance {instance} {s}->{t}");
                 assert_eq!(got, want, "{ctx}");
+                let work = oracle.work.since(before);
                 assert_eq!(
-                    (oracle.pops - pops, oracle.expands - expands),
+                    (work.pops, work.expands),
                     counts,
                     "{ctx}: pop/expand counts"
                 );

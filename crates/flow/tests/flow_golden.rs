@@ -228,9 +228,9 @@ fn render_all(jobs: usize) -> String {
     out
 }
 
-/// Initial routing and rip-up run inline on one meter, before any
-/// worker starts, so a capped run trips where one job trips: same
-/// summary, same oracle work, same metrics.
+/// Under a capped budget initial routing and rip-up run inline on one
+/// meter, before any worker starts, so a capped run trips where one job
+/// trips: same summary, same oracle work, same metrics.
 #[test]
 fn capped_runs_trip_identically_at_every_job_count() {
     for (i, k, _) in CAPPED {
@@ -247,6 +247,45 @@ fn capped_runs_trip_identically_at_every_job_count() {
                 "{ctx}"
             );
             assert_eq!(metrics.to_json(), one_metrics.to_json(), "{ctx}");
+        }
+    }
+}
+
+/// Initial routing fans out to the workers only when no budget can
+/// trip. Under a candidate cap it stays sequential on the one flow
+/// meter, so a trip inside it lands on the pop the cap refuses, pop
+/// `k + 1`, at every job count.
+#[test]
+fn capped_initial_routing_trips_at_the_same_pop_at_every_job_count() {
+    for (i, k, in_initial) in CAPPED {
+        if !in_initial {
+            continue;
+        }
+        let seed = BASE_SEED + i;
+        let budget = SearchBudget::unlimited().with_max_candidates(k);
+        for jobs in JOBS {
+            let (fp, metrics) = flow_metered(&walled(seed), budget, jobs);
+            let ctx = format!("seed {seed} k {k} jobs {jobs}");
+            assert!(fp.summary().budget_exhausted, "{ctx}");
+            assert_eq!(metrics.counter_value("flow.oracle.pops"), k + 1, "{ctx}");
+        }
+    }
+}
+
+/// With an unlimited budget the initial pass runs on the workers, one
+/// oracle each; the summed oracle work equals one job's.
+#[test]
+fn unlimited_runs_do_the_same_oracle_work_at_every_job_count() {
+    let mut texts: Vec<String> = ["flow_spread.cr", "flow_bridges.cr", "flow_mesh.cr"]
+        .into_iter()
+        .map(shipped)
+        .collect();
+    texts.extend((0..INSTANCES).map(|i| walled(BASE_SEED + i)));
+    for (n, text) in texts.iter().enumerate() {
+        let one = oracle_counters(&flow_metered(text, SearchBudget::unlimited(), 1).1);
+        for jobs in &JOBS[1..] {
+            let (_, metrics) = flow_metered(text, SearchBudget::unlimited(), *jobs);
+            assert_eq!(oracle_counters(&metrics), one, "case {n} jobs {jobs}");
         }
     }
 }

@@ -93,7 +93,7 @@ fn finding(ctx: &FileCtx, rule: &str, line: u32, message: String) -> Finding {
 /// cannot see: an `impl … PartialOrd for …` block in non-test code that
 /// does not delegate to a total order (`self.cmp(…)` or
 /// `f64::total_cmp`). The canonical allowed pattern is `HeapEntry` in
-/// `crates/grid/src/dijkstra.rs` and `crates/flow/src/price.rs`.
+/// `crates/grid/src/dijkstra.rs`.
 /// `.partial_cmp(` calls are clippy's (`disallowed_methods`).
 fn cr001_partial_ord_impls(ctx: &FileCtx, out: &mut Vec<Finding>) {
     for i in 0..ctx.tokens.len() {

@@ -159,7 +159,7 @@ fn real_source(rel: &str) -> String {
 
 #[test]
 fn deleting_the_total_cmp_delegation_fails_cr001() {
-    for rel in ["crates/grid/src/dijkstra.rs", "crates/flow/src/price.rs"] {
+    for rel in ["crates/grid/src/dijkstra.rs", "crates/grid/src/graph.rs"] {
         let src = real_source(rel);
         // The file as shipped is clean.
         assert!(

@@ -1,8 +1,8 @@
 //! The one worker loop of the workspace.
 //!
 //! Every fan-out — the commit scheduler's speculative routing
-//! ([`Planner::jobs`](crate::Planner::jobs)) and flow mode's price
-//! rounds and legalization (`clockroute-flow`) — runs through
+//! ([`Planner::jobs`](crate::Planner::jobs)) and flow mode's initial
+//! routing and legalization (`clockroute-flow`) — runs through
 //! [`map_indexed`], so thread creation, failpoint inheritance and the
 //! lock-free pin live in one place.
 

@@ -47,6 +47,27 @@ cargo run --release -p clockroute-bench --bin corebench -- --check
 # planner must route all nets with strictly less overflow than the
 # order-driven sequential plan (see DESIGN.md §17).
 cargo run --release -p clockroute-bench --bin flowbench -- --check
+# Flow identity across workers: on every shipped congested scenario,
+# `crplan --flow` must print the same report and write the same metrics
+# at 1, 2 and 4 jobs (initial routing and legalization fan out to the
+# workers; see DESIGN.md §17).
+cargo build --release -q -p clockroute-cli
+(
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    for scn in spread bridges mesh; do
+        for jobs in 1 2 4; do
+            target/release/crplan "scenarios/flow_$scn.cr" --flow --jobs "$jobs" \
+                --metrics "$tmp/$jobs.json" >"$tmp/$jobs.out"
+        done
+        for jobs in 2 4; do
+            if ! cmp -s "$tmp/1.out" "$tmp/$jobs.out" || ! cmp -s "$tmp/1.json" "$tmp/$jobs.json"; then
+                echo "flow_$scn.cr: crplan --flow output differs at --jobs $jobs" >&2
+                exit 1
+            fi
+        done
+    done
+)
 # Benchmark build gate: perfbench is a separate package that imports
 # the service, planner and telemetry APIs, so a change to one of them
 # fails here rather than in a benchmark run.

@@ -408,14 +408,14 @@ impl CandArena {
 #[cfg(test)]
 struct IdxEntry {
     key: f64,
-    seq: u64,
+    tie: u64,
     idx: u32,
 }
 
 #[cfg(test)]
 impl PartialEq for IdxEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.seq == other.seq
+        self.key == other.key && self.tie == other.tie
     }
 }
 
@@ -428,7 +428,7 @@ impl Ord for IdxEntry {
         other
             .key
             .total_cmp(&self.key)
-            .then_with(|| other.seq.cmp(&self.seq))
+            .then_with(|| other.tie.cmp(&self.tie))
     }
 }
 
@@ -441,14 +441,14 @@ impl PartialOrd for IdxEntry {
     }
 }
 
-/// Index-valued min-heap on `(key, seq)` under `f64::total_cmp` (Rust's
+/// Index-valued min-heap on `(key, tie)` under `f64::total_cmp` (Rust's
 /// `BinaryHeap` is a max-heap, hence the reversed ordering). Test-only:
-/// the production searches run on [`DialQueue`]; the heap survives as
-/// the pop-order reference the dial queue is property-tested against.
+/// the production searches and the flow oracle run on [`DialQueue`];
+/// the heap survives as the pop-order reference the dial queue is
+/// property-tested against.
 #[cfg(test)]
 pub(crate) struct HeapQueue {
     heap: BinaryHeap<IdxEntry>,
-    seq: u64,
 }
 
 #[cfg(test)]
@@ -456,18 +456,12 @@ impl HeapQueue {
     pub fn new() -> HeapQueue {
         HeapQueue {
             heap: BinaryHeap::new(),
-            seq: 0,
         }
     }
 
-    pub fn push(&mut self, key: f64, idx: u32) {
+    pub fn push(&mut self, key: f64, tie: u64, idx: u32) {
         debug_assert!(key.is_finite(), "non-finite queue key {key}");
-        self.seq += 1;
-        self.heap.push(IdxEntry {
-            key,
-            seq: self.seq,
-            idx,
-        });
+        self.heap.push(IdxEntry { key, tie, idx });
     }
 
     pub fn pop(&mut self) -> Option<u32> {
@@ -479,11 +473,45 @@ impl HeapQueue {
     }
 }
 
+/// A queued index with its key in [`order_bits`] form, so comparing
+/// two entries is one integer comparison of their [`rank`](Self::rank).
 #[derive(Debug, Clone, Copy)]
 struct DialEntry {
-    key: f64,
-    seq: u64,
+    ord: u64,
+    tie: u64,
     idx: u32,
+}
+
+impl DialEntry {
+    #[inline]
+    fn key(&self) -> f64 {
+        from_order_bits(self.ord)
+    }
+
+    /// `(key, tie)` as one integer, in the queue's pop order.
+    #[inline]
+    fn rank(&self) -> u128 {
+        (u128::from(self.ord) << 64) | u128::from(self.tie)
+    }
+}
+
+/// `key`'s bits mapped so that unsigned integer order is
+/// `f64::total_cmp` order: the sign bit flipped on a non-negative key,
+/// every bit flipped on a negative one.
+#[inline]
+fn order_bits(key: f64) -> u64 {
+    let bits = key.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
+}
+
+/// The inverse of [`order_bits`].
+#[inline]
+fn from_order_bits(ord: u64) -> f64 {
+    f64::from_bits(if ord >> 63 == 1 {
+        ord ^ (1 << 63)
+    } else {
+        !ord
+    })
 }
 
 /// Number of calendar buckets kept addressable; keys further out overflow
@@ -495,34 +523,52 @@ const DIAL_SPAN: usize = 1 << 15;
 /// Keys in the Dijkstra-style searches are non-decreasing over pops, so a
 /// calendar of fixed-width buckets replaces the heap: push is O(1)
 /// amortized and pop sorts one small bucket instead of maintaining a
-/// global heap. The pop order is *identical* to [`HeapQueue`] —
-/// ascending `(key, seq)` under `f64::total_cmp`.
+/// global heap. The pop order is *identical* to a binary heap
+/// ([`HeapQueue`]) on ascending `(key, tie)` under `f64::total_cmp`,
+/// where the caller supplies the tie with every push: the searches pass
+/// their push sequence, the flow oracle (`clockroute-flow`) the node
+/// index. Entries with equal `(key, tie)` pop in an unspecified order;
+/// neither caller pushes two.
 ///
-/// Out-of-band keys are handled without breaking that guarantee. Keys
-/// below the bucket currently being drained (wave-style promotions push
-/// at small keys after a wave empties the queue) are sorted into the
-/// active bucket, or trigger a downward calendar rebase when no bucket
-/// is active; keys beyond [`DIAL_SPAN`] buckets land in the far list.
+/// That identity does not rest on floating-point luck. An entry's
+/// bucket is `⌊(key − origin) · 1/width⌋`, a monotone function of the
+/// key for a fixed `origin`, so an entry in a lower bucket never has a
+/// larger key, and buckets are counted from `origin` instead of from a
+/// running base, so entries filed at different times agree on it.
+/// `origin` moves only when nothing is filed against it: when a push
+/// finds the queue empty (wave-style searches drain the queue, then
+/// re-seed at small keys), and when the ring drains and the far list is
+/// re-anchored at its minimum.
+///
+/// Out-of-band keys keep the guarantee too. A key whose bucket is below
+/// the ring's front (a push below the bucket being drained) is sorted
+/// into the active bucket. A key [`DIAL_SPAN`] or more buckets past the
+/// front, or at or above the far list's minimum, goes to the far list,
+/// so every ring entry stays below every far entry however far the
+/// ring has advanced since the far list was filled.
 ///
 /// Drained buckets go to a spare pool instead of being freed, and
 /// [`reset`](DialQueue::reset) returns every bucket there, so a queue
 /// reused across searches stops allocating once its pool covers the
 /// calendar it needs.
-pub(crate) struct DialQueue {
-    width: f64,
+pub struct DialQueue {
     inv_width: f64,
-    /// Key at the lower edge of `ring[0]`.
-    base: f64,
-    anchored: bool,
+    /// Key at the lower edge of bucket 0.
+    origin: f64,
+    /// Bucket number of `ring[0]`; every active entry is in a lower one.
+    front: usize,
     ring: VecDeque<Vec<DialEntry>>,
-    /// Bucket being drained, sorted descending by `(key, seq)` so pops
-    /// come off the end in ascending order.
+    /// Bucket being drained, sorted ascending by `(key, tie)`; entries
+    /// before `head` are popped. Ascending, because a bucket mostly fills
+    /// in near-ascending tie order and the sort then has little to move.
     active: Vec<DialEntry>,
+    head: usize,
+    /// Unsorted entries above every ring entry, refiled when the ring
+    /// drains.
     far: Vec<DialEntry>,
     /// Empty buckets, capacity kept, for the ring to reuse.
     spare: Vec<Vec<DialEntry>>,
     far_min: f64,
-    seq: u64,
     len: usize,
     last_pop: f64,
 }
@@ -538,25 +584,24 @@ impl DialQueue {
             1e-6
         };
         DialQueue {
-            width,
             inv_width: 1.0 / width,
-            base: 0.0,
-            anchored: false,
+            origin: 0.0,
+            front: 0,
             ring: VecDeque::new(),
             active: Vec::new(),
+            head: 0,
             far: Vec::new(),
             spare: Vec::new(),
             far_min: f64::INFINITY,
-            seq: 0,
             len: 0,
             last_pop: f64::NEG_INFINITY,
         }
     }
 
     /// Empties the queue into the state [`new`](DialQueue::new) builds
-    /// for `scale` — every field, `seq` included, comes from `new` — so
-    /// the next search pops in the same order as on a new queue. Only
-    /// the buckets' capacity survives, in the spare pool.
+    /// for `scale` — every field comes from `new` — so the next search
+    /// pops in the same order as on a new queue. Only the buckets'
+    /// capacity survives, in the spare pool.
     pub fn reset(&mut self, scale: f64) {
         let DialQueue {
             mut ring,
@@ -590,16 +635,33 @@ impl DialQueue {
             + (self.ring.capacity() + self.spare.capacity()) * std::mem::size_of::<Vec<DialEntry>>()
     }
 
-    fn desc(a: &DialEntry, b: &DialEntry) -> Ordering {
-        b.key.total_cmp(&a.key).then_with(|| b.seq.cmp(&a.seq))
+    /// The bucket `key` falls in. Rounding and the saturating cast are
+    /// both monotone, so a larger key never lands in a lower bucket.
+    #[inline]
+    fn bucket(&self, key: f64) -> usize {
+        ((key - self.origin) * self.inv_width) as usize
     }
 
-    fn file_into_ring(&mut self, e: DialEntry) {
-        let rel = ((e.key - self.base) * self.inv_width) as usize;
+    /// Files `e`, whose key is `key`.
+    #[inline]
+    fn file(&mut self, key: f64, e: DialEntry) {
+        if key >= self.far_min {
+            self.far.push(e);
+            return;
+        }
+        let b = self.bucket(key);
+        if b < self.front {
+            // Below the ring while entries are in flight: the key must
+            // pop before everything in the ring — it joins the active
+            // bucket at its sorted position.
+            let rank = e.rank();
+            let pos = self.active[self.head..].partition_point(|x| x.rank() < rank);
+            self.active.insert(self.head + pos, e);
+            return;
+        }
+        let rel = b - self.front;
         if rel >= DIAL_SPAN {
-            if e.key < self.far_min {
-                self.far_min = e.key;
-            }
+            self.far_min = key;
             self.far.push(e);
             return;
         }
@@ -611,66 +673,47 @@ impl DialQueue {
         self.ring[rel].push(e);
     }
 
-    fn place(&mut self, e: DialEntry) {
-        if !self.anchored {
-            self.base = e.key;
-            self.anchored = true;
-        }
-        if e.key < self.base {
-            if self.active.is_empty() && self.ring.is_empty() && self.far.is_empty() {
-                // Queue momentarily empty: restart the calendar — and the
-                // monotonicity epoch — here. Wave-style searches drain the
-                // queue completely, then re-seed at small keys.
-                self.base = e.key;
-                self.last_pop = f64::NEG_INFINITY;
-            } else {
-                // Below the calendar while entries are in flight: the
-                // key must pop before everything queued (and pushes are
-                // monotone, so after everything already popped) — it
-                // joins the active bucket at its sorted position.
-                let pos = self
-                    .active
-                    .partition_point(|x| Self::desc(x, &e) == Ordering::Less);
-                self.active.insert(pos, e);
-                return;
-            }
-        }
-        self.file_into_ring(e);
-    }
-
     /// Ensures `active` holds the next bucket to drain. Returns `false`
     /// when the queue is empty.
+    #[inline]
     fn ensure_active(&mut self) -> bool {
-        if !self.active.is_empty() {
-            return true;
-        }
+        self.head < self.active.len() || self.activate_next()
+    }
+
+    /// Moves the next non-empty bucket into `active`, refiling the far
+    /// list when the ring has drained. Returns `false` when the queue is
+    /// empty.
+    fn activate_next(&mut self) -> bool {
         loop {
             while matches!(self.ring.front(), Some(b) if b.is_empty()) {
                 if let Some(empty) = self.ring.pop_front() {
                     self.spare.push(empty);
                 }
-                self.base += self.width;
+                self.front += 1;
             }
             if let Some(mut bucket) = self.ring.pop_front() {
-                self.base += self.width;
-                // Every `seq` is unique, so `(key, seq)` is a strict
-                // total order and an unstable sort gives the stable
+                self.front += 1;
+                // The callers' `(key, tie)` pairs are distinct, so the
+                // order is strict and an unstable sort gives the stable
                 // sort's result.
-                bucket.sort_unstable_by(Self::desc);
-                let drained = std::mem::replace(&mut self.active, bucket);
+                bucket.sort_unstable_by_key(DialEntry::rank);
+                let mut drained = std::mem::replace(&mut self.active, bucket);
+                drained.clear();
                 self.spare.push(drained);
+                self.head = 0;
                 return true;
             }
             if self.far.is_empty() {
                 return false;
             }
             // Ring drained: restart the calendar at the far list's
-            // minimum and redistribute.
-            self.base = self.far_min;
+            // minimum and refile the far list against it.
+            self.origin = self.far_min;
+            self.front = 0;
             self.far_min = f64::INFINITY;
             let mut pending = std::mem::take(&mut self.far);
             for e in pending.drain(..) {
-                self.file_into_ring(e);
+                self.file(e.key(), e);
             }
             if self.far.is_empty() {
                 self.far = pending;
@@ -678,32 +721,53 @@ impl DialQueue {
         }
     }
 
-    pub fn push(&mut self, key: f64, idx: u32) {
-        debug_assert!(key.is_finite(), "non-finite queue key {key}");
-        self.seq += 1;
-        self.len += 1;
-        let e = DialEntry {
-            key,
-            seq: self.seq,
-            idx,
-        };
-        self.place(e);
+    /// Queue empty: restarts the calendar — and the monotonicity epoch —
+    /// at `key`. Nothing is filed against the old origin.
+    fn restart(&mut self, key: f64) {
+        for bucket in self.ring.drain(..) {
+            self.spare.push(bucket);
+        }
+        self.origin = key;
+        self.front = 0;
+        self.far_min = f64::INFINITY;
+        self.last_pop = f64::NEG_INFINITY;
     }
 
-    pub fn pop(&mut self) -> Option<u32> {
+    /// Queues `idx` at `key`, ordered among equal keys by `tie`.
+    #[inline]
+    pub fn push(&mut self, key: f64, tie: u64, idx: u32) {
+        debug_assert!(key.is_finite(), "non-finite queue key {key}");
+        if self.len == 0 {
+            self.restart(key);
+        }
+        self.len += 1;
+        let ord = order_bits(key);
+        self.file(key, DialEntry { ord, tie, idx });
+    }
+
+    /// Pops the least `(key, tie)` entry as `(key, idx)`.
+    #[inline]
+    pub fn pop_keyed(&mut self) -> Option<(f64, u32)> {
         if !self.ensure_active() {
             return None;
         }
-        let e = self.active.pop()?;
+        let e = *self.active.get(self.head)?;
+        self.head += 1;
         self.len -= 1;
+        let key = e.key();
         debug_assert!(
-            e.key.total_cmp(&self.last_pop) != Ordering::Less,
-            "dial queue popped keys out of order: {} after {}",
-            e.key,
+            key.total_cmp(&self.last_pop) != Ordering::Less,
+            "dial queue popped keys out of order: {key} after {}",
             self.last_pop
         );
-        self.last_pop = e.key;
-        Some(e.idx)
+        self.last_pop = key;
+        Some((key, e.idx))
+    }
+
+    /// Pops the least `(key, tie)` entry's index.
+    #[inline]
+    pub fn pop(&mut self) -> Option<u32> {
+        self.pop_keyed().map(|(_, idx)| idx)
     }
 
     /// Minimum key currently queued, for the pop-order property tests.
@@ -714,11 +778,18 @@ impl DialQueue {
         if !self.ensure_active() {
             return None;
         }
-        self.active.last().map(|e| e.key)
+        self.active.get(self.head).map(DialEntry::key)
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// `true` when nothing is queued.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 
@@ -1178,8 +1249,8 @@ mod tests {
     #[should_panic(expected = "non-finite queue key")]
     fn nan_key_is_rejected_in_debug_builds() {
         let mut q = DialQueue::new(1.0);
-        q.push(1.0, 0);
-        q.push(f64::NAN, 1);
+        q.push(1.0, 0, 0);
+        q.push(f64::NAN, 1, 1);
     }
 
     #[test]
@@ -1285,8 +1356,8 @@ mod tests {
         // the far list and its re-anchoring.
         let keys = [5.0, 1.0, 3.0, 1.0, 40000.0, 2.5, 2.5];
         for (i, &k) in keys.iter().enumerate() {
-            dial.push(k, i as u32);
-            heap.push(k, i as u32);
+            dial.push(k, i as u64, i as u32);
+            heap.push(k, i as u64, i as u32);
         }
         assert_eq!(dial.peek_key(), Some(1.0));
         for _ in 0..2 {
@@ -1294,13 +1365,97 @@ mod tests {
         }
         // Push at the last popped key (a wave-style promotion below the
         // calendar base): must pop next, after nothing, like the heap.
-        dial.push(1.0, 99);
-        heap.push(1.0, 99);
+        dial.push(1.0, 99, 99);
+        heap.push(1.0, 99, 99);
         while let Some(i) = heap.pop() {
             assert_eq!(dial.pop(), Some(i));
         }
         assert_eq!(dial.pop(), None);
         assert_eq!(dial.len(), 0);
+    }
+
+    #[test]
+    fn order_bits_order_like_total_cmp_and_invert() {
+        let keys = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -2.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            250.0,
+            2.5e8,
+            f64::INFINITY,
+        ];
+        for (i, &a) in keys.iter().enumerate() {
+            assert_eq!(from_order_bits(order_bits(a)).to_bits(), a.to_bits());
+            for &b in &keys[i..] {
+                assert_eq!(
+                    order_bits(a).cmp(&order_bits(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ring_pushes_never_overtake_the_far_list() {
+        // 40000 lands in the far list while the ring is anchored at 0.
+        // Once the ring has drained up to 10000, 40001 is within the
+        // ring's span again, but it must still pop after 40000.
+        let mut dial = DialQueue::new(1.0);
+        let mut heap = HeapQueue::new();
+        for (i, k) in [0.0, 40000.0, 10000.0].into_iter().enumerate() {
+            dial.push(k, i as u64, i as u32);
+            heap.push(k, i as u64, i as u32);
+        }
+        for _ in 0..2 {
+            assert_eq!(dial.pop(), heap.pop());
+        }
+        dial.push(40001.0, 3, 3);
+        heap.push(40001.0, 3, 3);
+        dial.push(39999.5, 4, 4);
+        heap.push(39999.5, 4, 4);
+        while let Some(i) = heap.pop() {
+            assert_eq!(dial.pop(), Some(i));
+        }
+        assert!(dial.is_empty());
+    }
+
+    #[test]
+    fn caller_ties_order_equal_keys() {
+        // The flow oracle's pattern: the node index breaks distance
+        // ties, whatever the push order, and a node re-pushed at a
+        // smaller distance pops at that distance first.
+        let mut dial = DialQueue::new(125.0);
+        let pushes = [
+            (250.0, 7u32),
+            (250.0, 3),
+            (125.0, 9),
+            (375.0, 1),
+            (250.0, 5),
+            (125.0, 7),
+        ];
+        for &(key, node) in &pushes {
+            dial.push(key, u64::from(node), node);
+        }
+        let mut popped = Vec::new();
+        while let Some(entry) = dial.pop_keyed() {
+            popped.push(entry);
+        }
+        assert_eq!(
+            popped,
+            [
+                (125.0, 7),
+                (125.0, 9),
+                (250.0, 3),
+                (250.0, 5),
+                (250.0, 7),
+                (375.0, 1)
+            ]
+        );
     }
 
     #[test]
@@ -1522,7 +1677,8 @@ mod tests {
             for &(raw, action) in ops {
                 if action < 5 {
                     let key = floor + f64::from(raw) * 0.5;
-                    queue.push(key, keys_by_idx.len() as u32);
+                    let idx = keys_by_idx.len() as u32;
+                    queue.push(key, u64::from(idx), idx);
                     keys_by_idx.push(key);
                 } else {
                     let i = queue.pop();
@@ -1563,8 +1719,8 @@ mod tests {
                         let key = floor + f64::from(raw) * 0.5;
                         let idx = keys_by_idx.len() as u32;
                         keys_by_idx.push(key);
-                        dial.push(key, idx);
-                        heap.push(key, idx);
+                        dial.push(key, u64::from(idx), idx);
+                        heap.push(key, u64::from(idx), idx);
                     } else {
                         prop_assert_eq!(dial.peek_key(), heap.peek_key());
                         let (a, b) = (dial.pop(), heap.pop());
@@ -1579,6 +1735,54 @@ mod tests {
                     prop_assert_eq!(dial.peek_key(), heap.peek_key());
                     let (a, b) = (dial.pop(), heap.pop());
                     prop_assert_eq!(a.is_none(), b.is_none());
+                    prop_assert_eq!(a, b);
+                    if a.is_none() {
+                        break;
+                    }
+                }
+            }
+
+            /// Caller-supplied ties, against a heap on `(key, tie)`.
+            /// Ties are drawn out of push order; keys are multiples of a
+            /// step that is also the bucket width (so keys sit on bucket
+            /// edges up to rounding), and one push in eight jumps far
+            /// past the calendar's span, so the far list fills while the
+            /// ring keeps advancing.
+            #[test]
+            fn dial_queue_pops_in_exact_heap_order_with_caller_ties(
+                ops in proptest::collection::vec((0u16..2048, 0u8..8, 0u8..4), 1..200),
+                step in 0usize..4,
+            ) {
+                let step = [0.5, 1.0 / 3.0, 260.416_666_666_666_7, 0.1][step];
+                let mut dial = DialQueue::new(step);
+                let mut heap = HeapQueue::new();
+                let mut keys_by_idx: Vec<f64> = Vec::new();
+                let mut floor = 0.0f64;
+                for (raw, action, tie_hi) in ops {
+                    if action < 5 {
+                        let mut key = floor;
+                        for _ in 0..raw % 16 {
+                            key += step;
+                        }
+                        if action == 0 {
+                            key += f64::from(raw) * step * 64.0;
+                        }
+                        let idx = keys_by_idx.len() as u32;
+                        let tie = (u64::from(tie_hi) << 32) | u64::from(idx);
+                        keys_by_idx.push(key);
+                        dial.push(key, tie, idx);
+                        heap.push(key, tie, idx);
+                    } else {
+                        prop_assert_eq!(dial.peek_key(), heap.peek_key());
+                        let (a, b) = (dial.pop(), heap.pop());
+                        prop_assert_eq!(a, b);
+                        if let Some(i) = a {
+                            floor = keys_by_idx[i as usize];
+                        }
+                    }
+                }
+                loop {
+                    let (a, b) = (dial.pop(), heap.pop());
                     prop_assert_eq!(a, b);
                     if a.is_none() {
                         break;

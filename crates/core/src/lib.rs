@@ -73,6 +73,7 @@ mod stats;
 pub mod telemetry;
 
 pub use budget::{BudgetMeter, SearchBudget, SearchStage};
+pub use engine::DialQueue;
 pub use error::RouteError;
 pub use fastpath::FastPathSpec;
 pub use gals::GalsSpec;

@@ -66,6 +66,8 @@ pub const ENABLED: bool = cfg!(any(debug_assertions, lockcheck));
 /// single-flight claim (`pending`), then the shard cache, then the
 /// persistence log, and telemetry last — sinks are leaf locks that may
 /// be taken under anything but must never take anything themselves.
+/// Flow mode's board sits just below telemetry: a flow run holds it
+/// alone, and nothing but a sink may be taken under it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum LockRank {
@@ -78,8 +80,12 @@ pub enum LockRank {
     Cache = 2,
     /// The snapshot/append persistence log.
     Persist = 3,
+    /// Flow mode's speculation board: the nets rip-up has posted and
+    /// the legalizations its helpers have finished. Held only to post,
+    /// take or finish a net, never across a legalization.
+    FlowBoard = 4,
     /// Telemetry sinks (recorders, trace writers). Leaf rank.
-    Telemetry = 4,
+    Telemetry = 5,
 }
 
 // Both orders by hand: a derived `PartialOrd` calls `partial_cmp`,
@@ -106,6 +112,7 @@ impl LockRank {
             LockRank::Pending => "Pending",
             LockRank::Cache => "Cache",
             LockRank::Persist => "Persist",
+            LockRank::FlowBoard => "FlowBoard",
             LockRank::Telemetry => "Telemetry",
         }
     }
@@ -536,7 +543,8 @@ mod tests {
         assert!(LockRank::Pool < LockRank::Pending);
         assert!(LockRank::Pending < LockRank::Cache);
         assert!(LockRank::Cache < LockRank::Persist);
-        assert!(LockRank::Persist < LockRank::Telemetry);
+        assert!(LockRank::Persist < LockRank::FlowBoard);
+        assert!(LockRank::FlowBoard < LockRank::Telemetry);
 
         let pool = OrderedMutex::new(LockRank::Pool, "t.pool", 0u32);
         let pending = OrderedMutex::new(LockRank::Pending, "t.pending", 0u32);

@@ -377,8 +377,10 @@ impl Search<'_> {
         }
     }
 
+    /// Queues `idx` at `key`; the push count breaks key ties, so equal
+    /// keys pop first in, first out.
     fn enqueue(&mut self, key: f64, idx: u32) {
-        self.queue.push(key, idx);
+        self.queue.push(key, self.stats.pushed, idx);
         self.stats.record_push(self.queue.len());
     }
 

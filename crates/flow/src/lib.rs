@@ -27,21 +27,31 @@
 //!    unbuffered route. Only a net without a geometry, or one that
 //!    fails every rung in its corridor, is planned on the full grid.
 //!
-//! Phase 1 runs on the planner's [`Planner::jobs`] workers, one oracle
-//! each, when the budget is unlimited; under a budget that can trip it
-//! runs inline in name order on the flow [`BudgetMeter`], so the trip
-//! lands on the same pop at every job count. Phase 2 runs inline on the
-//! calling thread, charging that meter; each reroute reads the usage the
-//! previous one left. Phase 3 is per-net independent work and runs on
-//! the workers.
+//! A run makes one fan-out ([`workers::beside`]): `jobs − 1` helper
+//! threads beside the calling thread, which runs the three phases.
+//! Phase 1 is shared with the helpers, one oracle each, when the budget
+//! is unlimited; under a budget that can trip it runs inline in name
+//! order on the flow [`BudgetMeter`], so the trip lands on the same pop
+//! at every job count. Phase 2 runs on the calling thread, charging that
+//! meter; each reroute reads the usage the previous one left. After
+//! every rip-up scan it posts each net's geometry and a hint (frozen,
+//! clear of overflow, or offending) on a [`board`], and the helpers
+//! legalize nets off it meanwhile, lowest hint first. A net that rip-up
+//! moves again goes back on the board and its speculation is voided.
+//! Phase 3 is what is left when rip-up ends: the nets no surviving
+//! speculation covers, legalized by the caller and the helpers together.
 //!
 //! **Determinism contract.** Same scenario ⇒ byte-identical plan,
 //! summary and metrics, regardless of `--jobs` and of net declaration
 //! order: per-edge state lives in arrays over the grid's dense edge
 //! slots ([`GridGraph::edge_slot`]), per-net state in `BTreeMap`s keyed
 //! by net name and visited in name order, and the oracle breaks ties by
-//! node id. Each net's legalization records its telemetry into its own
-//! shard, replayed in net order. Only wall-clock budgets
+//! node id. A net's legalization is a function of the net, its final
+//! geometry and the planner's settings alone, so a speculation whose
+//! geometry rip-up kept is the result legalizing afterwards would give.
+//! Each legalization records its telemetry into its own shard; the kept
+//! ones are replayed in net order and a voided one's shard is dropped
+//! with it. Only wall-clock budgets
 //! ([`clockroute_core::SearchBudget::with_deadline`]) can differ run to
 //! run, as anywhere else. When no edge anywhere has a finite capacity
 //! ([`EdgeCapacities::is_unconstrained`]), `flow` delegates wholesale
@@ -51,20 +61,25 @@
 #![deny(clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
+mod board;
 mod price;
 pub mod report;
 
 pub use report::{FlowMode, FlowSummary};
 
+use board::{Board, Hint, Ticket};
 use price::{Adjacency, OracleWork, PricedOracle};
 
-use clockroute_core::failpoint;
+use clockroute_core::telemetry::Value;
+use clockroute_core::{failpoint, LockRank, OrderedCondvar, OrderedMutex};
 use clockroute_core::{BudgetMeter, RouteError, SearchStage, TelemetryHandle, TelemetryShard};
 use clockroute_geom::Point;
 use clockroute_grid::{edge_key, EdgeCapacities, EdgeKey, GridGraph};
-use clockroute_plan::{workers, NetResult, NetSpec, Plan, Planner, SharedTelemetry};
+use clockroute_plan::workers::{self, Crew};
+use clockroute_plan::{NetResult, NetSpec, Plan, Planner, SharedTelemetry};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// The flow pipeline's configuration, which has no knob left.
@@ -107,10 +122,10 @@ pub trait PlannerFlowExt {
     ///
     /// With no finite capacity anywhere this is exactly
     /// [`Planner::plan`] (byte-identical, same reservation and job
-    /// settings). Otherwise the three-phase flow pipeline runs, its
-    /// legalization on the planner's [`Planner::jobs`] workers; inner
-    /// legalization planners route one net each, inline on the worker
-    /// that took the net, with reservation off — the
+    /// settings). Otherwise the three-phase flow pipeline runs, with
+    /// `jobs − 1` helper threads ([`Planner::jobs`]) legalizing beside
+    /// rip-up; inner legalization planners route one net each, inline on
+    /// the thread that took the net, with reservation off — the
     /// capacity model replaces route reservation as the contention
     /// mechanism. The result does not depend on the job count.
     fn flow(self, nets: &[NetSpec], caps: &EdgeCapacities, config: FlowConfig) -> FlowPlan;
@@ -171,6 +186,7 @@ fn path_slots<'a>(graph: &'a GridGraph, points: &'a [Point]) -> impl Iterator<It
 /// A net's chosen geometry with the edge slots it crosses, derived once
 /// when the geometry is chosen: rip-up reads the slots on every
 /// iteration.
+#[derive(Debug)]
 struct Route {
     points: Vec<Point>,
     slots: Vec<usize>,
@@ -223,20 +239,7 @@ fn overflow_of(usage: &[u32], cap: &[Option<u32>]) -> (u64, u32) {
 /// the path is blocked, so the exact searches legalize timing along
 /// exactly this corridor.
 fn corridor_graph(base: &GridGraph, points: &[Point]) -> GridGraph {
-    let mut on_path = vec![false; base.edge_slots()];
-    for s in path_slots(base, points) {
-        on_path[s] = true;
-    }
-    let mut g = base.clone();
-    for (s, &keep) in on_path.iter().enumerate() {
-        if keep {
-            continue;
-        }
-        if let Some((p, q)) = base.slot_edge(s) {
-            g.blockage_mut().block_edge(p, q);
-        }
-    }
-    g
+    base.corridor(path_slots(base, points))
 }
 
 /// One inner per-net legalization planner: one job (the default),
@@ -308,6 +311,102 @@ fn initial_path(
     (path, oracle.work.since(before))
 }
 
+/// Routes phase-1 items off the shared `cursor` into `cells` until none
+/// is left.
+fn route_initial(
+    oracle: &mut PricedOracle<'_>,
+    meter: &mut BudgetMeter,
+    named: &[(&str, &NetSpec)],
+    cursor: &AtomicUsize,
+    cells: &[OnceLock<(Initial, OracleWork)>],
+) {
+    loop {
+        let k = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(cell) = cells.get(k) else { break };
+        // Whoever finishes first fills the cell; both computed the same.
+        let _ = cell.set(initial_path(oracle, meter, named[k].1));
+    }
+}
+
+/// A net's geometry on the board: `None` for a net without one.
+type Geometry = Option<Arc<Route>>;
+
+/// A net's legalized route with the telemetry shard it recorded into.
+type Legalized = (NetResult, Option<Arc<TelemetryShard>>);
+
+/// [`legalize`] into a fresh shard of its own.
+fn legalize_net(
+    outer: &Planner,
+    graph: &GridGraph,
+    net: &NetSpec,
+    geometry: Option<&Route>,
+    telemetry: &Option<SharedTelemetry>,
+) -> Legalized {
+    let shard = telemetry.as_ref().map(|_| Arc::new(TelemetryShard::new()));
+    let sink = shard.as_ref().map(|s| SharedTelemetry::new(s.clone()));
+    let result = legalize(outer, graph, net, geometry.map(|r| &r.points), &sink);
+    (result, shard)
+}
+
+/// Closes the board when the caller's side of the run ends, unwinding
+/// included, so no helper waits for a net that will never come.
+struct CloseBoard<'a> {
+    board: &'a OrderedMutex<Board<Geometry, Legalized>>,
+    wake: &'a OrderedCondvar,
+}
+
+impl Drop for CloseBoard<'_> {
+    fn drop(&mut self) {
+        self.board.lock().close();
+        self.wake.notify_all();
+    }
+}
+
+/// The next net to legalize, waiting on `wake` while the board has none
+/// to take; `None` once it is over.
+fn next_ticket(
+    board: &OrderedMutex<Board<Geometry, Legalized>>,
+    wake: &OrderedCondvar,
+) -> Option<Ticket<Geometry>> {
+    let mut b = board.lock();
+    loop {
+        if b.is_over() {
+            return None;
+        }
+        if let Some(ticket) = b.take() {
+            return Some(ticket);
+        }
+        b.waiting += 1;
+        b = wake.wait(b);
+        b.waiting -= 1;
+    }
+}
+
+/// A helper's loop: takes nets off the board and legalizes them, with
+/// the board unlocked, until it is over.
+fn legalize_from_board(
+    board: &OrderedMutex<Board<Geometry, Legalized>>,
+    wake: &OrderedCondvar,
+    crew: &Crew<'_>,
+    legalize: impl Fn(usize, Option<&Route>) -> Legalized,
+) {
+    while let Some(ticket) = next_ticket(board, wake) {
+        let done = crew.item(|| legalize(ticket.net, ticket.geometry.as_deref()));
+        board.lock().finish(ticket, done);
+    }
+}
+
+/// What the calling thread's side of a run hands back: the chosen
+/// geometries, the rip-up summary, the oracle work and the start of the
+/// legalization span.
+struct Routed<'n> {
+    chosen: BTreeMap<&'n str, Arc<Route>>,
+    ripups: u64,
+    budget_exhausted: bool,
+    work: OracleWork,
+    legalize_started: Instant,
+}
+
 fn flow_priced(planner: Planner, nets: &[NetSpec], caps: &EdgeCapacities) -> FlowPlan {
     let graph = planner.graph().clone();
     let telemetry = planner.telemetry_sink().cloned();
@@ -324,172 +423,285 @@ fn flow_priced(planner: Planner, nets: &[NetSpec], caps: &EdgeCapacities) -> Flo
     let mut usage = vec![0u32; slots];
     let adjacency = Adjacency::new(&graph);
     let budget = planner.search_budget();
-    let mut meter = BudgetMeter::new(budget, SearchStage::Flow);
-    let mut budget_exhausted = false;
     // A name routes, and is ripped up as, the first net declared under it.
     let mut by_name: BTreeMap<&str, &NetSpec> = BTreeMap::new();
-    for net in nets {
+    // The nets declared under each name, which share its geometry.
+    let mut name_nets: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    for (i, net) in nets.iter().enumerate() {
         by_name.entry(&net.name).or_insert(net);
+        name_nets.entry(&net.name).or_default().push(i);
     }
     let named: Vec<(&str, &NetSpec)> = by_name.iter().map(|(&name, &net)| (name, net)).collect();
 
-    // Phase 1 — every net's unpriced shortest path. Each path is a
-    // function of the net's terminals alone, so when no budget can trip
-    // the nets go to the workers, one oracle each. A budget that can
-    // trip must trip at the pop one job trips at, which depends on every
-    // call before it: then one oracle and the flow meter route the nets
-    // in name order and stop at the first trip.
-    let started = span_start();
-    let initial: Vec<(Initial, OracleWork)> = if budget.is_unlimited() {
-        let jobs = planner.job_count();
-        let inherited = (jobs > 1 && named.len() > 1).then(failpoint::capture);
-        workers::map_indexed(
-            jobs,
-            named.len(),
-            inherited.as_ref(),
-            || {
-                (
-                    PricedOracle::new(&adjacency),
-                    BudgetMeter::new(budget, SearchStage::Flow),
-                )
-            },
-            |(oracle, meter), k| initial_path(oracle, meter, named[k].1),
-        )
-    } else {
-        let mut oracle = PricedOracle::new(&adjacency);
-        let mut done = Vec::with_capacity(named.len());
-        for &(_, net) in &named {
-            let item = initial_path(&mut oracle, &mut meter, net);
-            let tripped = item.0.is_err();
-            done.push(item);
-            if tripped {
-                break;
-            }
-        }
-        done
-    };
-    // Usage and the oracle counts add up in name order.
-    let mut work = OracleWork::default();
-    let mut chosen: BTreeMap<&str, Route> = BTreeMap::new();
-    for (&(name, _), (path, spent)) in named.iter().zip(initial) {
-        work += spent;
-        match path {
-            Ok(Some(points)) => {
-                let route = Route::new(&graph, points);
-                add_usage(&mut usage, route.slots.iter().copied());
-                chosen.insert(name, route);
-            }
-            // Unreachable terminals: the full planner decides later.
-            Ok(None) => {}
-            Err(_) => {
-                budget_exhausted = true;
-                break;
-            }
-        }
-    }
-    span_end(&telemetry, "flow.oracle_ns", started);
-
-    // Phase 2 — rip-up-and-reroute of overflow offenders, worst
-    // overflow contribution first, ties by net name ascending. A net
-    // that proposes a geometry it already had is restored and frozen;
-    // the others carry on. It charges the flow meter phase 1 left.
-    let started = span_start();
-    let mut oracle = PricedOracle::new(&adjacency);
-    let mut tried: BTreeMap<&str, BTreeSet<PathKey>> = BTreeMap::new();
-    let mut frozen: BTreeSet<&str> = BTreeSet::new();
-    let mut ripups = 0u64;
-    let ripup_cap = 16 * (nets.len() as u64 + 4);
-    while !budget_exhausted && ripups < ripup_cap {
-        // Worst offender: the unfrozen net whose path crosses the most
-        // overflow. Iterating the name-keyed map with a strict `>` keeps
-        // the lexicographically smallest name on ties.
-        let mut offender: Option<(&str, u64)> = None;
-        for (&name, route) in &chosen {
-            if frozen.contains(name) {
-                continue;
-            }
-            let contribution: u64 = route
-                .slots
-                .iter()
-                .map(|&s| match cap[s] {
-                    Some(c) if usage[s] > c => u64::from(usage[s] - c),
-                    _ => 0,
-                })
-                .sum();
-            if contribution > 0 && offender.is_none_or(|(_, best)| contribution > best) {
-                offender = Some((name, contribution));
-            }
-        }
-        let Some((name, _)) = offender else { break };
-        let (Some(old), Some(net)) = (chosen.remove(name), by_name.get(name)) else {
-            break;
-        };
-        remove_usage(&mut usage, old.slots.iter().copied());
-        // Saturation weights: an edge at or over capacity costs one
-        // penalty per unit of usage past capacity − 1.
-        let weight = |s: usize| -> f64 {
-            match cap[s] {
-                Some(c) if usage[s] >= c => 1.0 + SATURATION_PENALTY * f64::from(usage[s] - c + 1),
-                _ => 1.0,
-            }
-        };
-        let rerouted = oracle.path(net.source, net.sink, weight, &mut meter);
-        let seen = tried.entry(name).or_default();
-        let route = match rerouted {
-            Ok(Some(new_points)) if new_points != old.points && !seen.contains(&new_points) => {
-                seen.insert(old.points);
-                ripups += 1;
-                Route::new(&graph, new_points)
-            }
-            // Cycling between known geometries (or, impossibly, no
-            // route where one was): keep the old one, stop moving it.
-            Ok(_) => {
-                frozen.insert(name);
-                old
-            }
-            Err(_) => {
-                budget_exhausted = true;
-                old
-            }
-        };
-        add_usage(&mut usage, route.slots.iter().copied());
-        chosen.insert(name, route);
-    }
-    work += oracle.work;
-    span_end(&telemetry, "flow.ripup_ns", started);
-
-    // Phase 3 — per-net corridor legalization through the exact
-    // searches, on the planner's workers. Failpoints are captured once
-    // and re-installed per net, as the commit scheduler does; one job
-    // runs inline. Each net's result is independent of every other net
-    // (reservation off), and each net's inner planner records into its
-    // own shard, replayed here in net order, so declaration order
-    // controls emission order and nothing else.
-    let started = span_start();
+    // One fan-out per run: `jobs − 1` helpers beside the calling thread,
+    // which runs the three phases. Failpoints are captured once and
+    // re-installed per legalized net, as the commit scheduler does; one
+    // job runs everything inline.
     let jobs = planner.job_count();
-    let inherited = (jobs > 1 && nets.len() > 1).then(failpoint::capture);
-    let legalized = workers::map_indexed(
-        jobs,
-        nets.len(),
-        inherited.as_ref(),
-        || (),
-        |_, i| {
-            let net = &nets[i];
-            let shard = telemetry.as_ref().map(|_| Arc::new(TelemetryShard::new()));
-            let sink = shard.as_ref().map(|s| SharedTelemetry::new(s.clone()));
-            let points = chosen.get(net.name.as_str()).map(|r| &r.points);
-            let result = legalize(&planner, &graph, net, points, &sink);
-            (result, shard)
-        },
-    );
+    let helpers = if nets.len() > 1 {
+        jobs.min(nets.len()) - 1
+    } else {
+        0
+    };
+    let inherited = (helpers > 0).then(failpoint::capture);
+    // Phase 1 goes to the helpers too when no budget can trip.
+    let cells: Vec<OnceLock<(Initial, OracleWork)>> = if helpers > 0 && budget.is_unlimited() {
+        named.iter().map(|_| OnceLock::new()).collect()
+    } else {
+        Vec::new()
+    };
+    let cursor = AtomicUsize::new(0);
+    let board = OrderedMutex::new(LockRank::FlowBoard, "flow.board", Board::new());
+    let wake = OrderedCondvar::new();
+    let legalize_one = |i: usize, geometry: Option<&Route>| {
+        legalize_net(&planner, &graph, &nets[i], geometry, &telemetry)
+    };
+
+    let helper = |crew: &Crew<'_>| {
+        if !cells.is_empty() {
+            let mut oracle = PricedOracle::new(&adjacency);
+            let mut meter = BudgetMeter::new(budget, SearchStage::Flow);
+            route_initial(&mut oracle, &mut meter, &named, &cursor, &cells);
+        }
+        legalize_from_board(&board, &wake, crew, legalize_one);
+    };
+
+    let caller = |crew: &Crew<'_>| -> Routed<'_> {
+        let _close = CloseBoard {
+            board: &board,
+            wake: &wake,
+        };
+        let mut meter = BudgetMeter::new(budget, SearchStage::Flow);
+        let mut budget_exhausted = false;
+
+        // Phase 1 — every net's unpriced shortest path. Each path is a
+        // function of the net's terminals alone, so when no budget can
+        // trip the caller and the helpers take the nets off a shared
+        // cursor, one oracle each; the caller then routes any net still
+        // in flight on a helper itself rather than wait for it. A budget
+        // that can trip must trip at the pop one job trips at, which
+        // depends on every call before it: then one oracle and the flow
+        // meter route the nets in name order and stop at the first trip.
+        let started = span_start();
+        let mut oracle = PricedOracle::new(&adjacency);
+        let initial: Vec<(Initial, OracleWork)> = if cells.is_empty() {
+            let mut done = Vec::with_capacity(named.len());
+            for &(_, net) in &named {
+                let item = initial_path(&mut oracle, &mut meter, net);
+                let tripped = item.0.is_err();
+                done.push(item);
+                if tripped {
+                    break;
+                }
+            }
+            done
+        } else {
+            let mut own = BudgetMeter::new(budget, SearchStage::Flow);
+            route_initial(&mut oracle, &mut own, &named, &cursor, &cells);
+            cells
+                .iter()
+                .zip(&named)
+                .map(|(cell, &(_, net))| {
+                    cell.get_or_init(|| initial_path(&mut oracle, &mut own, net))
+                        .clone()
+                })
+                .collect()
+        };
+        // Usage and the oracle counts add up in name order.
+        let mut work = OracleWork::default();
+        let mut chosen: BTreeMap<&str, Arc<Route>> = BTreeMap::new();
+        for (&(name, _), (path, spent)) in named.iter().zip(initial) {
+            work += spent;
+            match path {
+                Ok(Some(points)) => {
+                    let route = Route::new(&graph, points);
+                    add_usage(&mut usage, route.slots.iter().copied());
+                    chosen.insert(name, Arc::new(route));
+                }
+                // Unreachable terminals: the full planner decides later.
+                Ok(None) => {}
+                Err(_) => {
+                    budget_exhausted = true;
+                    break;
+                }
+            }
+        }
+        span_end(&telemetry, "flow.oracle_ns", started);
+
+        // Phase 2 — rip-up-and-reroute of overflow offenders, worst
+        // overflow contribution first, ties by net name ascending. A net
+        // that proposes a geometry it already had is restored and
+        // frozen; the others carry on. It charges the flow meter phase 1
+        // left. After every scan the board gets each net's geometry and
+        // hint, so the helpers legalize while rip-up runs.
+        let started = span_start();
+        let before = oracle.work;
+        let mut tried: BTreeMap<&str, BTreeSet<PathKey>> = BTreeMap::new();
+        let mut frozen: BTreeSet<&str> = BTreeSet::new();
+        let mut ripups = 0u64;
+        let ripup_cap = 16 * (nets.len() as u64 + 4);
+        // Each net's hint, by net index; a net without a geometry is final.
+        let mut hints = vec![Hint::Frozen; nets.len()];
+        let mut posted = false;
+        let mut moved: Option<&str> = None;
+        loop {
+            // Worst offender: the unfrozen net whose path crosses the
+            // most overflow. Iterating the name-keyed map with a strict
+            // `>` keeps the lexicographically smallest name on ties.
+            let going = !budget_exhausted && ripups < ripup_cap;
+            let mut offender: Option<(&str, u64)> = None;
+            for (&name, route) in &chosen {
+                let hint = if frozen.contains(name) {
+                    Hint::Frozen
+                } else {
+                    let contribution: u64 = route
+                        .slots
+                        .iter()
+                        .map(|&s| match cap[s] {
+                            Some(c) if usage[s] > c => u64::from(usage[s] - c),
+                            _ => 0,
+                        })
+                        .sum();
+                    if going
+                        && contribution > 0
+                        && offender.is_none_or(|(_, best)| contribution > best)
+                    {
+                        offender = Some((name, contribution));
+                    }
+                    if contribution > 0 {
+                        Hint::Offending
+                    } else {
+                        Hint::Clear
+                    }
+                };
+                for &i in name_nets.get(name).into_iter().flatten() {
+                    hints[i] = hint;
+                }
+            }
+            {
+                let mut b = board.lock();
+                if posted {
+                    if let Some(name) = moved.take() {
+                        let geometry = chosen.get(name).cloned();
+                        for &i in name_nets.get(name).into_iter().flatten() {
+                            b.update(i, geometry.clone());
+                        }
+                    }
+                    for (i, &hint) in hints.iter().enumerate() {
+                        b.hint(i, hint);
+                    }
+                } else {
+                    b.post(
+                        nets.iter()
+                            .zip(&hints)
+                            .map(|(net, &hint)| (chosen.get(net.name.as_str()).cloned(), hint)),
+                    );
+                    posted = true;
+                }
+                if offender.is_none() {
+                    b.settle();
+                }
+                if b.waiting > 0 && (offender.is_none() || b.has_idle()) {
+                    wake.notify_all();
+                }
+            }
+            let Some((name, _)) = offender else { break };
+            let (Some(old), Some(net)) = (chosen.remove(name), by_name.get(name)) else {
+                board.lock().settle();
+                break;
+            };
+            remove_usage(&mut usage, old.slots.iter().copied());
+            // Saturation weights: an edge at or over capacity costs one
+            // penalty per unit of usage past capacity − 1.
+            let weight = |s: usize| -> f64 {
+                match cap[s] {
+                    Some(c) if usage[s] >= c => {
+                        1.0 + SATURATION_PENALTY * f64::from(usage[s] - c + 1)
+                    }
+                    _ => 1.0,
+                }
+            };
+            let rerouted = oracle.path(net.source, net.sink, weight, &mut meter);
+            let seen = tried.entry(name).or_default();
+            let route = match rerouted {
+                Ok(Some(new_points)) if new_points != old.points && !seen.contains(&new_points) => {
+                    seen.insert(old.points.clone());
+                    ripups += 1;
+                    moved = Some(name);
+                    Arc::new(Route::new(&graph, new_points))
+                }
+                // Cycling between known geometries (or, impossibly, no
+                // route where one was): keep the old one, stop moving it.
+                Ok(_) => {
+                    frozen.insert(name);
+                    old
+                }
+                Err(_) => {
+                    budget_exhausted = true;
+                    old
+                }
+            };
+            add_usage(&mut usage, route.slots.iter().copied());
+            chosen.insert(name, route);
+        }
+        work += oracle.work.since(before);
+        span_end(&telemetry, "flow.ripup_ns", started);
+
+        // Phase 3 — the nets no speculation covered, legalized by the
+        // caller and the helpers together.
+        let legalize_started = span_start();
+        loop {
+            let Some(ticket) = board.lock().take() else {
+                break;
+            };
+            let done = crew.item(|| legalize_one(ticket.net, ticket.geometry.as_deref()));
+            board.lock().finish(ticket, done);
+        }
+        Routed {
+            chosen,
+            ripups,
+            budget_exhausted,
+            work,
+            legalize_started,
+        }
+    };
+
+    let Routed {
+        chosen,
+        ripups,
+        budget_exhausted,
+        work,
+        legalize_started,
+    } = workers::beside(helpers, inherited.as_ref(), helper, caller);
+
+    // Every net's result is a function of its name's final geometry, so
+    // a speculation that survived is what legalizing now would give.
+    // Shards are replayed in net order, so declaration order controls
+    // emission order and nothing else; those of discarded speculations
+    // were dropped with them.
+    let (kept, reused, voided) = board.into_inner().into_results();
     let mut results: Vec<NetResult> = Vec::with_capacity(nets.len());
-    for (result, shard) in legalized {
+    for (i, kept) in kept.into_iter().enumerate() {
+        debug_assert!(kept.is_some(), "net {i} left the board unlegalized");
+        let (result, shard) = kept
+            .unwrap_or_else(|| legalize_one(i, chosen.get(nets[i].name.as_str()).map(|r| &**r)));
         if let (Some(t), Some(shard)) = (&telemetry, shard) {
             t.replay(&shard);
         }
         results.push(result);
     }
-    span_end(&telemetry, "flow.legalize_ns", started);
+    span_end(&telemetry, "flow.legalize_ns", legalize_started);
+    // How many legalizations speculation saved or wasted depends on
+    // scheduling, so it is a trace event, never a counter or gauge.
+    th(&telemetry).event(
+        "flow.speculation",
+        &[
+            ("helpers", Value::U64(helpers as u64)),
+            ("nets", Value::U64(nets.len() as u64)),
+            ("reused", Value::U64(reused as u64)),
+            ("voided", Value::U64(voided as u64)),
+        ],
+    );
 
     // Final congestion is measured on the routes that actually shipped.
     usage.fill(0);

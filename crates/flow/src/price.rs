@@ -9,49 +9,30 @@
 //!
 //! The grid's [`Adjacency`] is built once per flow run, as `(neighbour,
 //! edge slot, length)` arcs in [`GridGraph::neighbors`] order, and
-//! shared by every oracle of the run: one per worker of the initial
-//! pass, one for rip-up. Each oracle reuses its distance, predecessor
-//! and heap buffers across calls; the multiplier is a function of the
-//! dense edge slot ([`GridGraph::edge_slot`]), so a relaxation is an
-//! array read, not a map lookup. The heap holds bare `u128` keys, a
-//! distance's bits above its node index ([`heap_key`]): one integer
-//! comparison per sift step, in exactly the order of the `f64::total_cmp`
-//! and node-id entries it replaced, so pops, stale pops and counters are
-//! unchanged.
+//! shared by every oracle of the run: one per thread of the run that
+//! routes. Each oracle reuses its distance, predecessor and queue
+//! buffers across calls; the multiplier is a function of the dense edge
+//! slot ([`GridGraph::edge_slot`]), so a relaxation is an array read,
+//! not a map lookup. The queue is core's [`DialQueue`], the calendar
+//! queue the exact searches pop from, with the node index as its tie
+//! key: it pops in exactly the `(distance, node)` order of the binary
+//! heap it replaced, so pops, stale pops and counters are unchanged.
+//! Its buckets are one shortest arc wide, so an unpriced search sorts
+//! only a few equal or near-equal distances per bucket, and a
+//! saturation-priced distance waits in the far list until the ring
+//! drains to it.
 //!
 //! Every pop and every relaxation charges the flow-phase
 //! [`BudgetMeter`], so a blown deadline surfaces as
 //! [`RouteError::BudgetExceeded`] from inside the loop (crlint CR005)
 //! and the caller degrades instead of hanging.
 
-use clockroute_core::{BudgetMeter, RouteError};
+use clockroute_core::{BudgetMeter, DialQueue, RouteError};
 use clockroute_geom::Point;
 use clockroute_grid::GridGraph;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// No predecessor, in [`PricedOracle`]'s `prev` array.
 const NO_PREV: u32 = u32::MAX;
-
-/// The heap key of `node` at priced distance `dist`: the distance's bits
-/// above the node index. For the non-negative finite distances the
-/// oracle produces, the bit order of an `f64` is its numeric order, so a
-/// min-heap on this key pops by distance, ties to the smaller node index
-/// — the order of `f64::total_cmp` then node id.
-#[inline]
-fn heap_key(dist: f64, node: u32) -> u128 {
-    debug_assert!(
-        dist >= 0.0 && dist.is_finite(),
-        "heap key needs a non-negative finite distance, got {dist}"
-    );
-    (u128::from(dist.to_bits()) << 32) | u128::from(node)
-}
-
-/// The distance and node index packed by [`heap_key`].
-#[inline]
-fn heap_entry(key: u128) -> (f64, u32) {
-    (f64::from_bits((key >> 32) as u64), key as u32)
-}
 
 /// One directed grid edge leaving a node.
 #[derive(Clone, Copy)]
@@ -72,6 +53,8 @@ pub(crate) struct Adjacency<'g> {
     arcs: Vec<OutEdge>,
     /// The grid point of each node index.
     points: Vec<Point>,
+    /// The shortest arc's length: the oracle queue's bucket width.
+    shortest: f64,
 }
 
 impl<'g> Adjacency<'g> {
@@ -102,11 +85,13 @@ impl<'g> Adjacency<'g> {
             }
         }
         first.push(arcs.len());
+        let shortest = arcs.iter().map(|a| a.length).fold(f64::INFINITY, f64::min);
         Adjacency {
             graph,
             first,
             arcs,
             points,
+            shortest,
         }
     }
 }
@@ -148,8 +133,8 @@ pub(crate) struct PricedOracle<'a> {
     dist: Vec<f64>,
     /// Predecessor node index, [`NO_PREV`] for none.
     prev: Vec<u32>,
-    /// Min-heap of [`heap_key`]s.
-    heap: BinaryHeap<Reverse<u128>>,
+    /// Node indices by priced distance, ties to the smaller index.
+    queue: DialQueue,
     pub(crate) work: OracleWork,
 }
 
@@ -161,7 +146,7 @@ impl<'a> PricedOracle<'a> {
             adjacency,
             dist: vec![f64::INFINITY; n],
             prev: vec![NO_PREV; n],
-            heap: BinaryHeap::new(),
+            queue: DialQueue::new(adjacency.shortest),
             work: OracleWork::default(),
         }
     }
@@ -191,6 +176,7 @@ impl<'a> PricedOracle<'a> {
             first,
             arcs,
             points,
+            shortest,
         } = self.adjacency;
         if !graph.contains(source) || !graph.contains(sink) {
             return Ok(None);
@@ -203,14 +189,13 @@ impl<'a> PricedOracle<'a> {
         };
         self.dist.fill(f64::INFINITY);
         self.prev.fill(NO_PREV);
-        self.heap.clear();
+        self.queue.reset(*shortest);
         self.dist[s as usize] = 0.0;
-        self.heap.push(Reverse(heap_key(0.0, s)));
+        self.queue.push(0.0, u64::from(s), s);
 
-        while let Some(Reverse(key)) = self.heap.pop() {
+        while let Some((d, u)) = self.queue.pop_keyed() {
             self.work.pops += 1;
             meter.charge_pop(0)?;
-            let (d, u) = heap_entry(key);
             if d > self.dist[u as usize] {
                 continue;
             }
@@ -225,7 +210,7 @@ impl<'a> PricedOracle<'a> {
                 if nd < self.dist[v] {
                     self.dist[v] = nd;
                     self.prev[v] = u;
-                    self.heap.push(Reverse(heap_key(nd, arc.to)));
+                    self.queue.push(nd, u64::from(arc.to), arc.to);
                 }
             }
         }
@@ -254,7 +239,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::cmp::Ordering;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BinaryHeap};
     use std::time::Duration;
 
     /// The reference model's heap entry: an `Ord`-trait min-heap on
@@ -307,7 +292,7 @@ mod tests {
     }
 
     /// The reference model: the oracle as it was before the edge-slot
-    /// layout and the packed heap keys, with `Ord`-trait heap entries,
+    /// layout and the dial queue, with `Ord`-trait heap entries,
     /// the multiplier a closure over point pairs looked up in a
     /// `BTreeMap`, fresh buffers per call, and counters for the pops and
     /// relaxations it charges.

@@ -29,11 +29,11 @@
 //! one is how the table is regenerated after an intended change.
 
 use clockroute_cli::{report, scenario};
-use clockroute_core::{MetricsRecorder, SearchBudget};
+use clockroute_core::{failpoint, MetricsRecorder, SearchBudget};
 use clockroute_elmore::GateLibrary;
 use clockroute_flow::{FlowConfig, FlowMode, FlowPlan, PlannerFlowExt};
 use clockroute_grid::GridGraph;
-use clockroute_plan::{Planner, SharedTelemetry};
+use clockroute_plan::{Degradation, Planner, SharedTelemetry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -288,6 +288,62 @@ fn unlimited_runs_do_the_same_oracle_work_at_every_job_count() {
             assert_eq!(oracle_counters(&metrics), one, "case {n} jobs {jobs}");
         }
     }
+}
+
+/// Above one job, helpers legalize nets while rip-up runs, and rip-up
+/// moves some of them again: their speculations are voided, and the
+/// telemetry those recorded is dropped with them. On every unlimited
+/// walled instance the whole metrics export — every counter and gauge,
+/// not only the oracle's — equals one job's.
+#[test]
+fn unlimited_walled_metrics_are_identical_at_every_job_count() {
+    for i in 0..INSTANCES {
+        let seed = BASE_SEED + i;
+        let text = walled(seed);
+        let one = flow_metered(&text, SearchBudget::unlimited(), 1)
+            .1
+            .to_json();
+        for jobs in &JOBS[1..] {
+            let (_, metrics) = flow_metered(&text, SearchBudget::unlimited(), *jobs);
+            assert_eq!(metrics.to_json(), one, "seed {seed} jobs {jobs}");
+        }
+    }
+}
+
+/// With `plan::net=panic@1+` armed every legalization attempt panics
+/// inside the planner's panic boundary. Above one job the failpoints
+/// are re-installed for each net on whichever thread legalizes it,
+/// speculation and the calling thread's share included, so 2 and 4 jobs
+/// ship the plan and the metrics one job ships.
+#[test]
+fn sticky_net_panics_match_one_job() {
+    let texts = [
+        shipped("flow_spread.cr"),
+        walled(BASE_SEED),
+        walled(BASE_SEED + 3),
+    ];
+    failpoint::disarm_all();
+    failpoint::arm_from_spec("plan::net=panic@1+").expect("failpoint spec parses");
+    for (n, text) in texts.iter().enumerate() {
+        let (one, one_metrics) = flow_metered(text, SearchBudget::unlimited(), 1);
+        assert!(
+            one.plan()
+                .results()
+                .iter()
+                .all(|r| r.error.is_some() || r.degradation != Degradation::None),
+            "case {n}: a full timing search answered"
+        );
+        for jobs in &JOBS[1..] {
+            let (fp, metrics) = flow_metered(text, SearchBudget::unlimited(), *jobs);
+            assert_eq!(fp, one, "case {n} jobs {jobs}");
+            assert_eq!(
+                metrics.to_json(),
+                one_metrics.to_json(),
+                "case {n} jobs {jobs}"
+            );
+        }
+    }
+    failpoint::disarm_all();
 }
 
 fn check_golden(jobs: usize, out: &str) {

@@ -123,11 +123,7 @@ impl BlockageMap {
     /// Panics (in debug builds) if `a` and `b` are not grid-adjacent.
     pub fn is_edge_blocked(&self, a: Point, b: Point) -> bool {
         debug_assert!(a.is_adjacent(b), "{a} and {b} are not adjacent");
-        let (lo, dir) = if a.x != b.x {
-            (if a.x < b.x { a } else { b }, EdgeDir::East)
-        } else {
-            (if a.y < b.y { a } else { b }, EdgeDir::North)
-        };
+        let (lo, dir) = lower_end(a, b);
         match dir {
             EdgeDir::East => self.east_blocked[self.idx(lo)],
             EdgeDir::North => self.north_blocked[self.idx(lo)],
@@ -167,15 +163,47 @@ impl BlockageMap {
     /// Removes the grid edge between adjacent points `a` and `b`.
     pub fn block_edge(&mut self, a: Point, b: Point) {
         assert!(a.is_adjacent(b), "{a} and {b} are not adjacent");
-        let (lo, dir) = if a.x != b.x {
-            (if a.x < b.x { a } else { b }, EdgeDir::East)
-        } else {
-            (if a.y < b.y { a } else { b }, EdgeDir::North)
-        };
+        let (lo, dir) = lower_end(a, b);
         let i = self.idx(lo);
         match dir {
             EdgeDir::East => self.east_blocked[i] = true,
             EdgeDir::North => self.north_blocked[i] = true,
+        }
+    }
+
+    /// A copy of this map with every grid edge removed except the edges
+    /// `open` names, which keep the state they have here: the corridor
+    /// that confines a route to those edges. Built in one pass over the
+    /// edge arrays; an `open` pair that is not a grid edge opens nothing.
+    pub fn corridor(&self, open: impl IntoIterator<Item = (Point, Point)>) -> BlockageMap {
+        let w = self.width as usize;
+        let h = self.height as usize;
+        // Every edge blocked; the unused border entries (east of the
+        // last column, north of the last row) keep their state.
+        let mut east_blocked = self.east_blocked.clone();
+        for row in east_blocked.chunks_exact_mut(w) {
+            row[..w - 1].fill(true);
+        }
+        let mut north_blocked = self.north_blocked.clone();
+        north_blocked[..w * (h - 1)].fill(true);
+        for (a, b) in open {
+            if !a.is_adjacent(b) || a.x.max(b.x) >= self.width || a.y.max(b.y) >= self.height {
+                continue;
+            }
+            let (lo, dir) = lower_end(a, b);
+            let i = self.idx(lo);
+            match dir {
+                EdgeDir::East => east_blocked[i] = self.east_blocked[i],
+                EdgeDir::North => north_blocked[i] = self.north_blocked[i],
+            }
+        }
+        BlockageMap {
+            width: self.width,
+            height: self.height,
+            node_blocked: self.node_blocked.clone(),
+            register_blocked: self.register_blocked.clone(),
+            east_blocked,
+            north_blocked,
         }
     }
 
@@ -206,6 +234,16 @@ impl BlockageMap {
     pub fn blocked_edge_count(&self) -> usize {
         self.east_blocked.iter().filter(|&&b| b).count()
             + self.north_blocked.iter().filter(|&&b| b).count()
+    }
+}
+
+/// The lower endpoint of the edge between adjacent points `a` and `b`,
+/// and the direction the edge leaves it in.
+fn lower_end(a: Point, b: Point) -> (Point, EdgeDir) {
+    if a.x != b.x {
+        (if a.x < b.x { a } else { b }, EdgeDir::East)
+    } else {
+        (if a.y < b.y { a } else { b }, EdgeDir::North)
     }
 }
 
@@ -241,6 +279,26 @@ mod tests {
         assert!(map.is_node_blocked(Point::new(4, 5)));
         assert!(!map.is_node_blocked(Point::new(5, 5)));
         assert_eq!(map.blocked_node_count(), 3 * 4);
+    }
+
+    #[test]
+    fn corridor_keeps_only_the_open_edges() {
+        let mut map = BlockageMap::new(4, 3);
+        map.block_node(Point::new(2, 1));
+        map.block_edge(Point::new(0, 0), Point::new(0, 1));
+        let open = [
+            (Point::new(0, 0), Point::new(1, 0)),
+            (Point::new(0, 1), Point::new(0, 0)),
+            // Not grid edges: off the grid, and not adjacent.
+            (Point::new(3, 0), Point::new(4, 0)),
+            (Point::new(0, 0), Point::new(1, 1)),
+        ];
+        let c = map.corridor(open);
+        assert!(!c.is_edge_blocked(Point::new(0, 0), Point::new(1, 0)));
+        // An open edge keeps its state: this one was already removed.
+        assert!(c.is_edge_blocked(Point::new(0, 0), Point::new(0, 1)));
+        assert_eq!(c.blocked_edge_count(), 3 * 3 + 4 * 2 - 1);
+        assert!(c.is_node_blocked(Point::new(2, 1)));
     }
 
     #[test]

@@ -257,6 +257,20 @@ impl GridGraph {
         Some(2 * self.node(lo).index() + dir)
     }
 
+    /// This grid with every edge blocked except the edges in `slots`,
+    /// which keep the state they have here ([`BlockageMap::corridor`]):
+    /// the grid a route confined to those edges is searched on. Slots
+    /// that name no edge open nothing.
+    pub fn corridor(&self, slots: impl IntoIterator<Item = usize>) -> GridGraph {
+        GridGraph {
+            blockage: self
+                .blockage
+                .corridor(slots.into_iter().filter_map(|s| self.slot_edge(s))),
+            pitch_x: self.pitch_x,
+            pitch_y: self.pitch_y,
+        }
+    }
+
     /// The endpoints `(lower, upper)` of the edge in `slot`, the inverse
     /// of [`GridGraph::edge_slot`]; `None` for a slot past the grid's
     /// east or north border.
@@ -396,6 +410,43 @@ mod tests {
     #[should_panic(expected = "pitch must be positive")]
     fn zero_pitch_rejected() {
         let _ = GridGraph::new(BlockageMap::new(2, 2), Length::ZERO, pitch());
+    }
+
+    /// The corridor equals the grid with every edge outside `slots`
+    /// blocked one `block_edge` call at a time, blockages included.
+    #[test]
+    fn corridor_equals_blocking_every_other_edge() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xC0_221D);
+        for _ in 0..200 {
+            let (w, h) = (rng.gen_range(1u32..=8), rng.gen_range(1u32..=8));
+            let mut blk = BlockageMap::new(w, h);
+            for y in 0..h {
+                for x in 0..w {
+                    let p = Point::new(x, y);
+                    if rng.gen_range(0u32..6) == 0 {
+                        blk.block_node(p);
+                    }
+                    for q in [Point::new(x + 1, y), Point::new(x, y + 1)] {
+                        if q.x < w && q.y < h && rng.gen_range(0u32..5) == 0 {
+                            blk.block_edge(p, q);
+                        }
+                    }
+                }
+            }
+            let g = GridGraph::new(blk, pitch(), Length::from_um(250.0));
+            let open: Vec<usize> = (0..g.edge_slots())
+                .filter(|_| rng.gen_range(0u32..4) == 0)
+                .collect();
+            let mut want = g.clone();
+            for s in 0..g.edge_slots() {
+                if let (false, Some((p, q))) = (open.contains(&s), g.slot_edge(s)) {
+                    want.blockage_mut().block_edge(p, q);
+                }
+            }
+            assert_eq!(g.corridor(open.iter().copied()), want);
+        }
     }
 
     #[test]

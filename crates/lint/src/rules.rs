@@ -39,8 +39,9 @@ const CR007_EXEMPT_FILES: [&str; 1] = ["crates/service/src/frame.rs"];
 
 /// The threaded crates where CR009–CR010 enforce lock discipline (the
 /// raw-lock ban, CR008, is clippy's and covers every crate).
-const LOCK_DISCIPLINE_PATHS: [&str; 3] = [
+const LOCK_DISCIPLINE_PATHS: [&str; 4] = [
     "crates/core/src/",
+    "crates/flow/src/",
     "crates/plan/src/",
     "crates/service/src/",
 ];

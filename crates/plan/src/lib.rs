@@ -520,8 +520,8 @@ impl Planner {
 
     /// Sets the number of worker threads for speculative parallel
     /// planning and warm starts (default 1: nets are routed inline, one
-    /// at a time). Flow mode (`clockroute-flow`) runs its per-net
-    /// legalization on the same workers. The plan is
+    /// at a time). Flow mode (`clockroute-flow`) runs `jobs − 1` helper
+    /// threads beside its calling thread. The plan is
     /// bit-identical for any job count; see the module docs for the
     /// commit protocol. Values below 1 are clamped to 1.
     pub fn jobs(mut self, n: usize) -> Planner {

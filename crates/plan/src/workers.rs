@@ -1,10 +1,15 @@
-//! The one worker loop of the workspace.
+//! The worker fan-outs of the workspace.
 //!
-//! Every fan-out — the commit scheduler's speculative routing
-//! ([`Planner::jobs`](crate::Planner::jobs)) and flow mode's initial
-//! routing and legalization (`clockroute-flow`) — runs through
-//! [`map_indexed`], so thread creation, failpoint inheritance and the
-//! lock-free pin live in one place.
+//! Every fan-out runs through this module, so thread creation,
+//! failpoint inheritance and the lock-free pin live in one place. There
+//! are two shapes:
+//!
+//! * [`map_indexed`] — a fixed list of independent items on a shared
+//!   cursor, results in index order: the commit scheduler's speculative
+//!   routing ([`Planner::jobs`](crate::Planner::jobs)).
+//! * [`beside`] — helpers that consume work while the calling thread
+//!   produces it: flow mode (`clockroute-flow`) routes and legalizes
+//!   nets on the helpers while the caller rips up, one fan-out per run.
 
 use clockroute_core::failpoint::{self, ArmedSet};
 use clockroute_core::lockcheck;
@@ -80,6 +85,75 @@ where
     done.into_iter().map(|(_, t)| t).collect()
 }
 
+/// The failpoints a [`beside`] fan-out runs its units of work under.
+#[derive(Debug)]
+pub struct Crew<'a> {
+    inherited: Option<&'a ArmedSet>,
+}
+
+impl Crew<'_> {
+    /// Runs one unit of work. With inherited failpoints they are
+    /// re-installed first, so hit counts restart with each unit on
+    /// whichever thread runs it, as [`map_indexed`]'s workers do with
+    /// each item; without them the unit runs under the calling thread's
+    /// own failpoints.
+    pub fn item<T>(&self, work: impl FnOnce() -> T) -> T {
+        if let Some(inherited) = self.inherited {
+            failpoint::install(inherited);
+        }
+        work()
+    }
+}
+
+/// Puts the calling thread's own failpoints back when a [`beside`]
+/// fan-out ends, however it ends.
+struct RestoreFailpoints(ArmedSet);
+
+impl Drop for RestoreFailpoints {
+    fn drop(&mut self) {
+        failpoint::install(&self.0);
+    }
+}
+
+/// Runs `caller` on the calling thread beside `helpers` scoped worker
+/// threads, each running `helper` once, and returns `caller`'s result
+/// after every helper has returned.
+///
+/// Caller and helpers hand work to each other through state the caller
+/// owns (flow mode's board is a ranked lock and condvar); helpers start
+/// lock-free, and `caller` must let them finish — a helper that waits
+/// for work has to be told when there is no more, on unwinding too.
+/// Units of work run through [`Crew::item`] on every thread. Without
+/// `inherited` failpoints no helper starts and `caller` runs alone
+/// under its own failpoints: the one-job path. With them, the caller's
+/// units re-install them too, and the calling thread's own failpoints
+/// are put back when the fan-out ends.
+pub fn beside<R>(
+    helpers: usize,
+    inherited: Option<&ArmedSet>,
+    helper: impl Fn(&Crew<'_>) + Sync,
+    caller: impl FnOnce(&Crew<'_>) -> R,
+) -> R {
+    let crew = Crew { inherited };
+    if inherited.is_none() {
+        return caller(&crew);
+    }
+    let _restore = RestoreFailpoints(failpoint::capture());
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "flow mode's fan-out is an audited thread seam (CR004)"
+    )]
+    std::thread::scope(|s| {
+        for _ in 0..helpers {
+            s.spawn(|| {
+                lockcheck::assert_lock_free("workers::beside");
+                helper(&crew);
+            });
+        }
+        caller(&crew)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,6 +178,51 @@ mod tests {
             s.clone()
         });
         assert_eq!(seen[4], vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn beside_runs_helpers_and_restores_the_callers_failpoints() {
+        use std::sync::atomic::AtomicU64;
+        failpoint::disarm_all();
+        failpoint::arm_sticky("test::beside", FailAction::NoRoute, 2);
+        let inherited = failpoint::capture();
+        failpoint::disarm_all();
+        failpoint::arm("test::own", FailAction::Panic, 5);
+        let helped = AtomicU64::new(0);
+        let fired = beside(
+            3,
+            Some(&inherited),
+            |crew| {
+                // Each unit restarts the count: the second hit fires.
+                let f = crew.item(|| {
+                    [
+                        failpoint::hit("test::beside"),
+                        failpoint::hit("test::beside"),
+                    ]
+                });
+                assert_eq!(f, [None, Some(FailAction::NoRoute)]);
+                helped.fetch_add(1, Ordering::Relaxed);
+            },
+            |crew| crew.item(|| failpoint::hit("test::beside")),
+        );
+        assert_eq!(fired, None);
+        assert_eq!(helped.load(Ordering::Relaxed), 3);
+        // The caller's own set is back, its hit count untouched.
+        assert_eq!(failpoint::hit("test::beside"), None);
+        assert_eq!(
+            (0..5).filter_map(|_| failpoint::hit("test::own")).count(),
+            1
+        );
+        failpoint::disarm_all();
+
+        // Without inherited failpoints nothing starts beside the caller.
+        let out = beside(
+            4,
+            None,
+            |_| unreachable!("no helper runs"),
+            |crew| crew.item(|| 7),
+        );
+        assert_eq!(out, 7);
     }
 
     #[test]

@@ -49,13 +49,15 @@ cargo run --release -p clockroute-bench --bin corebench -- --check
 cargo run --release -p clockroute-bench --bin flowbench -- --check
 # Flow identity across workers: on every shipped congested scenario,
 # `crplan --flow` must print the same report and write the same metrics
-# at 1, 2 and 4 jobs (initial routing and legalization fan out to the
-# workers; see DESIGN.md §17).
+# at 1, 2 and 4 jobs (initial routing and legalization run on helper
+# threads, speculatively while rip-up runs; see DESIGN.md §17).
+# `flow_wall.cr` is the one whose rip-up moves nets the helpers have
+# already legalized.
 cargo build --release -q -p clockroute-cli
 (
     tmp=$(mktemp -d)
     trap 'rm -rf "$tmp"' EXIT
-    for scn in spread bridges mesh; do
+    for scn in spread bridges mesh wall; do
         for jobs in 1 2 4; do
             target/release/crplan "scenarios/flow_$scn.cr" --flow --jobs "$jobs" \
                 --metrics "$tmp/$jobs.json" >"$tmp/$jobs.out"

@@ -164,6 +164,7 @@ impl BudgetMeter {
     }
 
     /// Accounts for one candidate pop. Returns `Err` when a limit trips.
+    #[inline]
     pub fn charge_pop(&mut self, arena_len: usize) -> Result<(), RouteError> {
         self.popped += 1;
         if self.budget.is_unlimited() {

@@ -413,14 +413,8 @@ fn flow_priced(planner: Planner, nets: &[NetSpec], caps: &EdgeCapacities) -> Flo
     // Per-edge state, dense over `GridGraph::edge_slot` and allocated
     // once per run: capacity (`None` = unbounded) and usage (of the
     // chosen geometries, then of the shipped routes).
-    let slots = graph.edge_slots();
-    let mut cap: Vec<Option<u32>> = vec![None; slots];
-    for (a, b, c) in caps.capacitated_edges(&graph) {
-        if let Some(s) = graph.edge_slot(a, b) {
-            cap[s] = Some(c);
-        }
-    }
-    let mut usage = vec![0u32; slots];
+    let cap = caps.slot_caps(&graph);
+    let mut usage = vec![0u32; graph.edge_slots()];
     let adjacency = Adjacency::new(&graph);
     let budget = planner.search_budget();
     // A name routes, and is ripped up as, the first net declared under it.

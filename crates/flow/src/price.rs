@@ -59,28 +59,41 @@ pub(crate) struct Adjacency<'g> {
 
 impl<'g> Adjacency<'g> {
     /// The arcs of `graph` as `(neighbour, slot, length)`, in
-    /// [`GridGraph::neighbors`] order.
+    /// [`GridGraph::neighbors`] order, read straight off the blockage
+    /// bitmaps.
     pub(crate) fn new(graph: &'g GridGraph) -> Adjacency<'g> {
+        let (w, h) = (graph.width(), graph.height());
+        let (east, north) = graph.blockage().edge_bitmaps();
+        let (pitch_x, pitch_y) = (graph.pitch_x().um(), graph.pitch_y().um());
         let n = graph.node_count();
         let mut first = Vec::with_capacity(n + 1);
         let mut arcs = Vec::with_capacity(4 * n);
         let mut points = Vec::with_capacity(n);
-        for u in graph.nodes() {
-            first.push(arcs.len());
-            let pu = graph.point(u);
-            points.push(pu);
-            for v in graph.neighbors(u) {
-                // A neighbour is adjacent and on the grid: it always has
-                // a slot, and the grid's node count fits a `u32`.
-                if let (Some(slot), Ok(to)) = (
-                    graph.edge_slot(pu, graph.point(v)),
-                    u32::try_from(v.index()),
-                ) {
-                    arcs.push(OutEdge {
-                        to,
-                        slot,
-                        length: graph.edge_length(u, v).um(),
-                    });
+        let row = w as usize;
+        // Arcs to node `to` over edge `slot`; the grid's node count fits
+        // a `u32` (`NodeId`), so `to` does.
+        let arc = |to: usize, slot: usize, length: f64| OutEdge {
+            to: to as u32,
+            slot,
+            length,
+        };
+        for y in 0..h {
+            for x in 0..w {
+                let u = points.len();
+                first.push(arcs.len());
+                points.push(Point::new(x, y));
+                // West, east, south, north: the order of `neighbors`.
+                if x > 0 && !east[u - 1] {
+                    arcs.push(arc(u - 1, 2 * (u - 1), pitch_x));
+                }
+                if x + 1 < w && !east[u] {
+                    arcs.push(arc(u + 1, 2 * u, pitch_x));
+                }
+                if y > 0 && !north[u - row] {
+                    arcs.push(arc(u - row, 2 * (u - row) + 1, pitch_y));
+                }
+                if y + 1 < h && !north[u] {
+                    arcs.push(arc(u + row, 2 * u + 1, pitch_y));
                 }
             }
         }

@@ -130,6 +130,16 @@ impl BlockageMap {
         }
     }
 
+    /// The edge-blockage bitmaps `(east, north)`: entry `i` of `east`
+    /// blocks the edge from node `i` (row-major) to its east neighbour,
+    /// entry `i` of `north` the edge to its north neighbour. Entries of
+    /// the last column in `east` and of the last row in `north` name no
+    /// edge.
+    #[inline]
+    pub fn edge_bitmaps(&self) -> (&[bool], &[bool]) {
+        (&self.east_blocked, &self.north_blocked)
+    }
+
     /// Marks a single node as placement-blocked.
     pub fn block_node(&mut self, p: Point) {
         let i = self.idx(p);

@@ -110,6 +110,33 @@ impl EdgeCapacities {
         out.sort_by_key(|&(p, q, _)| edge_key(p, q));
         out
     }
+
+    /// The capacities of [`EdgeCapacities::capacitated_edges`] as a
+    /// dense array over [`GridGraph::edge_slot`]: `Some` on exactly the
+    /// usable edges that list holds, `None` on every other slot.
+    pub fn slot_caps(&self, graph: &GridGraph) -> Vec<Option<u32>> {
+        let blockage = graph.blockage();
+        let mut caps = vec![None; graph.edge_slots()];
+        if let Some(default) = self.default_cap {
+            for (slot, cap) in caps.iter_mut().enumerate() {
+                if graph
+                    .slot_edge(slot)
+                    .is_some_and(|(a, b)| !blockage.is_edge_blocked(a, b))
+                {
+                    *cap = Some(default);
+                }
+            }
+        }
+        for (&(ax, ay, bx, by), &c) in &self.overrides {
+            let (a, b) = (Point::new(ax, ay), Point::new(bx, by));
+            if let Some(slot) = graph.edge_slot(a, b) {
+                if !blockage.is_edge_blocked(a, b) {
+                    caps[slot] = Some(c);
+                }
+            }
+        }
+        caps
+    }
 }
 
 #[cfg(test)]
@@ -174,5 +201,42 @@ mod tests {
         g.blockage_mut()
             .block_edge(Point::new(0, 0), Point::new(1, 0));
         assert_eq!(caps.capacitated_edges(&g).len(), 6);
+    }
+
+    proptest::proptest! {
+        /// The dense array holds exactly the sorted list's capacities,
+        /// blocked edges and off-grid overrides included. `default` 4
+        /// and `north` 0 stand for "none" and "east".
+        #[test]
+        fn slot_caps_equal_the_capacitated_edges(
+            w in 1u32..7,
+            h in 1u32..7,
+            default in 0u32..5,
+            blocked in proptest::collection::vec((0u32..7, 0u32..7, 0u32..2), 0..12),
+            overrides in proptest::collection::vec((0u32..8, 0u32..8, 0u32..2, 0u32..4), 0..12),
+        ) {
+            let up = |x: u32, y: u32, north: u32| {
+                if north == 1 { Point::new(x, y + 1) } else { Point::new(x + 1, y) }
+            };
+            let mut g = GridGraph::open(w, h, Length::from_um(125.0));
+            for (x, y, north) in blocked {
+                let q = up(x, y, north);
+                if q.x < w && q.y < h {
+                    g.blockage_mut().block_edge(Point::new(x, y), q);
+                }
+            }
+            let mut caps = EdgeCapacities::new();
+            if default < 4 {
+                caps.set_default(default);
+            }
+            for (x, y, north, c) in overrides {
+                caps.set_edge(Point::new(x, y), up(x, y, north), c);
+            }
+            let mut want = vec![None; g.edge_slots()];
+            for (a, b, c) in caps.capacitated_edges(&g) {
+                want[g.edge_slot(a, b).unwrap()] = Some(c);
+            }
+            proptest::prop_assert_eq!(caps.slot_caps(&g), want);
+        }
     }
 }

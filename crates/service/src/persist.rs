@@ -20,10 +20,18 @@
 //! **Durability discipline.** Live inserts are appended (one record
 //! per insert, fsync'd), so a `kill -9` loses at most the torn tail
 //! record, which fails its checksum and is dropped on replay. Full
-//! rewrites (startup compaction and graceful shutdown) go through a
+//! rewrites (graceful shutdown, and startup compaction) go through a
 //! temp file + atomic rename, so a crash mid-rewrite leaves the old
-//! snapshot intact. A failed append is rolled back by truncating to
-//! the pre-append length, keeping the log parseable.
+//! snapshot intact. Startup compacts only a log that replay changed: a
+//! log that existed, dropped nothing and lost no record to a duplicate
+//! key or an eviction already is its own compaction, so its bytes stay
+//! and it is only synced. A failed append is rolled back by truncating
+//! to the pre-append length, keeping the log parseable.
+//!
+//! **Replay.** `replay` frames the file in one sequential pass, then
+//! checksums, decodes and re-verifies the records on
+//! [`workers::map_indexed`] workers and takes the results in file
+//! order, so the entries and counts do not depend on the worker count.
 //!
 //! **Trust discipline.** Snapshot bytes are *input*, not state: the
 //! loader is panic-free (every read bounds-checked, every count
@@ -49,9 +57,10 @@ use clockroute_elmore::{GateLibrary, Technology};
 use clockroute_geom::units::{CapPerLength, Length, ResPerLength, Time};
 use clockroute_geom::{BlockKind, Floorplan, Point, Rect};
 use clockroute_grid::EdgeCapacities;
-use clockroute_plan::{Degradation, NetKind, NetResult, NetSpec, TracedPlan};
+use clockroute_plan::{workers, Degradation, NetKind, NetResult, NetSpec, TracedPlan};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -91,6 +100,21 @@ pub struct RecoveredEntry {
     pub scenario: Scenario,
     /// The decoded solve.
     pub solved: Solved,
+}
+
+/// What a [`replay`] of a snapshot log found.
+#[derive(Debug)]
+pub(crate) struct Replay {
+    /// Every record that passed decode and re-verification, in file
+    /// order (least recent first).
+    pub(crate) entries: Vec<RecoveredEntry>,
+    /// What was recovered and what was refused.
+    pub(crate) stats: LoadStats,
+    /// `true` when the file exists with the current magic and replay
+    /// dropped nothing: its bytes are then exactly the magic followed
+    /// by each entry's record as read, in entry order, the layout a
+    /// [`rewrite`] writes.
+    pub(crate) compact: bool,
 }
 
 // ---------------------------------------------------------------------
@@ -695,7 +719,8 @@ pub struct SnapshotLog {
 
 impl SnapshotLog {
     /// Opens (creating if needed) the log in `dir` for appending.
-    /// The caller is expected to have compacted first ([`rewrite`]).
+    /// The caller is expected to have compacted first ([`rewrite`]),
+    /// or to have found the log already compact on replay.
     ///
     /// # Errors
     ///
@@ -712,6 +737,18 @@ impl SnapshotLog {
             len = MAGIC.len() as u64;
         }
         Ok(SnapshotLog { file, len })
+    }
+
+    /// Syncs the whole log to disk: what startup does in place of a
+    /// compaction when the log already is one, so that every record it
+    /// replayed is durable before it is served.
+    ///
+    /// # Errors
+    ///
+    /// The sync failure (an injected `serve::fsync` fault included).
+    pub(crate) fn sync(&self) -> io::Result<()> {
+        persist_fault("serve::fsync")?;
+        self.file.sync_data()
     }
 
     /// Appends one entry record and syncs it to disk. On any failure
@@ -839,51 +876,93 @@ pub fn rewrite(dir: &Path, entries: &[Vec<u8>]) -> io::Result<()> {
     Ok(())
 }
 
-/// Replays the snapshot in `dir`, returning every record that passes
-/// decode + re-verification, in file order (least recent first).
+/// Replays the snapshot in `dir` on up to `workers` threads, returning
+/// every record that passes decode + re-verification, in file order
+/// (least recent first).
 ///
 /// Corruption is *not* an error: torn tails, bit flips, bad lengths
 /// and failed verifications are counted in [`LoadStats::dropped`] and
 /// skipped. A missing file is an empty, zero-drop load.
 ///
+/// A sequential pass frames the records; one whose length is torn or
+/// implausible counts as one drop and ends it, since framing is lost
+/// there. The checksum, decode and re-verification of each framed
+/// record then run on [`workers::map_indexed`] workers, under the
+/// caller's failpoints captured once, and are taken in file order: the
+/// result is the same for every `workers`.
+///
 /// # Errors
 ///
 /// Only real I/O failures reading an existing file.
-pub fn load(dir: &Path) -> io::Result<(Vec<RecoveredEntry>, LoadStats)> {
-    let path = snapshot_file(dir);
-    let bytes = match fs::read(&path) {
+pub(crate) fn replay(dir: &Path, workers: usize) -> io::Result<Replay> {
+    let mut replay = Replay {
+        entries: Vec::new(),
+        stats: LoadStats::default(),
+        compact: false,
+    };
+    let bytes = match fs::read(snapshot_file(dir)) {
         Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return Ok((Vec::new(), LoadStats::default()))
-        }
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(replay),
         Err(e) => return Err(e),
     };
-    let mut stats = LoadStats::default();
-    let mut entries = Vec::new();
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
         // Stale format or truncated header: recover nothing, but count
         // the file as one dropped record so operators can see it.
         if !bytes.is_empty() {
-            stats.dropped += 1;
+            replay.stats.dropped += 1;
         }
-        return Ok((entries, stats));
+        return Ok(replay);
     }
+    let (records, torn) = frame_records(&bytes);
+    let inherited = (workers > 1).then(failpoint::capture);
+    let verified = workers::map_indexed(
+        workers,
+        records.len(),
+        inherited.as_ref(),
+        || (),
+        |_, k| {
+            let (span, stored) = &records[k];
+            let payload = &bytes[span.clone()];
+            if checksum(payload) != *stored {
+                // Payload corruption with intact framing: only this
+                // record is dropped.
+                return Err(());
+            }
+            decode_entry(payload)
+        },
+    );
+    replay.stats.dropped += usize::from(torn);
+    for entry in verified {
+        match entry {
+            Ok(entry) => {
+                replay.stats.recovered += 1;
+                replay.entries.push(entry);
+            }
+            Err(()) => replay.stats.dropped += 1,
+        }
+    }
+    replay.compact = replay.stats.dropped == 0;
+    Ok(replay)
+}
+
+/// Frames the records after the magic: each payload's span in `bytes`
+/// with its stored checksum, in file order, and whether the pass ended
+/// on a torn or implausible length prefix.
+fn frame_records(bytes: &[u8]) -> (Vec<(Range<usize>, u64)>, bool) {
+    let mut records = Vec::new();
     let mut pos = MAGIC.len();
     while pos < bytes.len() {
         // Length prefix.
         let Some(len_bytes) = bytes.get(pos..pos + 4) else {
-            stats.dropped += 1; // torn tail inside the prefix
-            break;
+            return (records, true); // torn tail inside the prefix
         };
         let len =
             u32::from_le_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]]) as usize;
         if len > MAX_RECORD || bytes.len() - (pos + 4) < len + 8 {
             // Implausible or past-EOF length: a torn tail or a flipped
             // prefix bit. Framing is lost; stop here.
-            stats.dropped += 1;
-            break;
+            return (records, true);
         }
-        let payload = &bytes[pos + 4..pos + 4 + len];
         let sum_bytes = &bytes[pos + 4 + len..pos + 12 + len];
         let stored = u64::from_le_bytes([
             sum_bytes[0],
@@ -895,22 +974,26 @@ pub fn load(dir: &Path) -> io::Result<(Vec<RecoveredEntry>, LoadStats)> {
             sum_bytes[6],
             sum_bytes[7],
         ]);
+        records.push((pos + 4..pos + 4 + len, stored));
         pos += 12 + len;
-        if checksum(payload) != stored {
-            // Payload corruption with intact framing: skip just this
-            // record and keep replaying.
-            stats.dropped += 1;
-            continue;
-        }
-        match decode_entry(payload) {
-            Ok(entry) => {
-                stats.recovered += 1;
-                entries.push(entry);
-            }
-            Err(()) => stats.dropped += 1,
-        }
     }
-    Ok((entries, stats))
+    (records, false)
+}
+
+/// `replay` on one worker per available core, returning the entries
+/// and counts.
+///
+/// # Errors
+///
+/// Only real I/O failures reading an existing file.
+pub fn load(dir: &Path) -> io::Result<(Vec<RecoveredEntry>, LoadStats)> {
+    replay(dir, recovery_workers()).map(|r| (r.entries, r.stats))
+}
+
+/// Workers for startup replay: every available core. Recovery runs
+/// before the service accepts a request, so nothing else needs them.
+pub(crate) fn recovery_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 #[cfg(test)]
@@ -926,6 +1009,17 @@ mod tests {
              net comb name=a src=0,0 dst=15,15\n\
              net reg name=b src=0,8 dst=15,8 period=2000\n",
         )
+        .unwrap()
+    }
+
+    /// [`scenario`] with its hard block moved to column `x`.
+    fn scenario_with_block(x: u32) -> Scenario {
+        parse(&format!(
+            "die 10mm 10mm\ngrid 16 16\nblock hard {x} 5 {} 7\n\
+             net comb name=a src=0,0 dst=15,15\n\
+             net reg name=b src=0,8 dst=15,8 period=2000\n",
+            x + 2
+        ))
         .unwrap()
     }
 
@@ -1139,5 +1233,76 @@ mod tests {
             }
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every recovered entry, re-encoded: equal lists decode to equal
+    /// keys, scenarios and solves.
+    fn encoded(entries: &[RecoveredEntry]) -> Vec<Vec<u8>> {
+        entries
+            .iter()
+            .map(|e| encode_entry(e.key, e.base, &e.scenario, &e.solved))
+            .collect()
+    }
+
+    /// The parallel verification takes its results in file order: over
+    /// a three-record snapshot truncated at every offset and flipped at
+    /// every byte, one worker and four recover the same entries and
+    /// counts, and agree on whether the file is compact.
+    #[test]
+    fn replay_is_the_same_on_any_worker_count() {
+        let dir = tmp_dir("workers");
+        let payloads: Vec<Vec<u8>> = [scenario(), scenario_with_block(2)]
+            .iter()
+            .chain(std::iter::once(&scenario()))
+            .map(|s| encode_entry(scenario_key(s), base_key(s), s, &solve(s)))
+            .collect();
+        rewrite(&dir, &payloads).unwrap();
+        let pristine = fs::read(snapshot_file(&dir)).unwrap();
+        let check = |bytes: &[u8], what: &str| {
+            fs::write(snapshot_file(&dir), bytes).unwrap();
+            let one = replay(&dir, 1).unwrap();
+            let many = replay(&dir, 4).unwrap();
+            assert_eq!(one.stats, many.stats, "{what}");
+            assert_eq!(one.compact, many.compact, "{what}");
+            assert_eq!(encoded(&one.entries), encoded(&many.entries), "{what}");
+            one
+        };
+        let whole = check(&pristine, "pristine");
+        assert!(whole.compact);
+        assert_eq!(encoded(&whole.entries), payloads);
+        for i in 0..pristine.len() {
+            check(&pristine[..i], &format!("truncated at {i}"));
+            let mut mutated = pristine.clone();
+            mutated[i] ^= 0x10;
+            let flipped = check(&mutated, &format!("flip at byte {i}"));
+            assert!(!flipped.compact, "flip at byte {i} left the file compact");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The premise of skipping the startup rewrite of a compact log:
+    /// decoding a record and encoding it again gives back its bytes, so
+    /// the rewrite would have written the file it skips.
+    #[test]
+    fn shipped_scenarios_round_trip_byte_for_byte() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+        let mut files: Vec<PathBuf> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "cr"))
+            .collect();
+        files.sort();
+        assert!(!files.is_empty(), "no scenarios in {}", dir.display());
+        for file in files {
+            let s = parse(&fs::read_to_string(&file).unwrap()).unwrap();
+            let payload = encode_entry(scenario_key(&s), base_key(&s), &s, &solve(&s));
+            let e = decode_entry(&payload).expect("shipped scenario decodes");
+            assert_eq!(
+                encode_entry(e.key, e.base, &e.scenario, &e.solved),
+                payload,
+                "{}",
+                file.display()
+            );
+        }
     }
 }

@@ -114,6 +114,19 @@ impl CachePath {
     }
 }
 
+/// Rewrites the snapshot in `dir` to hold exactly `rows`, an export of
+/// the cache, in order.
+fn rewrite_export(
+    dir: &Path,
+    rows: &[(u64, u64, scenario::Scenario, Arc<Solved>)],
+) -> io::Result<()> {
+    let payloads: Vec<Vec<u8>> = rows
+        .iter()
+        .map(|(key, base, scenario, solved)| persist::encode_entry(*key, *base, scenario, solved))
+        .collect();
+    persist::rewrite(dir, &payloads)
+}
+
 /// A long-running routing service. Shared-state layout: the result
 /// cache sharded across per-key locks with single-flight coalescing
 /// (locks held only for lookups and inserts, never across a solve),
@@ -172,10 +185,10 @@ pub fn install_signal_handlers() {}
 impl Service {
     /// A fresh service. With [`ServiceConfig::state`] set, the cache is
     /// rebuilt from the snapshot log in that directory: every record is
-    /// checksum- and structure-verified like a cache hit, corrupt or
-    /// torn records are dropped (counted in `service.persist.dropped`),
-    /// and the surviving set is compacted back to disk before serving
-    /// starts.
+    /// checksum- and structure-verified like a cache hit, on every
+    /// available core, corrupt or torn records are dropped (counted in
+    /// `service.persist.dropped`), and the log is made durable as a
+    /// compaction of the surviving set before serving starts.
     pub fn new(config: ServiceConfig) -> Service {
         let admission = Admission::new(config.max_inflight, config.max_nets, config.budget_ms);
         let metrics = Arc::new(MetricsRecorder::new());
@@ -214,49 +227,61 @@ impl Service {
     }
 
     /// Replays the snapshot log into `cache`, compacts the survivors,
-    /// and reopens the log for appending. Any persistence failure
-    /// degrades to running without persistence (counted, never fatal):
-    /// a service that promises to stay up must not die over its cache.
+    /// and reopens the log for appending. A log that replay took whole
+    /// and whose records the cache holds exactly, in file order, is
+    /// already that compaction: it is synced, not rewritten. Any
+    /// persistence failure degrades to running without persistence
+    /// (counted, never fatal): a service that promises to stay up must
+    /// not die over its cache.
     fn recover(dir: &Path, cache: &ShardedCache, metrics: &MetricsRecorder) -> Option<SnapshotLog> {
-        match persist::load(dir) {
-            Ok((entries, stats)) => {
-                metrics.counter("service.persist.recovered", stats.recovered as u64);
-                metrics.counter("service.persist.dropped", stats.dropped as u64);
-                for e in entries {
-                    // Replay in LRU order: insert order reproduces both
-                    // contents and eviction order, a smaller cap keeps
-                    // the most recently used survivors, and the sharded
-                    // insert routes each key to the shard live traffic
-                    // would use. Duplicate-key records collapse
-                    // last-wins: a later insert replaces the slot, so
-                    // neither `len` nor the eviction count ever counts
-                    // one fingerprint twice.
-                    let answer = Answer::new(Arc::new(e.solved));
-                    cache.insert(e.key, e.base, e.scenario, Arc::new(answer));
-                }
-                let payloads: Vec<Vec<u8>> = cache
-                    .export()
-                    .into_iter()
-                    .map(|(key, base, scenario, solved)| {
-                        persist::encode_entry(key, base, &scenario, &solved)
-                    })
-                    .collect();
-                if persist::rewrite(dir, &payloads).is_err() {
-                    metrics.counter("service.persist.errors", 1);
-                }
-                match SnapshotLog::open(dir) {
-                    Ok(log) => Some(log),
-                    Err(_) => {
-                        metrics.counter("service.persist.errors", 1);
-                        None
-                    }
-                }
-            }
+        let replay = match persist::replay(dir, persist::recovery_workers()) {
+            Ok(replay) => replay,
             Err(_) => {
                 metrics.counter("service.persist.errors", 1);
-                None
+                return None;
             }
+        };
+        metrics.counter("service.persist.recovered", replay.stats.recovered as u64);
+        metrics.counter("service.persist.dropped", replay.stats.dropped as u64);
+        let mut loaded = Vec::with_capacity(replay.entries.len());
+        for e in replay.entries {
+            // Replay in LRU order: insert order reproduces both
+            // contents and eviction order, a smaller cap keeps the most
+            // recently used survivors, and the sharded insert routes
+            // each key to the shard live traffic would use. Duplicate-
+            // key records collapse last-wins: a later insert replaces
+            // the slot, so neither `len` nor the eviction count ever
+            // counts one fingerprint twice.
+            let solved = Arc::new(e.solved);
+            loaded.push(Arc::clone(&solved));
+            cache.insert(e.key, e.base, e.scenario, Arc::new(Answer::new(solved)));
         }
+        let rows = cache.export();
+        // The export holds every loaded record, itself and in file
+        // order, only when no duplicate collapsed and nothing was
+        // evicted: then the file already is its own compaction.
+        let compact = replay.compact
+            && rows.len() == loaded.len()
+            && rows
+                .iter()
+                .zip(&loaded)
+                .all(|((_, _, _, row), record)| Arc::ptr_eq(row, record));
+        if !compact && rewrite_export(dir, &rows).is_err() {
+            metrics.counter("service.persist.errors", 1);
+        }
+        let log = match SnapshotLog::open(dir) {
+            Ok(log) => log,
+            Err(_) => {
+                metrics.counter("service.persist.errors", 1);
+                return None;
+            }
+        };
+        // In place of the rewrite's fsync: a record the last process
+        // wrote but never synced is about to be served as a hit.
+        if compact && log.sync().is_err() {
+            metrics.counter("service.persist.errors", 1);
+        }
+        Some(log)
     }
 
     /// The aggregated telemetry recorder (service counters plus every
@@ -284,15 +309,7 @@ impl Service {
         let Some(dir) = &self.config.state else {
             return Ok(());
         };
-        let payloads: Vec<Vec<u8>> = self
-            .cache
-            .export()
-            .into_iter()
-            .map(|(key, base, scenario, solved)| {
-                persist::encode_entry(key, base, &scenario, &solved)
-            })
-            .collect();
-        persist::rewrite(dir, &payloads)?;
+        rewrite_export(dir, &self.cache.export())?;
         // The old handle points at the renamed-over inode; reopen so
         // later appends land in the new file.
         self.snapshot_log.replace(SnapshotLog::open(dir)?);

@@ -480,3 +480,192 @@ fn truncated_snapshot_from_a_crash_is_recovered_not_served() {
     assert_eq!(normalize(&again), normalize(&cold_reference("b", &b)));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------
+// Startup compaction: skipped for a log that replays whole, run for
+// every log that replay changed (DESIGN.md §13).
+// ---------------------------------------------------------------------
+
+/// What a rewrite would change about the snapshot file: its bytes, its
+/// modification time and (on unix) its inode, which the rename of a
+/// rewrite replaces.
+fn file_state(dir: &Path) -> (Vec<u8>, std::time::SystemTime, u64) {
+    let snap = dir.join("cache.snap");
+    let meta = std::fs::metadata(&snap).expect("snapshot metadata");
+    #[cfg(unix)]
+    let inode = std::os::unix::fs::MetadataExt::ino(&meta);
+    #[cfg(not(unix))]
+    let inode = 0;
+    let bytes = std::fs::read(&snap).expect("snapshot bytes");
+    assert_eq!(bytes.len() as u64, meta.len());
+    let modified = meta.modified().expect("snapshot mtime");
+    (bytes, modified, inode)
+}
+
+/// The byte ranges of a snapshot's framed records (`len:u32le payload
+/// fnv64:u64le`), after the 8-byte magic.
+fn frames(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut out = Vec::new();
+    let mut pos = 8;
+    while pos < bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
+        out.push(pos..pos + 12 + len);
+        pos += 12 + len;
+    }
+    out
+}
+
+/// A state directory whose log holds three entries, appended by a
+/// service that was then dropped without a snapshot: a compact log.
+fn three_entry_state(tag: &str) -> (PathBuf, ServiceConfig) {
+    let dir = tmp_state(tag);
+    let config = ServiceConfig {
+        state: Some(dir.clone()),
+        ..ServiceConfig::default()
+    };
+    let first = Service::new(config.clone());
+    for (i, bx) in [2, 6, 10].into_iter().enumerate() {
+        let got = first.handle_line(&route_line(&format!("s{i}"), &scenario_text(bx, 3)));
+        assert!(got.contains("\"status\":\"ok\""), "{got}");
+    }
+    drop(first);
+    (dir, config)
+}
+
+/// Restarts on `dir` and returns the persist counters
+/// `(recovered, dropped, errors)`.
+fn restart(config: &ServiceConfig) -> (u64, u64, u64) {
+    let service = Service::new(config.clone());
+    let m = service.metrics();
+    (
+        m.counter_value("service.persist.recovered"),
+        m.counter_value("service.persist.dropped"),
+        m.counter_value("service.persist.errors"),
+    )
+}
+
+/// Waits out the file-time granularity, so a rewrite after this
+/// returns would show in the modification time.
+fn let_the_clock_move() {
+    std::thread::sleep(Duration::from_millis(20));
+}
+
+#[test]
+fn clean_restart_leaves_a_compact_log_untouched() {
+    let (dir, config) = three_entry_state("compact-restart");
+    let before = file_state(&dir);
+    let_the_clock_move();
+    assert_eq!(restart(&config), (3, 0, 0));
+    assert_eq!(file_state(&dir), before, "a compact log was rewritten");
+    assert!(!dir.join("cache.snap.tmp").exists());
+
+    // The untouched log keeps taking appends.
+    let service = Service::new(config.clone());
+    let got = service.handle_line(&route_line("s3", &scenario_text(12, 9)));
+    assert!(got.contains("\"status\":\"ok\""), "{got}");
+    drop(service);
+    assert_eq!(restart(&config), (4, 0, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn startup_compacts_every_log_that_replay_changed() {
+    type Case = (
+        &'static str,
+        fn(&[u8], &[std::ops::Range<usize>]) -> Vec<u8>,
+        usize,
+        (u64, u64),
+        &'static [usize],
+    );
+    // (name, corruption, cache cap, (recovered, dropped), the records,
+    // by index into the pristine log, that the compacted file holds).
+    let cases: [Case; 4] = [
+        (
+            "torn-tail",
+            |b, f| [b, &b[f[0].start..f[0].start + 9]].concat(),
+            64,
+            (3, 1),
+            &[0, 1, 2],
+        ),
+        (
+            "flipped-middle",
+            |b, f| {
+                let mut b = b.to_vec();
+                b[f[1].start + 20] ^= 0x40;
+                b
+            },
+            64,
+            (2, 1),
+            &[0, 2],
+        ),
+        // A later record under the same key replaces the earlier one
+        // and becomes the most recently used entry.
+        (
+            "duplicate-key",
+            |b, f| [b, &b[f[0].clone()]].concat(),
+            64,
+            (4, 0),
+            &[1, 2, 0],
+        ),
+        ("over-the-cap", |b, _| b.to_vec(), 2, (3, 0), &[1, 2]),
+    ];
+    for (name, corrupt, cache_cap, counts, kept) in cases {
+        let (dir, mut config) = three_entry_state(&format!("compacts-{name}"));
+        config.cache_cap = cache_cap;
+        config.shards = 1;
+        let pristine = std::fs::read(dir.join("cache.snap")).expect("snapshot");
+        let f = frames(&pristine);
+        std::fs::write(dir.join("cache.snap"), corrupt(&pristine, &f)).expect("corrupt");
+        let corrupted = file_state(&dir);
+        let_the_clock_move();
+
+        assert_eq!(restart(&config), (counts.0, counts.1, 0), "{name}");
+        let compacted = file_state(&dir);
+        assert_ne!(compacted, corrupted, "{name}: no compaction");
+        let want: Vec<u8> = std::iter::once(&pristine[..8])
+            .chain(kept.iter().map(|&k| &pristine[f[k].clone()]))
+            .flatten()
+            .copied()
+            .collect();
+        assert_eq!(compacted.0, want, "{name}: compacted bytes");
+        assert!(!dir.join("cache.snap.tmp").exists(), "{name}");
+
+        // The compaction is compact: the next restart leaves it be.
+        let_the_clock_move();
+        assert_eq!(restart(&config), (kept.len() as u64, 0, 0), "{name}");
+        assert_eq!(file_state(&dir), compacted, "{name}: rewritten again");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn persist_faults_fire_only_where_startup_writes() {
+    // A torn log needs its compaction: the armed rewrite fails, is
+    // counted, and leaves the torn file as it was.
+    let (dir, config) = three_entry_state("armed-torn");
+    let snap = dir.join("cache.snap");
+    let mut bytes = std::fs::read(&snap).expect("snapshot");
+    bytes.extend_from_slice(&[7, 0, 0]);
+    std::fs::write(&snap, &bytes).expect("tear");
+    let torn = file_state(&dir);
+    failpoint::disarm_all();
+    failpoint::arm_sticky("serve::persist", FailAction::IoError, 1);
+    let counts = restart(&config);
+    failpoint::disarm_all();
+    assert_eq!(counts, (3, 1, 1));
+    assert_eq!(file_state(&dir), torn, "a failed rewrite touched the log");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A compact log is not rewritten, so the rewrite's fault site is
+    // never reached; it is synced in place, through the fsync site.
+    for (site, errors) in [("serve::persist", 0), ("serve::fsync", 1)] {
+        let (dir, config) = three_entry_state(&format!("armed-{site}"));
+        let before = file_state(&dir);
+        failpoint::arm_sticky(site, FailAction::IoError, 1);
+        let counts = restart(&config);
+        failpoint::disarm_all();
+        assert_eq!(counts, (3, 0, errors), "{site}");
+        assert_eq!(file_state(&dir), before, "{site}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -3,7 +3,8 @@
 # burst of route requests over TCP against a --state directory, kill
 # the process with SIGKILL mid-flight, restart it on the same state,
 # and verify (a) every entry answered before the kill is recovered and
-# answers byte-identically, (b) a deliberately corrupted snapshot is
+# answers byte-identically, and a torn record after them is compacted
+# away before the restart listens, (b) a deliberately corrupted snapshot is
 # dropped — the service re-solves instead of serving bad bytes, and
 # (c) SIGTERM drains gracefully with exit 0. Run from the repo root;
 # the in-depth fault-schedule assertions live in
@@ -81,7 +82,14 @@ kill -9 "$pid" || fail "SIGKILL"
 wait "$pid" 2>/dev/null || true
 
 # --- Restart: answered entries recovered, bytes identical. -----------
+# A kill mid-append leaves a torn record: the start of a frame with no
+# end. Startup drops it and compacts the log back to the answered
+# records before it listens.
+cp "$tmp/state/cache.snap" "$tmp/killed.snap"
+tail -c +9 "$tmp/killed.snap" | head -c 32 >> "$tmp/state/cache.snap"
 start_server
+cmp -s "$tmp/killed.snap" "$tmp/state/cache.snap" \
+    || fail "torn tail not compacted away on restart"
 g1=$(ask "$(route c1 "$SCEN1")")
 g2=$(ask "$(route c2 "$SCEN2")")
 echo "$g1" | grep -q '"cache":"hit"' || fail "entry 1 lost across SIGKILL: $g1"
@@ -92,6 +100,8 @@ norm() { printf '%s' "$1" | sed 's/"cache":"[a-z]*"/"cache":"X"/'; }
 stats=$(ask '{"op":"stats"}')
 echo "$stats" | grep -q '"service.persist.recovered":2' \
     || fail "recovery count wrong: $stats"
+echo "$stats" | grep -q '"service.persist.dropped":1[,}]' \
+    || fail "torn tail not counted dropped: $stats"
 
 # --- SIGTERM: graceful drain, exit 0, snapshot intact. ---------------
 kill -TERM "$pid" || fail "SIGTERM"

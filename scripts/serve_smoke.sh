@@ -4,7 +4,9 @@
 # hit and its repeat's memo hit, the cached text escaped another way,
 # a memoized literal under a duplicated key, malformed line, budget
 # rejection),
-# checks the exit-code contract, and validates every
+# restarts on the session's --state and checks the snapshot it left is
+# replayed and left byte-identical, checks the exit-code contract, and
+# validates every
 # response line through the same JSON grammar the telemetry export
 # uses (`crserve --validate-jsonl`). Run from the repo root; the
 # in-depth byte-identity assertions live in
@@ -44,7 +46,7 @@ SCEN_U=$(printf '%s' "$SCEN" | sed 's/\\n/\\u000a/g')
     printf '%s\n' '{"id":"q","op":"shutdown"}'
 } > "$tmp/session.jsonl"
 
-"$BIN" --quiet --metrics "$tmp/metrics.json" \
+"$BIN" --quiet --metrics "$tmp/metrics.json" --state "$tmp/state" \
     < "$tmp/session.jsonl" > "$tmp/out.jsonl" \
     || fail "clean session exited non-zero"
 
@@ -76,6 +78,19 @@ sed -n '7p' "$tmp/out.jsonl" | grep -q '"status":"malformed","error":"duplicate 
 grep -q '"service.hits":4,' "$tmp/out.jsonl" || fail "stats did not count the four hits"
 grep -q '"service.malformed":2,' "$tmp/out.jsonl" || fail "stats did not count the two malformed lines"
 grep -q '"bye":true' "$tmp/out.jsonl" || fail "missing shutdown acknowledgement"
+
+# Restart on the session's state: the snapshot its clean shutdown
+# compacted replays whole, recovering the one entry, and is byte for
+# byte the same afterwards.
+cp "$tmp/state/cache.snap" "$tmp/before.snap"
+printf '%s\n' '{"id":"s","op":"stats"}' '{"id":"q","op":"shutdown"}' > "$tmp/restart.jsonl"
+"$BIN" --quiet --state "$tmp/state" < "$tmp/restart.jsonl" > "$tmp/restart_out.jsonl" \
+    || fail "restart session exited non-zero"
+cmp -s "$tmp/before.snap" "$tmp/state/cache.snap" || fail "restart changed the snapshot"
+grep -q '"service.persist.recovered":1[,}]' "$tmp/restart_out.jsonl" \
+    || fail "restart did not recover the session's entry"
+grep -q '"service.persist.dropped":0[,}]' "$tmp/restart_out.jsonl" \
+    || fail "restart dropped a record of a clean snapshot"
 
 # Budget rejection: a 2-net scenario against --max-nets 1 must answer
 # busy (and keep serving) rather than queue or die.
